@@ -20,7 +20,7 @@ from .analysis import (
     interface_flux_jump,
 )
 from .config import ConfigError, RunConfig, load_config
-from .fem import DiscreteField, assemble, ramp_field, zero_field
+from .fem import assemble, field_from_values, ramp_field, zero_field
 from .mesh import CORE, GeometryError, build_mesh
 from .model import ParameterError
 from .reporting import (
@@ -117,17 +117,21 @@ def cmd_evolve(config: RunConfig, u0_file: str | None = None) -> int:
     config.solver.require_timestep()
     mesh, system, out_dir = _prepare(config)
     if u0_file is not None:
-        u0 = DiscreteField(read_field_csv(u0_file, mesh), mesh.dirichlet_mask())
-        u0.values[u0.mask] = 0.0
+        u0 = field_from_values(mesh, read_field_csv(u0_file, mesh))
     else:
         u0 = zero_field(mesh)
 
     trace = evolve(system, config.model, config.solver, u0)
-    gamma = estimate_gamma(system, config.model)
-    report = fit_decay_rate(trace, gamma_disc=gamma)
-
     if config.output.write_csv:
         write_trace_csv(out_dir / "trace.csv", trace, config.echo_lines())
+    if not trace.meta["completed"]:
+        print(f"evolution failed at step {trace.meta['failed_at_step']} "
+              f"({trace.meta['failure']}); last good time {fmt(trace.times[-1])}",
+              file=sys.stderr)
+        return EXIT_SOLVER_FAILURE
+
+    gamma = estimate_gamma(system, config.model)
+    report = fit_decay_rate(trace, gamma_disc=gamma)
     write_decay_report(out_dir / "decay_report.txt", out_dir / "decay_report.csv",
                        report, config.echo_lines())
 
@@ -153,10 +157,6 @@ def cmd_evolve(config: RunConfig, u0_file: str | None = None) -> int:
     write_text_report(out_dir / "evolve_report.txt", body, config.echo_lines())
     print("\n".join(body))
 
-    if not trace.meta["completed"]:
-        print(f"evolution failed at step {trace.meta['failed_at_step']}; "
-              f"last good time {fmt(trace.times[-1])}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
     if not (energy_ok and contraction_ok):
         print("energy-monotonicity or H-contraction violated along the trace",
               file=sys.stderr)

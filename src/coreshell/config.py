@@ -11,6 +11,7 @@ from pathlib import Path
 
 from .mesh import GeometrySpec
 from .model import ModelParams
+from .reporting import fmt
 from .solvers import SolverConfig
 
 
@@ -62,7 +63,7 @@ class RunConfig:
                 return "true" if x else "false"
             if isinstance(x, int):
                 return str(x)
-            return f"{float(x):.17g}"
+            return fmt(x)
 
         m, g, s, o, v = self.model, self.geometry, self.solver, self.output, self.verify
         lines = [f"config: {self.source}"]

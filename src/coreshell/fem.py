@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import CORE, CoreShellMesh, GeometryError
+from .mesh import CORE, CoreShellMesh
 from .model import (
     ModelParams,
     consumption_potential,
@@ -104,15 +104,6 @@ class AssembledSystem:
             )
 
 
-def _accumulate(entries: dict, i: int, j: int, value: float):
-    key = (i, j)
-    entries[key] = entries.get(key, 0.0) + value
-
-
-def _monomial_integral(ra: float, rb: float, p: int) -> float:
-    return (rb ** (p + 1) - ra ** (p + 1)) / (p + 1)
-
-
 def assemble(
     mesh: CoreShellMesh,
     params: ModelParams,
@@ -130,89 +121,48 @@ def assemble(
     `reaction=False` zeroes the consumption weights (load-free mode), and
     `b_override` bypasses parameter validation for harness sanity checks.
 
-    Element matrices are computed once per symmetric pair, and entries
-    accumulate in element order, so K and M are symmetric bitwise.
+    Local element matrices are built for all elements at once from the
+    mesh's element geometry, and duplicate positions are summed by the sparse
+    conversion. An off-diagonal entry sums at most two element terms (an
+    edge has at most two elements), and a + b == b + a exactly, so K and M
+    are symmetric bitwise.
     """
     b1, b2 = (params.b1, params.b2) if b_override is None else b_override
     if weight_exponent is None:
         weight_exponent = mesh.dimension - 1 if mesh.kind == "radial" else 0
 
-    k_entries: dict = {}
-    kt_entries: dict = {}
-    m_entries: dict = {}
-    m1 = np.zeros(mesh.n_nodes)
-    lumped = np.zeros(mesh.n_nodes)
-    core_volume = 0.0
-
+    measures, grads = mesh.element_geometry()
+    core = mesh.region == CORE
     if mesh.kind == "radial":
-        w = weight_exponent
-        for e in range(mesh.n_elements):
-            ia, ib = (int(v) for v in mesh.elements[e])
-            ra, rb = float(mesh.nodes[ia]), float(mesh.nodes[ib])
-            h = rb - ra
-            if h <= 0.0:
-                raise GeometryError(f"element {e} has singular geometry")
-            i0 = _monomial_integral(ra, rb, w)
-            i1 = _monomial_integral(ra, rb, w + 1)
-            i2 = _monomial_integral(ra, rb, w + 2)
-            b_e = b1 if mesh.region[e] == CORE else b2
-            k_geom = i0 / h**2
-            m_aa = (rb * rb * i0 - 2.0 * rb * i1 + i2) / h**2
-            m_ab = (-ra * rb * i0 + (ra + rb) * i1 - i2) / h**2
-            m_bb = (i2 - 2.0 * ra * i1 + ra * ra * i0) / h**2
-            l_a = (rb * i0 - i1) / h
-            l_b = (i1 - ra * i0) / h
-            for (i, j, kij, mij) in (
-                (ia, ia, k_geom, m_aa),
-                (ia, ib, -k_geom, m_ab),
-                (ib, ia, -k_geom, m_ab),
-                (ib, ib, k_geom, m_bb),
-            ):
-                _accumulate(k_entries, i, j, b_e * kij)
-                _accumulate(kt_entries, i, j, kij)
-                _accumulate(m_entries, i, j, mij)
-            lumped[ia] += l_a
-            lumped[ib] += l_b
-            if mesh.region[e] == CORE:
-                m1[ia] += l_a
-                m1[ib] += l_b
-                core_volume += i0
+        # Moments of r^w, r^(w+1), r^(w+2) on [ra, rb]; hat products combine them.
+        ra, rb = mesh.nodes[mesh.elements[:, 0]], mesh.nodes[mesh.elements[:, 1]]
+        h = measures
+        i0, i1, i2 = ((rb ** (p + 1) - ra ** (p + 1)) / (p + 1)
+                      for p in range(weight_exponent, weight_exponent + 3))
+        m_ab = (-ra * rb * i0 + (ra + rb) * i1 - i2) / h**2
+        m_local = np.stack([(rb * rb * i0 - 2.0 * rb * i1 + i2) / h**2, m_ab,
+                            m_ab, (i2 - 2.0 * ra * i1 + ra * ra * i0) / h**2],
+                           axis=1).reshape(-1, 2, 2)
+        lumped_local = np.column_stack([(rb * i0 - i1) / h, (i1 - ra * i0) / h])
+        volume = i0
     else:
-        for e in range(mesh.n_elements):
-            idx = [int(v) for v in mesh.elements[e]]
-            p = mesh.nodes[idx]
-            area = 0.5 * ((p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
-                          - (p[1, 1] - p[0, 1]) * (p[2, 0] - p[0, 0]))
-            if area <= 0.0:
-                raise GeometryError(f"element {e} has singular geometry")
-            # Constant P1 gradients: grad_i = (by_i, cx_i) / (2 area).
-            by = np.array([p[1, 1] - p[2, 1], p[2, 1] - p[0, 1], p[0, 1] - p[1, 1]])
-            cx = np.array([p[2, 0] - p[1, 0], p[0, 0] - p[2, 0], p[1, 0] - p[0, 0]])
-            b_e = b1 if mesh.region[e] == CORE else b2
-            for a in range(3):
-                for c in range(a, 3):
-                    k_geom = (by[a] * by[c] + cx[a] * cx[c]) / (4.0 * area)
-                    m_ac = area / 12.0 * (2.0 if a == c else 1.0)
-                    pairs = ((idx[a], idx[c]),) if a == c else (
-                        (idx[a], idx[c]), (idx[c], idx[a]))
-                    for (i, j) in pairs:
-                        _accumulate(k_entries, i, j, b_e * k_geom)
-                        _accumulate(kt_entries, i, j, k_geom)
-                        _accumulate(m_entries, i, j, m_ac)
-            lumped[idx] += area / 3.0
-            if mesh.region[e] == CORE:
-                m1[idx] += area / 3.0
-                core_volume += area
+        m_local = (measures / 12.0)[:, None, None] * (1.0 + np.eye(3))
+        lumped_local = np.repeat(measures[:, None] / 3.0, 3, axis=1)
+        volume = measures
+    kt_local = volume[:, None, None] * (grads[:, :, None, :] * grads[:, None, :, :]).sum(axis=-1)
+    k_local = np.where(core, b1, b2)[:, None, None] * kt_local
 
     n = mesh.n_nodes
+    k = mesh.elements.shape[1]
+    rows = np.repeat(mesh.elements, k, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, k)).ravel()
 
-    def to_csr(entries):
-        keys = sorted(entries)
-        rows = np.fromiter((k[0] for k in keys), dtype=np.int64, count=len(keys))
-        cols = np.fromiter((k[1] for k in keys), dtype=np.int64, count=len(keys))
-        vals = np.fromiter((entries[k] for k in keys), dtype=float, count=len(keys))
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    def to_csr(local):
+        return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
+    lumped = np.bincount(mesh.elements.ravel(), weights=lumped_local.ravel(), minlength=n)
+    m1 = np.bincount(mesh.elements[core].ravel(), weights=lumped_local[core].ravel(),
+                     minlength=n)
     if not reaction:
         m1 = np.zeros(mesh.n_nodes)
 
@@ -224,15 +174,15 @@ def assemble(
 
     return AssembledSystem(
         mesh=mesh,
-        K=to_csr(k_entries),
-        Kt=to_csr(kt_entries),
-        M=to_csr(m_entries),
+        K=to_csr(k_local),
+        Kt=to_csr(kt_local),
+        M=to_csr(m_local),
         M1=m1,
         lumped_mass=lumped,
         mask=mask,
         free=np.flatnonzero(~mask),
         weight_exponent=weight_exponent,
-        core_volume=core_volume,
+        core_volume=float(volume[core].sum()),
     )
 
 

@@ -112,21 +112,43 @@ class CoreShellMesh:
         mask[self.s_nodes] = True
         return mask
 
-    def element_measures(self) -> np.ndarray:
-        """Lengths of segments or signed areas of triangles (positive if CCW)."""
-        if self.kind == "radial":
-            return self.nodes[self.elements[:, 1]] - self.nodes[self.elements[:, 0]]
-        p = self.nodes
-        a, b, c = (p[self.elements[:, k]] for k in range(3))
-        return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                      - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+    def element_geometry(self):
+        """Measures and constant P1 basis gradients of all elements, as arrays.
 
-    def validate(self):
-        """Raise GeometryError if any mesh invariant is broken."""
-        measures = self.element_measures()
+        measures  : (m,) segment lengths or triangle areas (CCW vertex order)
+        gradients : (m, k, d) gradient of each vertex's hat function:
+                    (-1/h, 1/h) on segments, (by, cx) / (2 area) on triangles
+                    with by_a = y_(a+1) - y_(a+2), cx_a = x_(a+2) - x_(a+1)
+
+        Raises GeometryError if an element has a non-positive measure.
+        """
+        p = self.nodes[self.elements]
+        if self.kind == "radial":
+            measures = p[:, 1] - p[:, 0]
+            scaled = np.array([[-1.0], [1.0]])  # measure * gradient
+        else:
+            x, y = p[..., 0], p[..., 1]
+            by = np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1)
+            cx = np.roll(x, -2, axis=1) - np.roll(x, -1, axis=1)
+            measures = 0.5 * (cx[:, 2] * by[:, 1] - by[:, 2] * cx[:, 1])
+            scaled = 0.5 * np.stack([by, cx], axis=2)
         if np.any(measures <= 0.0):
             bad = int(np.argmin(measures))
             raise GeometryError(f"element {bad} has non-positive measure {measures[bad]}")
+        return measures, scaled / measures[:, None, None]
+
+    def element_measures(self) -> np.ndarray:
+        """Lengths of segments or areas of triangles."""
+        return self.element_geometry()[0]
+
+    def facet_elements(self) -> np.ndarray:
+        """(F, 2) core and shell element of each interface facet."""
+        return np.array([(f.core_element, f.shell_element) for f in self.gamma_facets],
+                        dtype=np.int64).reshape(-1, 2)
+
+    def validate(self):
+        """Raise GeometryError if any mesh invariant is broken."""
+        self.element_geometry()  # raises on a non-positive element measure
         radii = self.node_radii()
         tol = _TOL * self.r2 * max(1.0, self.n_nodes)
         if np.any(np.abs(radii[self.s_nodes] - self.r2) > tol):
@@ -134,22 +156,19 @@ class CoreShellMesh:
         if np.any(np.abs(radii[self.gamma_nodes] - self.r1) > tol):
             raise GeometryError("an interface node is not at distance r1")
         # Interface-fitted: element vertices never lie strictly on both sides.
-        for e in range(self.n_elements):
-            r_e = radii[self.elements[e]]
-            if self.region[e] == CORE:
-                if np.any(r_e > self.r1 + tol):
-                    raise GeometryError(f"core element {e} has a vertex outside r1")
-            else:
-                if np.any(r_e < self.r1 - tol):
-                    raise GeometryError(f"shell element {e} has a vertex inside r1")
+        r_e = radii[self.elements]
+        core = self.region == CORE
+        straddles = np.where(core, np.any(r_e > self.r1 + tol, axis=1),
+                             np.any(r_e < self.r1 - tol, axis=1))
+        if np.any(straddles):
+            e = int(np.argmax(straddles))
+            if core[e]:
+                raise GeometryError(f"core element {e} has a vertex outside r1")
+            raise GeometryError(f"shell element {e} has a vertex inside r1")
         if len(self.gamma_facets) == 0:
             raise GeometryError("mesh has no interface facets")
-        for f in self.gamma_facets:
-            if self.region[f.core_element] != CORE or self.region[f.shell_element] != SHELL:
-                raise GeometryError("interface facet is not shared by one core and one shell element")
-        iface = np.isin(np.arange(self.n_nodes), self.s_nodes)
-        if np.any(iface & (radii < self.r2 - tol)):
-            raise GeometryError("an interior node is Dirichlet-masked")
+        if np.any(self.region[self.facet_elements()] != (CORE, SHELL)):
+            raise GeometryError("interface facet is not shared by one core and one shell element")
 
 
 # ----------------------------------------------------------------------------
@@ -205,39 +224,56 @@ def build_radial_mesh(spec: GeometrySpec) -> CoreShellMesh:
 # ----------------------------------------------------------------------------
 
 
-def _extract_gamma_facets(nodes, elements, region, gamma_set):
+def _edge_table(elements: np.ndarray):
+    """Edge incidence of a conforming triangulation, as three arrays.
+
+    edges         : (E, 2) node pairs (low, high) in lexicographic order
+    element_edges : (m, 3) edge index of each element's local edges
+                    (v0 v1), (v1 v2), (v2 v0)
+    edge_elements : (E, 2) elements touching each edge, in element order;
+                    -1 in the second column for a boundary edge
+    """
+    pairs = np.sort(elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 3, 2), axis=2)
+    n = int(elements.max()) + 1
+    keys, slot, count = np.unique(pairs[..., 0] * n + pairs[..., 1],
+                                  return_inverse=True, return_counts=True)
+    if np.any(count > 2):
+        raise GeometryError("an edge is shared by more than two elements")
+    by_edge = np.argsort(slot.ravel(), kind="stable") // 3
+    first = np.cumsum(count) - count
+    second = np.where(count == 2, by_edge[first + count - 1], -1)
+    return (np.column_stack([keys // n, keys % n]), slot.reshape(-1, 3),
+            np.column_stack([by_edge[first], second]))
+
+
+def _extract_gamma_facets(nodes, elements, region, gamma_ids):
     """Interface facets are the edges whose endpoints are both interface nodes."""
-    edge_elems = {}
-    for e, tri in enumerate(elements):
-        for k in range(3):
-            a, b = int(tri[k]), int(tri[(k + 1) % 3])
-            edge_elems.setdefault((min(a, b), max(a, b)), []).append(e)
-    facets = []
-    for (a, b), elems in sorted(edge_elems.items()):
-        if a not in gamma_set or b not in gamma_set:
-            continue
-        if len(elems) != 2:
-            raise GeometryError(f"interface edge ({a},{b}) not shared by two elements")
-        e0, e1 = elems
-        if region[e0] == CORE and region[e1] == SHELL:
-            core_e, shell_e = e0, e1
-        elif region[e1] == CORE and region[e0] == SHELL:
-            core_e, shell_e = e1, e0
-        else:
-            raise GeometryError(f"interface edge ({a},{b}) does not separate core from shell")
-        tangent = nodes[b] - nodes[a]
-        normal = np.array([tangent[1], -tangent[0]])
-        normal /= np.linalg.norm(normal)
-        core_centroid = nodes[elements[core_e]].mean(axis=0)
-        midpoint = 0.5 * (nodes[a] + nodes[b])
-        if np.dot(normal, core_centroid - midpoint) > 0.0:
-            normal = -normal
-        facets.append(GammaFacet(nodes=(a, b), core_element=core_e,
-                                 shell_element=shell_e, normal=tuple(normal)))
-    return facets
+    edges, _, edge_elements = _edge_table(elements)
+    facet = np.flatnonzero(np.isin(edges, gamma_ids).all(axis=1))
+    ends, pair = edges[facet], edge_elements[facet]
+    tags = region[pair]
+    bad = (pair[:, 1] < 0) | (tags[:, 0] == tags[:, 1])
+    if np.any(bad):
+        a, b = ends[np.argmax(bad)]
+        raise GeometryError(f"interface edge ({a},{b}) is not shared by a core and a shell element")
+    core_first = tags[:, 0] == CORE
+    core_e = np.where(core_first, pair[:, 0], pair[:, 1])
+    shell_e = np.where(core_first, pair[:, 1], pair[:, 0])
+
+    tangent = nodes[ends[:, 1]] - nodes[ends[:, 0]]
+    normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    core_centroid = nodes[elements[core_e]].mean(axis=1)
+    midpoint = 0.5 * (nodes[ends[:, 0]] + nodes[ends[:, 1]])
+    inward = np.einsum("fd,fd->f", normal, core_centroid - midpoint) > 0.0
+    normal[inward] *= -1.0
+    return [GammaFacet(nodes=(int(a), int(b)), core_element=int(c), shell_element=int(s),
+                       normal=tuple(nu))
+            for (a, b), c, s, nu in zip(ends, core_e, shell_e, normal)]
 
 
 def _planar_from_arrays(nodes, elements, region, gamma_ids, s_ids, spec_like):
+    """Validated planar mesh; gamma_ids and s_ids are sorted node indices."""
     mesh = CoreShellMesh(
         kind="planar2d",
         dimension=2,
@@ -246,11 +282,11 @@ def _planar_from_arrays(nodes, elements, region, gamma_ids, s_ids, spec_like):
         nodes=nodes,
         elements=elements,
         region=region,
-        s_nodes=np.asarray(sorted(s_ids), dtype=np.int64),
-        gamma_nodes=np.asarray(sorted(gamma_ids), dtype=np.int64),
-        gamma_facets=[],
+        s_nodes=s_ids,
+        gamma_nodes=gamma_ids,
+        gamma_facets=_extract_gamma_facets(nodes, elements, region, gamma_ids),
     )
-    mesh.gamma_facets.extend(_extract_gamma_facets(nodes, elements, region, set(gamma_ids)))
+    mesh.validate()
     return mesh
 
 
@@ -277,34 +313,23 @@ def build_annulus_mesh(spec: GeometrySpec) -> CoreShellMesh:
 
     angles = 2.0 * math.pi * np.arange(n_sectors) / n_sectors
     nodes = np.zeros((1 + n_rings * n_sectors, 2))
-    for k, radius in enumerate(ring_radii):
-        sl = slice(1 + k * n_sectors, 1 + (k + 1) * n_sectors)
-        nodes[sl, 0] = radius * np.cos(angles)
-        nodes[sl, 1] = radius * np.sin(angles)
+    nodes[1:, 0] = np.outer(ring_radii, np.cos(angles)).ravel()
+    nodes[1:, 1] = np.outer(ring_radii, np.sin(angles)).ravel()
 
-    def ring_node(k, s):
-        return 1 + k * n_sectors + (s % n_sectors)
-
-    tris = []
-    for s in range(n_sectors):
-        tris.append((0, ring_node(0, s), ring_node(0, s + 1)))
-    for k in range(n_rings - 1):
-        for s in range(n_sectors):
-            v00, v01 = ring_node(k, s), ring_node(k, s + 1)
-            v10, v11 = ring_node(k + 1, s), ring_node(k + 1, s + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    elements = np.asarray(tris, dtype=np.int64)
+    # ring_node[k, s]: node s of ring k; next_node[k, s]: its CCW neighbour.
+    ring_node = 1 + n_sectors * np.arange(n_rings)[:, None] + np.arange(n_sectors)
+    next_node = np.roll(ring_node, -1, axis=1)
+    fan = np.column_stack([np.zeros(n_sectors, dtype=np.int64), ring_node[0], next_node[0]])
+    v00, v01, v10, v11 = ring_node[:-1], next_node[:-1], ring_node[1:], next_node[1:]
+    quads = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
+    elements = np.concatenate([fan, quads]).astype(np.int64)
 
     centroids = nodes[elements].mean(axis=1)
     centroid_radii = np.sqrt(centroids[:, 0] ** 2 + centroids[:, 1] ** 2)
     region = np.where(centroid_radii < spec.r1, CORE, SHELL).astype(np.int64)
 
-    gamma_ids = [ring_node(n_ring_core - 1, s) for s in range(n_sectors)]
-    s_ids = [ring_node(n_rings - 1, s) for s in range(n_sectors)]
-    mesh = _planar_from_arrays(nodes, elements, region, gamma_ids, s_ids, spec)
-    mesh.validate()
-    return mesh
+    return _planar_from_arrays(nodes, elements, region, ring_node[n_ring_core - 1],
+                               ring_node[-1], spec)
 
 
 def build_mesh(spec: GeometrySpec) -> CoreShellMesh:
@@ -331,52 +356,29 @@ def refine(mesh: CoreShellMesh) -> CoreShellMesh:
         nodes = np.sort(np.concatenate([old, mids]))
         return _radial_from_nodes(nodes, mesh)
 
-    nodes = list(map(tuple, mesh.nodes))
-    gamma_edge_set = {tuple(sorted(f.nodes)) for f in mesh.gamma_facets}
-    s_set = set(int(i) for i in mesh.s_nodes)
-    gamma_ids = set(int(i) for i in mesh.gamma_nodes)
-    s_ids = set(s_set)
+    n_old = mesh.n_nodes
+    ends, element_edges, edge_elements = _edge_table(mesh.elements)
+    mids = 0.5 * (mesh.nodes[ends[:, 0]] + mesh.nodes[ends[:, 1]])
+    gamma_edge = np.isin(ends, mesh.gamma_nodes).all(axis=1)
+    s_edge = (edge_elements[:, 1] < 0) & mesh.dirichlet_mask()[ends].all(axis=1)
+    # New interface / outer-boundary midpoints move onto their circles.
+    for edge, radius in ((gamma_edge, mesh.r1), (s_edge, mesh.r2)):
+        mids[edge] *= (radius / np.linalg.norm(mids[edge], axis=1))[:, None]
 
-    edge_count = {}
-    for tri in mesh.elements:
-        for k in range(3):
-            a, b = int(tri[k]), int(tri[(k + 1) % 3])
-            key = (min(a, b), max(a, b))
-            edge_count[key] = edge_count.get(key, 0) + 1
+    a, b, c = mesh.elements.T
+    mab, mbc, mca = (n_old + element_edges).T
+    children = np.stack([
+        np.column_stack([a, mab, mca]),
+        np.column_stack([mab, b, mbc]),
+        np.column_stack([mca, mbc, c]),
+        np.column_stack([mab, mbc, mca]),
+    ], axis=1)
 
-    midpoint_of = {}
-    for key in sorted(edge_count):
-        a, b = key
-        p = 0.5 * (mesh.nodes[a] + mesh.nodes[b])
-        if key in gamma_edge_set:
-            p = p * (mesh.r1 / np.linalg.norm(p))
-        elif edge_count[key] == 1 and a in s_set and b in s_set:
-            p = p * (mesh.r2 / np.linalg.norm(p))
-        idx = len(nodes)
-        nodes.append((float(p[0]), float(p[1])))
-        midpoint_of[key] = idx
-        if key in gamma_edge_set:
-            gamma_ids.add(idx)
-        if edge_count[key] == 1 and a in s_set and b in s_set:
-            s_ids.add(idx)
-
-    tris = []
-    region = []
-    for e, tri in enumerate(mesh.elements):
-        a, b, c = (int(v) for v in tri)
-        mab = midpoint_of[(min(a, b), max(a, b))]
-        mbc = midpoint_of[(min(b, c), max(b, c))]
-        mca = midpoint_of[(min(c, a), max(c, a))]
-        tris.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
-        region.extend([mesh.region[e]] * 4)
-
-    out = _planar_from_arrays(
-        np.asarray(nodes, dtype=float),
-        np.asarray(tris, dtype=np.int64),
-        np.asarray(region, dtype=np.int64),
-        gamma_ids,
-        s_ids,
+    return _planar_from_arrays(
+        np.concatenate([mesh.nodes, mids]),
+        children.reshape(-1, 3),
+        np.repeat(mesh.region, 4),
+        np.concatenate([mesh.gamma_nodes, n_old + np.flatnonzero(gamma_edge)]),
+        np.concatenate([mesh.s_nodes, n_old + np.flatnonzero(s_edge)]),
         mesh,
     )
-    out.validate()
-    return out

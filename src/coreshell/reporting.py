@@ -52,6 +52,8 @@ def read_field_csv(path, mesh: CoreShellMesh) -> np.ndarray:
                 continue
             rows.append([float(tok) for tok in line.split(",")])
     data = np.asarray(rows, dtype=float)
+    if not np.all(np.isfinite(data)):
+        raise ValueError("field file has a non-finite entry")
     if data.shape[0] != mesh.n_nodes:
         raise ValueError(
             f"field file has {data.shape[0]} rows, mesh has {mesh.n_nodes} nodes"

@@ -206,9 +206,8 @@ def _newton_minimize(
     for iteration in range(1, cfg.newton_max_iter + 1):
         if res <= cfg.newton_tol * scale:
             return u, iteration - 1, history, True
-        hess = (base + sp.diags(reaction_jacobian_diagonal(
-            system, DiscreteField(u, mask), params))).tocsr()
-        hess_ff = hess[free][:, free].tocsr()
+        hess_ff = system.restrict(base + sp.diags(reaction_jacobian_diagonal(
+            system, DiscreteField(u, mask), params)))
         direction = np.zeros_like(u)
         direction[free] = solve_spd(hess_ff, -g[free], cfg.linear_tol)
 

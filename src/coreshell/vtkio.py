@@ -13,13 +13,10 @@ carries a compact configuration echo when the caller provides one.
 import numpy as np
 
 from .mesh import CoreShellMesh
+from .reporting import fmt
 
 _VTK_LINE = 3
 _VTK_TRIANGLE = 5
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def write_vtk(path, mesh: CoreShellMesh, point_data: dict | None = None,
@@ -31,10 +28,10 @@ def write_vtk(path, mesh: CoreShellMesh, point_data: dict | None = None,
     lines.append(f"POINTS {mesh.n_nodes} double")
     if mesh.kind == "radial":
         for r in mesh.nodes:
-            lines.append(f"{_fmt(r)} 0 0")
+            lines.append(f"{fmt(r)} 0 0")
     else:
         for x, y in mesh.nodes:
-            lines.append(f"{_fmt(x)} {_fmt(y)} 0")
+            lines.append(f"{fmt(x)} {fmt(y)} 0")
 
     k = mesh.elements.shape[1]
     lines.append(f"CELLS {mesh.n_elements} {mesh.n_elements * (k + 1)}")
@@ -55,7 +52,7 @@ def write_vtk(path, mesh: CoreShellMesh, point_data: dict | None = None,
             values = np.asarray(values, dtype=float)
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
-            lines.extend(_fmt(v) for v in values)
+            lines.extend(fmt(v) for v in values)
 
     with open(path, "w", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -200,6 +200,33 @@ class TestCmdEvolve:
         report = (out / "decay_report.txt").read_text()
         assert "converged-at-start" in report
 
+    def test_failed_step_exits_3_naming_it(self, quick_cfg, capsys):
+        path, out = quick_cfg
+        assert main(["stationary", str(path)]) == 0
+        # Load-free with one inexact Newton iteration: the stationary
+        # reference (zero) converges at once, the first step cannot.
+        rc = main(["evolve", str(path), "--u0-file", str(out / "stationary_field.csv"),
+                   "--set", "model.reaction=false", "--set", "solver.newton_max_iter=1",
+                   "--set", "solver.linear_tol=0.5"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "evolution failed at step 1" in err
+        assert "samples" not in err
+
+    def test_non_finite_u0_exit_2(self, quick_cfg, capsys):
+        path, out = quick_cfg
+        assert main(["stationary", str(path)]) == 0
+        field = out / "stationary_field.csv"
+        lines = field.read_text().splitlines()
+        center = lines.index("r,u") + 1
+        lines[center] = "0,nan"
+        field.write_text("\n".join(lines) + "\n")
+        config = load_config(path)
+        with pytest.raises(ValueError, match="non-finite"):
+            read_field_csv(field, build_mesh(config.geometry))
+        assert main(["evolve", str(path), "--u0-file", str(field)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_invalid_dt_exit_2(self, quick_cfg):
         path, _ = quick_cfg
         assert main(["evolve", str(path), "--set", "solver.dt=-0.1"]) == 2

@@ -15,7 +15,7 @@ import numpy as np
 from .fem import AssembledSystem, DiscreteField, h_norm, v_norm
 from .mesh import CoreShellMesh, GeometrySpec
 from .model import ModelParams, consumption_rate
-from .solvers import EvolutionTrace, solve_spd
+from .solvers import EvolutionTrace, sector_inverse, solve_spd
 
 
 class AnalysisError(RuntimeError):
@@ -132,15 +132,16 @@ def smallest_generalized_eigenvalue(system: AssembledSystem, rel_tol: float = 1e
     """Smallest eigenvalue of the pencil (unit stiffness, mass) on free nodes.
 
     Inverse power iteration from the all-ones vector; each inverse apply is
-    a conjugate-gradient solve. Deterministic.
+    a preconditioned conjugate-gradient solve. Deterministic.
     """
     kt = system.restrict(system.Kt)
+    precondition = sector_inverse(system, kt)
     m = system.restrict(system.M)
     x = np.ones(system.free.shape[0])
     x /= math.sqrt(float(x @ (m @ x)))
     lam = float(x @ (kt @ x))
     for _ in range(max_iter):
-        y = solve_spd(kt, m @ x, 1e-12)
+        y = solve_spd(kt, m @ x, 1e-12, precondition=precondition)
         y /= math.sqrt(float(y @ (m @ y)))
         lam_new = float(y @ (kt @ y)) / float(y @ (m @ y))
         x = y

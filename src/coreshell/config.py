@@ -6,6 +6,7 @@ every output can echo the fully resolved configuration.
 """
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -107,9 +108,12 @@ def _get(parser, section, key, convert, default=None, required=False):
         return default
     raw = parser.get(section, key)
     try:
-        return convert(raw)
+        value = convert(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"non-finite value for [{section}] {key}: {raw!r}")
+    return value
 
 
 def _to_bool(raw: str) -> bool:

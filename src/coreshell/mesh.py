@@ -77,6 +77,11 @@ class CoreShellMesh:
     region   : (m,) tags, CORE or SHELL; no element straddles the interface
     s_nodes  : node indices on the outer boundary (the Dirichlet set)
     gamma_nodes : node indices on the interface polygon / interface point
+    sectors  : rotation-invariant layout marker set by the builders: n > 0 means
+               node 0 is the center and then rings of n nodes follow in
+               ring-major order, every ring with the same element pattern
+               and the last ring the outer boundary (radial chains: n = 1);
+               0 means no such layout
     """
 
     kind: str
@@ -89,6 +94,7 @@ class CoreShellMesh:
     s_nodes: np.ndarray
     gamma_nodes: np.ndarray
     gamma_facets: list = field(default_factory=list)
+    sectors: int = 0
 
     def __post_init__(self):
         for arr in (self.nodes, self.elements, self.region, self.s_nodes, self.gamma_nodes):
@@ -198,6 +204,7 @@ def _radial_from_nodes(nodes: np.ndarray, spec_like) -> CoreShellMesh:
         s_nodes=np.array([n - 1], dtype=np.int64),
         gamma_nodes=np.array([i_gamma], dtype=np.int64),
         gamma_facets=[facet],
+        sectors=1,
     )
 
 
@@ -272,7 +279,7 @@ def _extract_gamma_facets(nodes, elements, region, gamma_ids):
             for (a, b), c, s, nu in zip(ends, core_e, shell_e, normal)]
 
 
-def _planar_from_arrays(nodes, elements, region, gamma_ids, s_ids, spec_like):
+def _planar_from_arrays(nodes, elements, region, gamma_ids, s_ids, spec_like, sectors=0):
     """Validated planar mesh; gamma_ids and s_ids are sorted node indices."""
     mesh = CoreShellMesh(
         kind="planar2d",
@@ -285,6 +292,7 @@ def _planar_from_arrays(nodes, elements, region, gamma_ids, s_ids, spec_like):
         s_nodes=s_ids,
         gamma_nodes=gamma_ids,
         gamma_facets=_extract_gamma_facets(nodes, elements, region, gamma_ids),
+        sectors=sectors,
     )
     mesh.validate()
     return mesh
@@ -329,7 +337,7 @@ def build_annulus_mesh(spec: GeometrySpec) -> CoreShellMesh:
     region = np.where(centroid_radii < spec.r1, CORE, SHELL).astype(np.int64)
 
     return _planar_from_arrays(nodes, elements, region, ring_node[n_ring_core - 1],
-                               ring_node[-1], spec)
+                               ring_node[-1], spec, sectors=n_sectors)
 
 
 def build_mesh(spec: GeometrySpec) -> CoreShellMesh:

@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from coreshell.cli import main
 from coreshell.config import ConfigError, load_config
 from coreshell.mesh import build_mesh
-from coreshell.reporting import read_field_csv
+from coreshell.reporting import read_field_csv, write_field_csv
 
 QUICK_RADIAL = """
 [model]
@@ -107,6 +111,13 @@ class TestCmdMesh:
         summary = (out / "mesh_summary.txt").read_text()
         assert f"elements        = {mesh.n_elements}" in summary
 
+    def test_non_finite_config_value_exit_2(self, quick_cfg, capsys):
+        path, _ = quick_cfg
+        assert main(["mesh", str(path), "--set", "geometry.r2=inf"]) == 2
+        assert "[geometry] r2" in capsys.readouterr().err
+        assert main(["evolve", str(path), "--set", "solver.t_end=1e400"]) == 2
+        assert "[solver] t_end" in capsys.readouterr().err
+
     def test_invalid_geometry_exit_2(self, quick_cfg, capsys):
         path, _ = quick_cfg
         rc = main(["mesh", str(path), "--set", "geometry.r1=1.5"])
@@ -203,11 +214,14 @@ class TestCmdEvolve:
     def test_failed_step_exits_3_naming_it(self, quick_cfg, capsys):
         path, out = quick_cfg
         assert main(["stationary", str(path)]) == 0
-        # Load-free with one inexact Newton iteration: the stationary
-        # reference (zero) converges at once, the first step cannot.
-        rc = main(["evolve", str(path), "--u0-file", str(out / "stationary_field.csv"),
-                   "--set", "model.reaction=false", "--set", "solver.newton_max_iter=1",
-                   "--set", "solver.linear_tol=0.5"])
+        # Fifty times the stationary state is far from the first step's
+        # minimizer, so two Newton iterations cannot reach it; the stationary
+        # reference (from zero) still converges within its budget.
+        mesh = build_mesh(load_config(path).geometry)
+        far = out / "far_field.csv"
+        write_field_csv(far, mesh, 50.0 * read_field_csv(out / "stationary_field.csv", mesh))
+        rc = main(["evolve", str(path), "--u0-file", str(far),
+                   "--set", "solver.newton_max_iter=2"])
         assert rc == 3
         err = capsys.readouterr().err
         assert "evolution failed at step 1" in err
@@ -226,6 +240,13 @@ class TestCmdEvolve:
             read_field_csv(field, build_mesh(config.geometry))
         assert main(["evolve", str(path), "--u0-file", str(field)]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    def test_infinite_step_count_exit_2(self, quick_cfg, capsys):
+        path, _ = quick_cfg
+        rc = main(["evolve", str(path), "--set", "solver.t_end=1e300",
+                   "--set", "solver.dt=1e-300"])
+        assert rc == 2
+        assert "step count" in capsys.readouterr().err
 
     def test_invalid_dt_exit_2(self, quick_cfg):
         path, _ = quick_cfg
@@ -274,3 +295,24 @@ class TestCmdVerify:
         assert main(["verify", str(path), "--seed", "123"]) == 0
         report = (out / "verify_report.txt").read_text()
         assert "seed = 123" in report
+
+
+def test_commands_do_not_load_scipy_linalg(quick_cfg, repo_root):
+    # The solvers use numpy and scipy.sparse only; scipy.linalg costs every
+    # process about 8 MB and 0.15 s to import. Run in a fresh interpreter,
+    # because this test process has loaded it elsewhere.
+    path, _ = quick_cfg
+    code = (
+        "import sys\n"
+        "from coreshell.cli import main\n"
+        "for command in ('mesh', 'stationary', 'evolve', 'verify'):\n"
+        f"    assert main([command, {str(path)!r}]) == 0, command\n"
+        "print([m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules])\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo_root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=600)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

@@ -136,6 +136,16 @@ class TestAnnulusMesh:
             else:
                 assert np.all(r_e >= coarse.r1 - 1e-12)
 
+    def test_sector_layout_marker(self, coarse):
+        # Rings of `sectors` nodes after the center, the last one the boundary.
+        sectors = len(coarse.gamma_facets)
+        assert coarse.sectors == sectors
+        assert (coarse.n_nodes - 1) % sectors == 0
+        assert np.array_equal(coarse.s_nodes, np.arange(coarse.n_nodes - sectors, coarse.n_nodes))
+        assert refine(coarse).sectors == 0
+        radial = build_radial_mesh(GeometrySpec(kind="radial", dimension=3, r1=0.5, r2=1.0, h=0.25))
+        assert radial.sectors == refine(radial).sectors == 1
+
     def test_build_mesh_dispatch(self):
         radial = build_mesh(GeometrySpec(kind="radial", dimension=3, r1=0.5, r2=1.0, h=0.25))
         planar = build_mesh(GeometrySpec(kind="planar2d", dimension=2, r1=0.5, r2=1.0, h=0.35))

@@ -10,18 +10,23 @@ from coreshell import (
     ModelParams,
     SolverConfig,
     assemble,
+    build_annulus_mesh,
+    build_mesh,
     build_radial_mesh,
     energy,
     energy_gradient,
     evolve,
     field_from_values,
     ramp_field,
+    refine,
     solve_spd,
     stationary_solve,
     step_implicit_euler,
     zero_field,
 )
-from coreshell.fem import h_norm, dual_norm
+from coreshell.config import load_config
+from coreshell.fem import h_norm, dual_norm, reaction_jacobian_diagonal
+from coreshell.solvers import sector_inverse
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +77,89 @@ class TestSolveSpd:
         k_ff = system.restrict(system.K)
         rhs = np.cos(np.arange(k_ff.shape[0], dtype=float))
         assert np.array_equal(solve_spd(k_ff, rhs, 1e-12), solve_spd(k_ff, rhs, 1e-12))
+
+
+def _constant_parts(system, dt):
+    return {"K": system.K, "K + M/dt": (system.K + system.M / dt).tocsr(), "Kt": system.Kt}
+
+
+def _counted(precondition):
+    """Wrap a preconditioner; PCG calls it once per iteration."""
+    calls = []
+
+    def apply(r):
+        calls.append(1)
+        return precondition(r)
+
+    return apply, calls
+
+
+class TestSectorInverse:
+    @pytest.mark.parametrize("name", ["annulus_desk.cfg", "radial_desk.cfg"])
+    def test_exact_on_shipped_configs(self, repo_root, name):
+        config = load_config(repo_root / "configs" / name)
+        mesh = build_mesh(config.geometry)
+        system = assemble(mesh, config.model)
+        rng = np.random.default_rng(23)
+        for label, base in _constant_parts(system, config.solver.dt).items():
+            base_ff = system.restrict(base)
+            apply = sector_inverse(system, base_ff)
+            assert apply is not None, label
+            r = rng.standard_normal(base_ff.shape[0])
+            miss = np.linalg.norm(base_ff @ apply(r) - r)
+            assert miss <= 1e-10 * np.linalg.norm(r), label
+
+    def test_few_iterations_with_reaction_diagonal(self, params):
+        mesh = build_annulus_mesh(GeometrySpec(kind="planar2d", dimension=2,
+                                               r1=0.5, r2=1.0, h=0.05))
+        system = assemble(mesh, params)
+        free = system.free
+        for base in _constant_parts(system, 0.05).values():
+            base_ff = system.restrict(base)
+            hess_ff = base_ff + sp.diags(
+                reaction_jacobian_diagonal(system, ramp_field(mesh, params), params)[free])
+            rhs = np.sin(np.arange(free.shape[0], dtype=float))
+            apply, calls = _counted(sector_inverse(system, base_ff))
+            x = solve_spd(hess_ff, rhs, 1e-12, precondition=apply)
+            assert 1 <= len(calls) <= 12
+            assert np.linalg.norm(hess_ff @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+            jacobi = solve_spd(hess_ff, rhs, 1e-12)
+            assert np.linalg.norm(x - jacobi) <= 1e-10 * np.linalg.norm(jacobi)
+
+    def test_non_rotation_invariant_operator_rejected(self, params):
+        # Read from sector 0 only, the inverse is wrong for this operator;
+        # the build-time check must notice and fall back to Jacobi.
+        mesh = build_annulus_mesh(GeometrySpec(kind="planar2d", dimension=2,
+                                               r1=0.5, r2=1.0, h=0.1))
+        system = assemble(mesh, params)
+        k_ff = system.restrict(system.K)
+        bumped = k_ff + sp.diags(np.linspace(0.0, 1.0, k_ff.shape[0]))
+        assert sector_inverse(system, k_ff) is not None
+        assert sector_inverse(system, bumped.tocsr()) is None
+
+    @pytest.mark.parametrize("case", ["planar-refined", "planar-custom-dirichlet",
+                                      "radial-custom-dirichlet"])
+    def test_other_layouts_fall_back_to_jacobi(self, params, case):
+        if case.startswith("planar"):
+            mesh = build_annulus_mesh(GeometrySpec(kind="planar2d", dimension=2,
+                                                   r1=0.5, r2=1.0, h=0.2))
+        else:
+            mesh = build_radial_mesh(GeometrySpec(kind="radial", dimension=3,
+                                                  r1=0.5, r2=1.0, h=0.03125))
+        dirichlet = None
+        if case == "planar-refined":
+            mesh = refine(mesh)
+            assert mesh.sectors == 0
+        else:
+            dirichlet = np.append(mesh.s_nodes, 0)
+        system = assemble(mesh, params, dirichlet_nodes=dirichlet)
+        for base in _constant_parts(system, 0.05).values():
+            base_ff = system.restrict(base)
+            assert sector_inverse(system, base_ff) is None
+            rhs = np.cos(np.arange(base_ff.shape[0], dtype=float))
+            exact = np.linalg.solve(base_ff.toarray(), rhs)
+            x = solve_spd(base_ff, rhs, 1e-13, precondition=None)
+            assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
 
 
 class TestStationary:

@@ -15,7 +15,7 @@ import numpy as np
 from .fem import AssembledSystem, DiscreteField, h_norm, v_norm
 from .mesh import CoreShellMesh, GeometrySpec
 from .model import ModelParams, consumption_rate
-from .solvers import EvolutionTrace, sector_inverse, solve_spd
+from .solvers import EvolutionTrace, _constant_part, solve_spd
 
 
 class AnalysisError(RuntimeError):
@@ -134,8 +134,7 @@ def smallest_generalized_eigenvalue(system: AssembledSystem, rel_tol: float = 1e
     Inverse power iteration from the all-ones vector; each inverse apply is
     a preconditioned conjugate-gradient solve. Deterministic.
     """
-    kt = system.restrict(system.Kt)
-    precondition = sector_inverse(system, kt)
+    kt, precondition = _constant_part(system, system.Kt)
     m = system.restrict(system.M)
     x = np.ones(system.free.shape[0])
     x /= math.sqrt(float(x @ (m @ x)))

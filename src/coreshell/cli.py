@@ -9,6 +9,7 @@ fixed config and seed.
 
 import argparse
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from .reporting import (
     read_field_csv,
     write_decay_report,
     write_field_csv,
+    write_lines,
     write_text_report,
     write_trace_csv,
 )
@@ -180,14 +182,11 @@ def cmd_verify(config: RunConfig, corrupt_b: bool = False) -> int:
             keys = sorted(first.sample)
             arrays = [np.atleast_1d(np.asarray(first.sample[k], dtype=float))
                       for k in keys]
-            width = max(a.shape[0] for a in arrays)
             rows = [f"# property: {first.name}", f"# seed: {config.verify.seed}",
                     ",".join(keys)]
-            for i in range(width):
-                rows.append(",".join(
-                    fmt(a[i]) if i < a.shape[0] else "" for a in arrays))
-            with open(sample_path, "w", newline="\n") as handle:
-                handle.write("\n".join(rows) + "\n")
+            rows += [",".join("" if x is None else fmt(x) for x in row)
+                     for row in zip_longest(*arrays)]
+            write_lines(sample_path, rows)
             print(f"violating sample written to {sample_path}", file=sys.stderr)
         return EXIT_PROPERTY_VIOLATION
     return EXIT_OK

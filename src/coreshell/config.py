@@ -3,11 +3,16 @@
 The file is the single source of truth for a run; command-line overrides of
 the form `section.key=value` are applied on top before validation so that
 every output can echo the fully resolved configuration.
+
+The schema is the dataclasses: each section is a dataclass field of
+`RunConfig`, and its keys are that dataclass's fields. A field's type picks
+the parser, its default is the key's default, and a field without a default
+is required. Unknown sections and keys are rejected.
 """
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
 from .mesh import GeometrySpec
@@ -22,7 +27,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class OutputConfig:
-    directory: Path
+    directory: Path = Path("out")
     write_vtk: bool = True
     write_csv: bool = True
 
@@ -45,6 +50,8 @@ class VerifyConfig:
 
 @dataclass
 class RunConfig:
+    """The resolved run; `reaction` is read from [model] but is no model parameter."""
+
     model: ModelParams
     geometry: GeometrySpec
     solver: SolverConfig
@@ -56,56 +63,45 @@ class RunConfig:
 
     def echo_lines(self) -> list:
         """Resolved configuration, one deterministic line per key."""
-
-        def num(x):
-            if x is None:
-                return "none"
-            if isinstance(x, bool):
-                return "true" if x else "false"
-            if isinstance(x, int):
-                return str(x)
-            return fmt(x)
-
-        m, g, s, o, v = self.model, self.geometry, self.solver, self.output, self.verify
         lines = [f"config: {self.source}"]
-        for ov in self.overrides:
-            lines.append(f"override: {ov}")
-        lines += [
-            "[model]",
-            f"b1 = {num(m.b1)}", f"b2 = {num(m.b2)}",
-            f"c0 = {num(m.c0)}", f"c1 = {num(m.c1)}",
-            f"reaction = {num(self.reaction)}",
-            "[geometry]",
-            f"kind = {g.kind}", f"dimension = {g.dimension}",
-            f"r1 = {num(g.r1)}", f"r2 = {num(g.r2)}", f"h = {num(g.h)}",
-            "[solver]",
-            f"newton_tol = {num(s.newton_tol)}",
-            f"newton_max_iter = {num(s.newton_max_iter)}",
-            f"dt = {num(s.dt)}", f"t_end = {num(s.t_end)}",
-            f"linear_tol = {num(s.linear_tol)}",
-            "[output]",
-            f"directory = {o.directory}",
-            f"write_vtk = {num(o.write_vtk)}", f"write_csv = {num(o.write_csv)}",
-            "[verify]",
-            f"seed = {num(v.seed)}",
-            f"rate_samples = {num(v.rate_samples)}",
-            f"monotonicity_pairs = {num(v.monotonicity_pairs)}",
-            f"strong_monotonicity_pairs = {num(v.strong_monotonicity_pairs)}",
-            f"coercivity_samples = {num(v.coercivity_samples)}",
-            f"gradient_checks = {num(v.gradient_checks)}",
-            f"resolvent_solves = {num(v.resolvent_solves)}",
-            f"hemicontinuity_samples = {num(v.hemicontinuity_samples)}",
-            f"pairing_slack = {num(v.pairing_slack)}",
-            f"gradient_rtol = {num(v.gradient_rtol)}",
-        ]
+        lines += [f"override: {ov}" for ov in self.overrides]
+        for name in _SECTIONS:
+            section = getattr(self, name)
+            lines.append(f"[{name}]")
+            lines += [f"{f.name} = {_echo(getattr(section, f.name))}" for f in fields(section)]
+            if name == "model":
+                lines.append(f"reaction = {_echo(self.reaction)}")
         return lines
 
 
-def _get(parser, section, key, convert, default=None, required=False):
-    if not parser.has_option(section, key):
-        if required:
-            raise ConfigError(f"missing required key [{section}] {key}")
-        return default
+# Section name -> dataclass, in file and echo order.
+_SECTIONS = {f.name: f.type for f in fields(RunConfig) if is_dataclass(f.type)}
+
+
+def _echo(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return fmt(value)
+    return str(value)
+
+
+def _to_bool(raw: str) -> bool:
+    """1/yes/true/on or 0/no/false/off, as `ConfigParser.getboolean` reads them."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(raw) from None
+
+
+# Field type -> parser of the raw string.
+_CONVERTERS = {float: float, float | None: float, int: int, str: str, bool: _to_bool,
+               Path: Path}
+
+
+def _get(parser, section, key, convert):
     raw = parser.get(section, key)
     try:
         value = convert(raw)
@@ -116,17 +112,26 @@ def _get(parser, section, key, convert, default=None, required=False):
     return value
 
 
-def _to_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
+def _section(parser, name, cls):
+    """Build one section's dataclass; absent keys take the dataclass default."""
+    values = {}
+    for f in fields(cls):
+        if parser.has_option(name, f.name):
+            values[f.name] = _get(parser, name, f.name, _CONVERTERS[f.type])
+        elif f.default is MISSING:
+            raise ConfigError(f"missing required key [{name}] {f.name}")
+    try:
+        return cls(**values)
+    except ValueError as exc:  # an invariant checked by the dataclass
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path, overrides=()) -> RunConfig:
-    """Parse, apply `section.key=value` overrides, validate, and return."""
+    """Parse, apply `section.key=value` overrides, validate, and return.
+
+    Unknown sections and keys are rejected, so a misspelt override cannot be
+    echoed into the outputs without taking effect.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -146,71 +151,18 @@ def load_config(path, overrides=()) -> RunConfig:
             parser.add_section(section)
         parser.set(section, key, value.strip())
 
-    for section in ("model", "geometry"):
-        if not parser.has_section(section):
-            raise ConfigError(f"missing required section [{section}]")
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]")
+        known = {f.name for f in fields(_SECTIONS[section])}
+        if section == "model":
+            known.add("reaction")
+        for key in parser.options(section):
+            if key not in known:
+                raise ConfigError(f"unknown key [{section}] {key}")
 
-    try:
-        model = ModelParams(
-            b1=_get(parser, "model", "b1", float, required=True),
-            b2=_get(parser, "model", "b2", float, required=True),
-            c0=_get(parser, "model", "c0", float, required=True),
-            c1=_get(parser, "model", "c1", float, required=True),
-        )
-        geometry = GeometrySpec(
-            kind=_get(parser, "geometry", "kind", str, required=True).strip(),
-            dimension=_get(parser, "geometry", "dimension", int, required=True),
-            r1=_get(parser, "geometry", "r1", float, required=True),
-            r2=_get(parser, "geometry", "r2", float, required=True),
-            h=_get(parser, "geometry", "h", float, required=True),
-        )
-        solver = SolverConfig(
-            newton_tol=_get(parser, "solver", "newton_tol", float, default=1e-10),
-            newton_max_iter=_get(parser, "solver", "newton_max_iter", int, default=50),
-            dt=_get(parser, "solver", "dt", float),
-            t_end=_get(parser, "solver", "t_end", float),
-            linear_tol=_get(parser, "solver", "linear_tol", float, default=1e-12),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    sections = {name: _section(parser, name, cls) for name, cls in _SECTIONS.items()}
+    if parser.has_option("model", "reaction"):
+        sections["reaction"] = _get(parser, "model", "reaction", _to_bool)
 
-    output = OutputConfig(
-        directory=Path(_get(parser, "output", "directory", str, default="out")),
-        write_vtk=_get(parser, "output", "write_vtk", _to_bool, default=True),
-        write_csv=_get(parser, "output", "write_csv", _to_bool, default=True),
-    )
-    defaults = VerifyConfig()
-    verify = VerifyConfig(
-        seed=_get(parser, "verify", "seed", int, default=defaults.seed),
-        rate_samples=_get(parser, "verify", "rate_samples", int, default=defaults.rate_samples),
-        monotonicity_pairs=_get(parser, "verify", "monotonicity_pairs", int,
-                                default=defaults.monotonicity_pairs),
-        strong_monotonicity_pairs=_get(parser, "verify", "strong_monotonicity_pairs", int,
-                                       default=defaults.strong_monotonicity_pairs),
-        coercivity_samples=_get(parser, "verify", "coercivity_samples", int,
-                                default=defaults.coercivity_samples),
-        gradient_checks=_get(parser, "verify", "gradient_checks", int,
-                             default=defaults.gradient_checks),
-        resolvent_solves=_get(parser, "verify", "resolvent_solves", int,
-                              default=defaults.resolvent_solves),
-        hemicontinuity_samples=_get(parser, "verify", "hemicontinuity_samples", int,
-                                    default=defaults.hemicontinuity_samples),
-        pairing_slack=_get(parser, "verify", "pairing_slack", float,
-                           default=defaults.pairing_slack),
-        gradient_rtol=_get(parser, "verify", "gradient_rtol", float,
-                           default=defaults.gradient_rtol),
-    )
-    reaction = _get(parser, "model", "reaction", _to_bool, default=True)
-
-    return RunConfig(
-        model=model,
-        geometry=geometry,
-        solver=solver,
-        output=output,
-        verify=verify,
-        reaction=reaction,
-        source=str(path),
-        overrides=tuple(overrides),
-    )
+    return RunConfig(**sections, source=str(path), overrides=tuple(overrides))

@@ -134,17 +134,17 @@ def assemble(
     measures, grads = mesh.element_geometry()
     core = mesh.region == CORE
     if mesh.kind == "radial":
-        # Moments of r^w, r^(w+1), r^(w+2) on [ra, rb]; hat products combine them.
-        ra, rb = mesh.nodes[mesh.elements[:, 0]], mesh.nodes[mesh.elements[:, 1]]
-        h = measures
-        i0, i1, i2 = ((rb ** (p + 1) - ra ** (p + 1)) / (p + 1)
-                      for p in range(weight_exponent, weight_exponent + 3))
-        m_ab = (-ra * rb * i0 + (ra + rb) * i1 - i2) / h**2
-        m_local = np.stack([(rb * rb * i0 - 2.0 * rb * i1 + i2) / h**2, m_ab,
-                            m_ab, (i2 - 2.0 * ra * i1 + ra * ra * i0) / h**2],
-                           axis=1).reshape(-1, 2, 2)
-        lumped_local = np.column_stack([(rb * i0 - i1) / h, (i1 - ra * i0) / h])
-        volume = i0
+        # Gauss-Legendre with w//2 + 2 points integrates r^w * phi_a * phi_b
+        # (degree w + 2) exactly on each element; differences of monomial
+        # moments would cancel as h shrinks.
+        xi, wq = np.polynomial.legendre.leggauss(weight_exponent // 2 + 2)
+        phi = np.column_stack([1.0 - xi, 1.0 + xi]) / 2.0
+        r = mesh.nodes[mesh.elements[:, 0]][:, None] + measures[:, None] * phi[:, 1]
+        weight = (measures / 2.0)[:, None] * wq * r**weight_exponent
+        m_aa, m_ab, m_bb = (weight @ (phi[:, [0, 0, 1]] * phi[:, [0, 1, 1]])).T
+        m_local = np.stack([m_aa, m_ab, m_ab, m_bb], axis=1).reshape(-1, 2, 2)
+        lumped_local = weight @ phi
+        volume = weight.sum(axis=1)
     else:
         m_local = (measures / 12.0)[:, None, None] * (1.0 + np.eye(3))
         lumped_local = np.repeat(measures[:, None] / 3.0, 3, axis=1)

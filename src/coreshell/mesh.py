@@ -208,6 +208,19 @@ def _radial_from_nodes(nodes: np.ndarray, spec_like) -> CoreShellMesh:
     )
 
 
+def _radii(spec: GeometrySpec):
+    """Partition of [0, r2] with spacing <= h per region: (radii, n_core),
+    where radii[n_core] is r1 exactly."""
+    n_core = max(1, math.ceil(spec.r1 / spec.h - _TOL))
+    n_shell = max(1, math.ceil((spec.r2 - spec.r1) / spec.h - _TOL))
+    radii = np.concatenate([
+        np.linspace(0.0, spec.r1, n_core + 1),
+        np.linspace(spec.r1, spec.r2, n_shell + 1)[1:],
+    ])
+    radii[n_core] = spec.r1  # exact, independent of linspace rounding
+    return radii, n_core
+
+
 def build_radial_mesh(spec: GeometrySpec) -> CoreShellMesh:
     """Partition [0, r2] with a node forced at r1 and spacing <= h per region.
 
@@ -216,14 +229,7 @@ def build_radial_mesh(spec: GeometrySpec) -> CoreShellMesh:
     """
     if spec.kind != "radial":
         raise GeometryError(f"build_radial_mesh requires kind='radial', got {spec.kind!r}")
-    n_core = max(1, math.ceil(spec.r1 / spec.h - _TOL))
-    n_shell = max(1, math.ceil((spec.r2 - spec.r1) / spec.h - _TOL))
-    nodes = np.concatenate([
-        np.linspace(0.0, spec.r1, n_core + 1),
-        np.linspace(spec.r1, spec.r2, n_shell + 1)[1:],
-    ])
-    nodes[n_core] = spec.r1  # exact, independent of linspace rounding
-    return _radial_from_nodes(nodes, spec)
+    return _radial_from_nodes(_radii(spec)[0], spec)
 
 
 # ----------------------------------------------------------------------------
@@ -309,14 +315,9 @@ def build_annulus_mesh(spec: GeometrySpec) -> CoreShellMesh:
     """
     if spec.kind != "planar2d":
         raise GeometryError(f"build_annulus_mesh requires kind='planar2d', got {spec.kind!r}")
-    n_ring_core = max(1, math.ceil(spec.r1 / spec.h - _TOL))
-    n_ring_shell = max(1, math.ceil((spec.r2 - spec.r1) / spec.h - _TOL))
     n_sectors = max(8, math.ceil(2.0 * math.pi * spec.r2 / spec.h))
-    ring_radii = np.concatenate([
-        np.linspace(0.0, spec.r1, n_ring_core + 1)[1:],
-        np.linspace(spec.r1, spec.r2, n_ring_shell + 1)[1:],
-    ])
-    ring_radii[n_ring_core - 1] = spec.r1
+    radii, n_ring_core = _radii(spec)
+    ring_radii = radii[1:]
     n_rings = ring_radii.shape[0]
 
     angles = 2.0 * math.pi * np.arange(n_sectors) / n_sectors

@@ -17,7 +17,8 @@ def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_lines(path, lines):
+def write_lines(path, lines):
+    """Write lines with LF endings and a final newline."""
     with open(path, "w", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -39,7 +40,7 @@ def write_field_csv(path, mesh: CoreShellMesh, values, echo_lines=()):
             f"{fmt(x)},{fmt(y)},{fmt(v)}"
             for (x, y), v in zip(mesh.nodes, values)
         )
-    _write_lines(path, lines)
+    write_lines(path, lines)
 
 
 def read_field_csv(path, mesh: CoreShellMesh) -> np.ndarray:
@@ -73,7 +74,7 @@ def write_trace_csv(path, trace: EvolutionTrace, echo_lines=()):
             f"{fmt(trace.times[i])},{fmt(trace.energies[i])},"
             f"{fmt(trace.err_H[i])},{fmt(trace.err_V[i])},{int(trace.newton_iters[i])}"
         )
-    _write_lines(path, lines)
+    write_lines(path, lines)
 
 
 def decay_report_text(report: DecayReport) -> list:
@@ -90,15 +91,15 @@ def decay_report_text(report: DecayReport) -> list:
 
 
 def write_decay_report(txt_path, csv_path, report: DecayReport, echo_lines=()):
-    _write_lines(txt_path, comment_block(echo_lines) + decay_report_text(report))
+    write_lines(txt_path, comment_block(echo_lines) + decay_report_text(report))
     csv_lines = comment_block(echo_lines)
     csv_lines.append("beta_fit,gamma_disc,r_squared,window_start,window_end,flag")
     csv_lines.append(
         f"{fmt(report.beta_fit)},{fmt(report.gamma_disc)},{fmt(report.r_squared)},"
         f"{report.window[0]},{report.window[1]},{report.flag}"
     )
-    _write_lines(csv_path, csv_lines)
+    write_lines(csv_path, csv_lines)
 
 
 def write_text_report(path, body_lines, echo_lines=()):
-    _write_lines(path, comment_block(echo_lines) + list(body_lines))
+    write_lines(path, comment_block(echo_lines) + list(body_lines))

@@ -18,7 +18,7 @@ share meshes and assembled systems freely. Given a configuration, the
 sequential mode is deterministic.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,12 +55,16 @@ class NonlinearSolveError(RuntimeError):
         self.step = step
 
 
+# Largest number of implicit-Euler steps, round(t_end / dt), that `evolve` accepts.
+MAX_STEPS = 10**6
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Tolerances and time-stepping controls.
 
     dt and t_end are only required for evolution runs and are validated
-    there; all tolerances must be positive.
+    there, with at most MAX_STEPS steps; all tolerances must be positive.
     """
 
     newton_tol: float = 1e-10
@@ -82,9 +86,10 @@ class SolverConfig:
             raise ValueError(f"time step dt must be positive, got {self.dt}")
         if self.t_end is None or not self.t_end > 0.0:
             raise ValueError(f"final time t_end must be positive, got {self.t_end}")
-        if not np.isfinite(self.t_end / self.dt):
-            raise ValueError(f"step count t_end / dt is not finite "
-                             f"(t_end={self.t_end}, dt={self.dt})")
+        steps = self.t_end / self.dt
+        if not (np.isfinite(steps) and round(steps) <= MAX_STEPS):
+            raise ValueError(f"step count t_end / dt = {steps:.0f} exceeds the limit "
+                             f"{MAX_STEPS} (t_end={self.t_end}, dt={self.dt})")
 
 
 @dataclass
@@ -459,11 +464,7 @@ def evolve(
     err_v = [v_norm(system, u0.values - u_star)]
     iters = [0]
     meta = {
-        "dt": cfg.dt,
-        "t_end": cfg.t_end,
-        "newton_tol": cfg.newton_tol,
-        "newton_max_iter": cfg.newton_max_iter,
-        "linear_tol": cfg.linear_tol,
+        **asdict(cfg),
         "stationary_iterations": reference.iterations,
         "stationary_residual": reference.residual_norm,
         "completed": True,

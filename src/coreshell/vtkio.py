@@ -13,7 +13,7 @@ carries a compact configuration echo when the caller provides one.
 import numpy as np
 
 from .mesh import CoreShellMesh
-from .reporting import fmt
+from .reporting import fmt, write_lines
 
 _VTK_LINE = 3
 _VTK_TRIANGLE = 5
@@ -54,5 +54,4 @@ def write_vtk(path, mesh: CoreShellMesh, point_data: dict | None = None,
             lines.append("LOOKUP_TABLE default")
             lines.extend(fmt(v) for v in values)
 
-    with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

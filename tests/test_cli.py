@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from coreshell.cli import main
 from coreshell.config import ConfigError, load_config
 from coreshell.mesh import build_mesh
 from coreshell.reporting import read_field_csv, write_field_csv
+from coreshell.solvers import MAX_STEPS
 
 QUICK_RADIAL = """
 [model]
@@ -40,6 +42,86 @@ coercivity_samples = 30
 gradient_checks = 10
 resolvent_solves = 2
 hemicontinuity_samples = 5
+"""
+
+
+ECHO_RADIAL_DESK = """
+config: configs/radial_desk.cfg
+override: solver.dt=0.1
+override: output.directory=out/x
+override: verify.seed=7
+[model]
+b1 = 1
+b2 = 5
+c0 = 1
+c1 = 2
+reaction = true
+[geometry]
+kind = radial
+dimension = 3
+r1 = 0.5
+r2 = 1
+h = 0.0078125
+[solver]
+newton_tol = 1e-10
+newton_max_iter = 50
+dt = 0.10000000000000001
+t_end = 10
+linear_tol = 9.9999999999999998e-13
+[output]
+directory = out/x
+write_vtk = true
+write_csv = true
+[verify]
+seed = 7
+rate_samples = 200000
+monotonicity_pairs = 500
+strong_monotonicity_pairs = 100
+coercivity_samples = 200
+gradient_checks = 50
+resolvent_solves = 5
+hemicontinuity_samples = 20
+pairing_slack = 9.9999999999999998e-13
+gradient_rtol = 9.9999999999999995e-07
+"""
+
+ECHO_ANNULUS_DESK = """
+config: configs/annulus_desk.cfg
+override: model.reaction=false
+override: verify.pairing_slack=1e-9
+[model]
+b1 = 1
+b2 = 5
+c0 = 1
+c1 = 2
+reaction = false
+[geometry]
+kind = planar2d
+dimension = 2
+r1 = 0.5
+r2 = 1
+h = 0.10000000000000001
+[solver]
+newton_tol = 1e-10
+newton_max_iter = 50
+dt = 0.050000000000000003
+t_end = 2
+linear_tol = 9.9999999999999998e-13
+[output]
+directory = out/annulus_desk
+write_vtk = true
+write_csv = true
+[verify]
+seed = 20260808
+rate_samples = 200000
+monotonicity_pairs = 500
+strong_monotonicity_pairs = 100
+coercivity_samples = 200
+gradient_checks = 50
+resolvent_solves = 5
+hemicontinuity_samples = 20
+pairing_slack = 1.0000000000000001e-09
+gradient_rtol = 9.9999999999999995e-07
 """
 
 
@@ -87,6 +169,50 @@ class TestConfig:
         path, _ = quick_cfg
         with pytest.raises(ConfigError):
             load_config(path, ["b2=7.5"])
+
+    @pytest.mark.parametrize("override, named", [
+        ("solver.newton_tl=1e-3", "[solver] newton_tl"),
+        ("solvr.dt=7", "[solvr]"),
+        ("model.b3=1", "[model] b3"),
+    ])
+    def test_unknown_key_or_section_exit_2(self, quick_cfg, capsys, override, named):
+        # A misspelt key must not be echoed as `override:` into every
+        # artifact without taking effect.
+        path, _ = quick_cfg
+        with pytest.raises(ConfigError, match="unknown"):
+            load_config(path, [override])
+        assert main(["mesh", str(path), "--set", override]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_unknown_key_in_file_rejected(self, tmp_path):
+        path = tmp_path / "typo.cfg"
+        path.write_text(QUICK_RADIAL.format(out=tmp_path).replace("dt = 0.05", "dtt = 0.05"))
+        with pytest.raises(ConfigError, match=r"\[solver\] dtt"):
+            load_config(path)
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["verify", "configs/radial_desk.cfg", "--seed", "7", "--set", "solver.dt=0.1",
+          "--output-dir", "out/x"], ECHO_RADIAL_DESK),
+        (["mesh", "configs/annulus_desk.cfg", "--set", "model.reaction=false",
+          "--set", "verify.pairing_slack=1e-9"], ECHO_ANNULUS_DESK),
+    ])
+    def test_echo_of_shipped_configs_is_pinned(self, argv, expected, repo_root,
+                                               monkeypatch):
+        # Every artifact embeds this echo, so its order and number format are
+        # part of the output; `main` turns --seed and --output-dir into overrides.
+        import coreshell.cli as cli
+
+        echoed = []
+
+        def capture(config, **_):
+            echoed.append("\n".join(config.echo_lines()))
+            return 0
+
+        monkeypatch.chdir(repo_root)
+        monkeypatch.setattr(cli, "cmd_mesh", capture)
+        monkeypatch.setattr(cli, "cmd_verify", capture)
+        assert main(argv) == 0
+        assert echoed == [expected.strip()]
 
 
 class TestCmdMesh:
@@ -247,6 +373,19 @@ class TestCmdEvolve:
                    "--set", "solver.dt=1e-300"])
         assert rc == 2
         assert "step count" in capsys.readouterr().err
+
+    def test_step_count_above_cap_exit_2(self, quick_cfg, capsys):
+        # 1e18 steps would run without bound and grow the trace lists.
+        path, out = quick_cfg
+        start = time.perf_counter()
+        rc = main(["evolve", str(path), "--set", "solver.t_end=1e9",
+                   "--set", "solver.dt=1e-9"])
+        assert rc == 2
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert "step count" in err and "1000000000000000000" in err
+        assert str(MAX_STEPS) in err
+        assert not (out / "trace.csv").exists()
 
     def test_invalid_dt_exit_2(self, quick_cfg):
         path, _ = quick_cfg

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb, factorial
+
 import numpy as np
 import pytest
 
@@ -128,6 +131,40 @@ class TestAssembly:
         u = field_from_values(mesh4, np.full(mesh4.n_nodes, 0.3))
         assert energy(system, u, params) > 0.0
         assert np.array_equal(reaction_vector(system, u, params), np.zeros(mesh4.n_nodes))
+
+    def test_radial_mass_matches_exact_integrals_fine_mesh(self, params):
+        # Each entry is an integral of a polynomial, so exact rational
+        # arithmetic gives it. At h = 2^-11 an assembly that subtracts
+        # monomial moments loses up to 7 digits.
+        mesh = build_radial_mesh(GeometrySpec(kind="radial", dimension=3, r1=0.5, r2=1.0,
+                                              h=2.0**-11))
+        system = assemble(mesh, params)
+        mass = system.M.tocsr()
+
+        def integral(ra, rb, *basis):
+            # int r^2 prod(phi_a) dr with r = ra + h t, phi_0 = 1 - t, phi_1 = t,
+            # and int_0^1 t^p (1 - t)^q dt = p! q! / (p + q + 1)!
+            h, q = rb - ra, basis.count(0)
+            p = len(basis) - q
+            return h * sum(comb(2, k) * ra ** (2 - k) * h ** k
+                           * Fraction(factorial(k + p) * factorial(q), factorial(k + p + q + 1))
+                           for k in range(3))
+
+        def rel_err(value, exact):
+            return abs(Fraction(float(value)) - exact) / exact
+
+        worst = 0.0
+        for e in range(0, mesh.n_elements, 7):
+            i, j = (int(n) for n in mesh.elements[e])
+            ra, rb = Fraction(float(mesh.nodes[i])), Fraction(float(mesh.nodes[j]))
+            worst = max(worst, rel_err(mass[i, j], integral(ra, rb, 0, 1)))
+            if 0 < i:
+                left = Fraction(float(mesh.nodes[i - 1]))
+                worst = max(worst, rel_err(
+                    mass[i, i], integral(left, ra, 1, 1) + integral(ra, rb, 0, 0)))
+                worst = max(worst, rel_err(
+                    system.lumped_mass[i], integral(left, ra, 1) + integral(ra, rb, 0)))
+        assert worst <= 1e-12
 
 
 class TestReactionVector:

@@ -26,7 +26,7 @@ from coreshell import (
 )
 from coreshell.config import load_config
 from coreshell.fem import h_norm, dual_norm, reaction_jacobian_diagonal
-from coreshell.solvers import sector_inverse
+from coreshell.solvers import MAX_STEPS, sector_inverse
 
 
 @pytest.fixture(scope="module")
@@ -372,3 +372,8 @@ class TestSolverConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_step_cap(self):
+        SolverConfig(dt=0.5, t_end=0.5 * MAX_STEPS).require_timestep()
+        with pytest.raises(ValueError, match=f"= {MAX_STEPS + 1} exceeds"):
+            SolverConfig(dt=0.5, t_end=0.5 * (MAX_STEPS + 1)).require_timestep()

@@ -1,5 +1,9 @@
+import numpy as np
+import pytest
+
 from coreshell.config import load_config
-from coreshell.verify import run_verification
+from coreshell.fem import DiscreteField, dual_norm, field_from_values, reaction_vector
+from coreshell.verify import run_verification, solve_resolvent
 
 
 def _result(results, name):
@@ -25,3 +29,24 @@ def test_pairing_slack_sets_monotonicity_floor(repo_root):
         results = run_verification(config, corrupt_b=True)
         verdicts.append(_result(results, "operator-monotonicity").passed)
     assert verdicts == [False, True]
+
+
+@pytest.mark.parametrize("name", ["annulus_desk.cfg", "radial_desk.cfg"])
+def test_resolvent_fails_on_corrupted_b(repo_root, name):
+    config = load_config(repo_root / "configs" / name)
+    results = run_verification(config, corrupt_b=True)
+    assert not _result(results, "resolvent-solvability").passed
+
+
+def test_resolvent_solution_meets_residual_bound(radial_desk_system, desk_params):
+    system = radial_desk_system
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        g = field_from_values(system.mesh, rng.uniform(-2.0, 2.0, system.n_nodes))
+        u, converged = solve_resolvent(system, desk_params, g.values)
+        assert converged
+        res = (system.M @ u + system.K @ u
+               - reaction_vector(system, DiscreteField(u, system.mask), desk_params)
+               - system.M @ g.values)
+        res[system.mask] = 0.0
+        assert dual_norm(system, res) <= 1e-8

@@ -176,11 +176,10 @@ def interface_flux_jump(system: AssembledSystem, mesh: CoreShellMesh,
     a discrete field honors the diffraction condition.
     """
     system.check_field(u)
-    _, grads = mesh.element_geometry()
-    sides = mesh.facet_elements()  # (F, 2): core, shell
-    normals = np.array([f.normal for f in mesh.gamma_facets])
-    side_grads = np.einsum("fskd,fsk->fsd", grads[sides], u.values[mesh.elements[sides]])
-    flux = np.einsum("fsd,fd->fs", side_grads, normals)
+    sides = mesh.facet_elements  # (F, 2): core, shell
+    side_grads = np.einsum("fskd,fsk->fsd", mesh.gradients[sides],
+                           u.values[mesh.elements[sides]])
+    flux = np.einsum("fsd,fd->fs", side_grads, mesh.facet_normals)
     return float(np.abs(params.b2 * flux[:, 1] - params.b1 * flux[:, 0]).max())
 
 

@@ -9,7 +9,6 @@ fixed config and seed.
 
 import argparse
 import sys
-from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from .model import ParameterError
 from .reporting import (
     fmt,
     read_field_csv,
+    table_lines,
     write_decay_report,
     write_field_csv,
     write_lines,
@@ -180,13 +180,10 @@ def cmd_verify(config: RunConfig, corrupt_b: bool = False) -> int:
         if first is not None:
             sample_path = out_dir / "violation_sample.csv"
             keys = sorted(first.sample)
-            arrays = [np.atleast_1d(np.asarray(first.sample[k], dtype=float))
-                      for k in keys]
             rows = [f"# property: {first.name}", f"# seed: {config.verify.seed}",
                     ",".join(keys)]
-            rows += [",".join("" if x is None else fmt(x) for x in row)
-                     for row in zip_longest(*arrays)]
-            write_lines(sample_path, rows)
+            write_lines(sample_path, rows + table_lines(
+                [np.atleast_1d(first.sample[k]) for k in keys]))
             print(f"violating sample written to {sample_path}", file=sys.stderr)
         return EXIT_PROPERTY_VIOLATION
     return EXIT_OK

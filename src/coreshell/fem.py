@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import CORE, CoreShellMesh
+from .mesh import CORE, CoreShellMesh, GeometryError
 from .model import (
     ModelParams,
     consumption_potential,
@@ -38,9 +38,6 @@ class DiscreteField:
 
     values: np.ndarray
     mask: np.ndarray
-
-    def copy(self) -> "DiscreteField":
-        return DiscreteField(self.values.copy(), self.mask)
 
 
 def zero_field(mesh: CoreShellMesh) -> DiscreteField:
@@ -82,7 +79,6 @@ class AssembledSystem:
     lumped_mass: np.ndarray
     mask: np.ndarray
     free: np.ndarray
-    weight_exponent: int
     core_volume: float
 
     def __post_init__(self):
@@ -122,35 +118,43 @@ def assemble(
     `b_override` bypasses parameter validation for harness sanity checks.
 
     Local element matrices are built for all elements at once from the
-    mesh's element geometry, and duplicate positions are summed by the sparse
-    conversion. An off-diagonal entry sums at most two element terms (an
-    edge has at most two elements), and a + b == b + a exactly, so K and M
-    are symmetric bitwise.
+    mesh's element measures and gradients, and duplicate positions are summed
+    by the sparse conversion. An off-diagonal entry sums at most two element
+    terms (an edge has at most two elements), and a + b == b + a exactly, so
+    K and M are symmetric bitwise. Raises GeometryError naming the first
+    element whose local matrices are not finite (they overflow on extreme
+    radii or mesh sizes).
     """
     b1, b2 = (params.b1, params.b2) if b_override is None else b_override
     if weight_exponent is None:
         weight_exponent = mesh.dimension - 1 if mesh.kind == "radial" else 0
 
-    measures, grads = mesh.element_geometry()
+    measures, grads = mesh.measures, mesh.gradients
     core = mesh.region == CORE
-    if mesh.kind == "radial":
-        # Gauss-Legendre with w//2 + 2 points integrates r^w * phi_a * phi_b
-        # (degree w + 2) exactly on each element; differences of monomial
-        # moments would cancel as h shrinks.
-        xi, wq = np.polynomial.legendre.leggauss(weight_exponent // 2 + 2)
-        phi = np.column_stack([1.0 - xi, 1.0 + xi]) / 2.0
-        r = mesh.nodes[mesh.elements[:, 0]][:, None] + measures[:, None] * phi[:, 1]
-        weight = (measures / 2.0)[:, None] * wq * r**weight_exponent
-        m_aa, m_ab, m_bb = (weight @ (phi[:, [0, 0, 1]] * phi[:, [0, 1, 1]])).T
-        m_local = np.stack([m_aa, m_ab, m_ab, m_bb], axis=1).reshape(-1, 2, 2)
-        lumped_local = weight @ phi
-        volume = weight.sum(axis=1)
-    else:
-        m_local = (measures / 12.0)[:, None, None] * (1.0 + np.eye(3))
-        lumped_local = np.repeat(measures[:, None] / 3.0, 3, axis=1)
-        volume = measures
-    kt_local = volume[:, None, None] * (grads[:, :, None, :] * grads[:, None, :, :]).sum(axis=-1)
-    k_local = np.where(core, b1, b2)[:, None, None] * kt_local
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mesh.kind == "radial":
+            # Gauss-Legendre with w//2 + 2 points integrates r^w * phi_a * phi_b
+            # (degree w + 2) exactly on each element; differences of monomial
+            # moments would cancel as h shrinks.
+            xi, wq = np.polynomial.legendre.leggauss(weight_exponent // 2 + 2)
+            phi = np.column_stack([1.0 - xi, 1.0 + xi]) / 2.0
+            r = mesh.nodes[mesh.elements[:, 0]][:, None] + measures[:, None] * phi[:, 1]
+            weight = (measures / 2.0)[:, None] * wq * r**weight_exponent
+            m_aa, m_ab, m_bb = (weight @ (phi[:, [0, 0, 1]] * phi[:, [0, 1, 1]])).T
+            m_local = np.stack([m_aa, m_ab, m_ab, m_bb], axis=1).reshape(-1, 2, 2)
+            lumped_local = weight @ phi
+            volume = weight.sum(axis=1)
+        else:
+            m_local = (measures / 12.0)[:, None, None] * (1.0 + np.eye(3))
+            lumped_local = np.repeat(measures[:, None] / 3.0, 3, axis=1)
+            volume = measures
+        kt_local = volume[:, None, None] * (grads[:, :, None, :]
+                                            * grads[:, None, :, :]).sum(axis=-1)
+        k_local = np.where(core, b1, b2)[:, None, None] * kt_local
+    finite = (np.isfinite(k_local).all(axis=(1, 2)) & np.isfinite(m_local).all(axis=(1, 2))
+              & np.isfinite(lumped_local).all(axis=1))
+    if not finite.all():
+        raise GeometryError(f"element {int(np.argmin(finite))} has non-finite local matrices")
 
     n = mesh.n_nodes
     k = mesh.elements.shape[1]
@@ -181,7 +185,6 @@ def assemble(
         lumped_mass=lumped,
         mask=mask,
         free=np.flatnonzero(~mask),
-        weight_exponent=weight_exponent,
         core_volume=float(volume[core].sum()),
     )
 

@@ -55,19 +55,6 @@ class GeometrySpec:
             raise GeometryError(f"target mesh size h must be positive, got {self.h}")
 
 
-@dataclass(frozen=True)
-class GammaFacet:
-    """One interface facet: a node in 1D, an edge in 2D.
-
-    The unit normal points from the core element toward the shell element.
-    """
-
-    nodes: tuple
-    core_element: int
-    shell_element: int
-    normal: tuple
-
-
 @dataclass
 class CoreShellMesh:
     """Conforming mesh with per-element region tags and marked boundaries.
@@ -77,11 +64,24 @@ class CoreShellMesh:
     region   : (m,) tags, CORE or SHELL; no element straddles the interface
     s_nodes  : node indices on the outer boundary (the Dirichlet set)
     gamma_nodes : node indices on the interface polygon / interface point
+    gamma_facets   : (F, k - 1) node indices of each interface facet (a node
+                     in 1D, an edge in 2D)
+    facet_elements : (F, 2) core and shell element of each facet
+    facet_normals  : (F, d) unit normal of each facet, pointing from the core
+                     element toward the shell element
     sectors  : rotation-invariant layout marker set by the builders: n > 0 means
                node 0 is the center and then rings of n nodes follow in
                ring-major order, every ring with the same element pattern
                and the last ring the outer boundary (radial chains: n = 1);
                0 means no such layout
+
+    Set at construction from the arrays above:
+    measures  : (m,) segment lengths or triangle areas (CCW vertex order)
+    gradients : (m, k, d) gradient of each vertex's hat function:
+                (-1/h, 1/h) on segments, (by, cx) / (2 area) on triangles
+                with by_a = y_(a+1) - y_(a+2), cx_a = x_(a+2) - x_(a+1)
+
+    Raises GeometryError if an element has a non-positive measure.
     """
 
     kind: str
@@ -93,11 +93,32 @@ class CoreShellMesh:
     region: np.ndarray
     s_nodes: np.ndarray
     gamma_nodes: np.ndarray
-    gamma_facets: list = field(default_factory=list)
+    gamma_facets: np.ndarray
+    facet_elements: np.ndarray
+    facet_normals: np.ndarray
     sectors: int = 0
+    measures: np.ndarray = field(init=False)
+    gradients: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for arr in (self.nodes, self.elements, self.region, self.s_nodes, self.gamma_nodes):
+        p = self.nodes[self.elements]
+        if self.kind == "radial":
+            measures = p[:, 1] - p[:, 0]
+            scaled = np.array([[-1.0], [1.0]])  # measure * gradient
+        else:
+            x, y = p[..., 0], p[..., 1]
+            by = np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1)
+            cx = np.roll(x, -2, axis=1) - np.roll(x, -1, axis=1)
+            measures = 0.5 * (cx[:, 2] * by[:, 1] - by[:, 2] * cx[:, 1])
+            scaled = 0.5 * np.stack([by, cx], axis=2)
+        if np.any(measures <= 0.0):
+            bad = int(np.argmin(measures))
+            raise GeometryError(f"element {bad} has non-positive measure {measures[bad]}")
+        self.measures = measures
+        self.gradients = scaled / measures[:, None, None]
+        for arr in (self.nodes, self.elements, self.region, self.s_nodes, self.gamma_nodes,
+                    self.gamma_facets, self.facet_elements, self.facet_normals,
+                    self.measures, self.gradients):
             arr.setflags(write=False)
 
     @property
@@ -118,43 +139,8 @@ class CoreShellMesh:
         mask[self.s_nodes] = True
         return mask
 
-    def element_geometry(self):
-        """Measures and constant P1 basis gradients of all elements, as arrays.
-
-        measures  : (m,) segment lengths or triangle areas (CCW vertex order)
-        gradients : (m, k, d) gradient of each vertex's hat function:
-                    (-1/h, 1/h) on segments, (by, cx) / (2 area) on triangles
-                    with by_a = y_(a+1) - y_(a+2), cx_a = x_(a+2) - x_(a+1)
-
-        Raises GeometryError if an element has a non-positive measure.
-        """
-        p = self.nodes[self.elements]
-        if self.kind == "radial":
-            measures = p[:, 1] - p[:, 0]
-            scaled = np.array([[-1.0], [1.0]])  # measure * gradient
-        else:
-            x, y = p[..., 0], p[..., 1]
-            by = np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1)
-            cx = np.roll(x, -2, axis=1) - np.roll(x, -1, axis=1)
-            measures = 0.5 * (cx[:, 2] * by[:, 1] - by[:, 2] * cx[:, 1])
-            scaled = 0.5 * np.stack([by, cx], axis=2)
-        if np.any(measures <= 0.0):
-            bad = int(np.argmin(measures))
-            raise GeometryError(f"element {bad} has non-positive measure {measures[bad]}")
-        return measures, scaled / measures[:, None, None]
-
-    def element_measures(self) -> np.ndarray:
-        """Lengths of segments or areas of triangles."""
-        return self.element_geometry()[0]
-
-    def facet_elements(self) -> np.ndarray:
-        """(F, 2) core and shell element of each interface facet."""
-        return np.array([(f.core_element, f.shell_element) for f in self.gamma_facets],
-                        dtype=np.int64).reshape(-1, 2)
-
     def validate(self):
         """Raise GeometryError if any mesh invariant is broken."""
-        self.element_geometry()  # raises on a non-positive element measure
         radii = self.node_radii()
         tol = _TOL * self.r2 * max(1.0, self.n_nodes)
         if np.any(np.abs(radii[self.s_nodes] - self.r2) > tol):
@@ -173,7 +159,7 @@ class CoreShellMesh:
             raise GeometryError(f"shell element {e} has a vertex inside r1")
         if len(self.gamma_facets) == 0:
             raise GeometryError("mesh has no interface facets")
-        if np.any(self.region[self.facet_elements()] != (CORE, SHELL)):
+        if np.any(self.region[self.facet_elements] != (CORE, SHELL)):
             raise GeometryError("interface facet is not shared by one core and one shell element")
 
 
@@ -191,8 +177,6 @@ def _radial_from_nodes(nodes: np.ndarray, spec_like) -> CoreShellMesh:
     i_gamma = int(np.searchsorted(nodes, r1))
     if nodes[i_gamma] != r1:
         raise GeometryError("radial mesh is missing the interface node at r1")
-    facet = GammaFacet(nodes=(i_gamma,), core_element=i_gamma - 1,
-                       shell_element=i_gamma, normal=(1.0,))
     return CoreShellMesh(
         kind="radial",
         dimension=spec_like.dimension,
@@ -203,7 +187,9 @@ def _radial_from_nodes(nodes: np.ndarray, spec_like) -> CoreShellMesh:
         region=region,
         s_nodes=np.array([n - 1], dtype=np.int64),
         gamma_nodes=np.array([i_gamma], dtype=np.int64),
-        gamma_facets=[facet],
+        gamma_facets=np.array([[i_gamma]], dtype=np.int64),
+        facet_elements=np.array([[i_gamma - 1, i_gamma]], dtype=np.int64),
+        facet_normals=np.array([[1.0]]),
         sectors=1,
     )
 
@@ -260,7 +246,10 @@ def _edge_table(elements: np.ndarray):
 
 
 def _extract_gamma_facets(nodes, elements, region, gamma_ids):
-    """Interface facets are the edges whose endpoints are both interface nodes."""
+    """Interface facets are the edges whose endpoints are both interface nodes.
+
+    Returns the mesh's (gamma_facets, facet_elements, facet_normals).
+    """
     edges, _, edge_elements = _edge_table(elements)
     facet = np.flatnonzero(np.isin(edges, gamma_ids).all(axis=1))
     ends, pair = edges[facet], edge_elements[facet]
@@ -280,13 +269,12 @@ def _extract_gamma_facets(nodes, elements, region, gamma_ids):
     midpoint = 0.5 * (nodes[ends[:, 0]] + nodes[ends[:, 1]])
     inward = np.einsum("fd,fd->f", normal, core_centroid - midpoint) > 0.0
     normal[inward] *= -1.0
-    return [GammaFacet(nodes=(int(a), int(b)), core_element=int(c), shell_element=int(s),
-                       normal=tuple(nu))
-            for (a, b), c, s, nu in zip(ends, core_e, shell_e, normal)]
+    return ends, np.column_stack([core_e, shell_e]), normal
 
 
 def _planar_from_arrays(nodes, elements, region, gamma_ids, s_ids, spec_like, sectors=0):
     """Validated planar mesh; gamma_ids and s_ids are sorted node indices."""
+    facets, facet_elements, normals = _extract_gamma_facets(nodes, elements, region, gamma_ids)
     mesh = CoreShellMesh(
         kind="planar2d",
         dimension=2,
@@ -297,7 +285,9 @@ def _planar_from_arrays(nodes, elements, region, gamma_ids, s_ids, spec_like, se
         region=region,
         s_nodes=s_ids,
         gamma_nodes=gamma_ids,
-        gamma_facets=_extract_gamma_facets(nodes, elements, region, gamma_ids),
+        gamma_facets=facets,
+        facet_elements=facet_elements,
+        facet_normals=normals,
         sectors=sectors,
     )
     mesh.validate()

@@ -17,6 +17,16 @@ def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def table_lines(columns, sep=","):
+    """One line per row of equal-length numeric columns, values as `fmt` prints them.
+
+    Raises ValueError if the columns differ in length.
+    """
+    row = sep.join(["%.17g"] * len(columns))
+    return [row % values for values in
+            zip(*(np.asarray(c, dtype=float).tolist() for c in columns), strict=True)]
+
+
 def write_lines(path, lines):
     """Write lines with LF endings and a final newline."""
     with open(path, "w", newline="\n") as handle:
@@ -29,18 +39,9 @@ def comment_block(echo_lines) -> list:
 
 def write_field_csv(path, mesh: CoreShellMesh, values, echo_lines=()):
     """Nodal field as CSV: columns (r, u) for radial meshes, (x, y, u) planar."""
-    values = np.asarray(values, dtype=float)
-    lines = comment_block(echo_lines)
-    if mesh.kind == "radial":
-        lines.append("r,u")
-        lines.extend(f"{fmt(r)},{fmt(v)}" for r, v in zip(mesh.nodes, values))
-    else:
-        lines.append("x,y,u")
-        lines.extend(
-            f"{fmt(x)},{fmt(y)},{fmt(v)}"
-            for (x, y), v in zip(mesh.nodes, values)
-        )
-    write_lines(path, lines)
+    header = "r,u" if mesh.kind == "radial" else "x,y,u"
+    coords = mesh.nodes.reshape(mesh.n_nodes, -1).T
+    write_lines(path, comment_block(echo_lines) + [header] + table_lines([*coords, values]))
 
 
 def read_field_csv(path, mesh: CoreShellMesh) -> np.ndarray:
@@ -67,14 +68,9 @@ def read_field_csv(path, mesh: CoreShellMesh) -> np.ndarray:
 
 
 def write_trace_csv(path, trace: EvolutionTrace, echo_lines=()):
-    lines = comment_block(echo_lines)
-    lines.append("t,energy,err_H,err_V,newton_iters")
-    for i in range(len(trace)):
-        lines.append(
-            f"{fmt(trace.times[i])},{fmt(trace.energies[i])},"
-            f"{fmt(trace.err_H[i])},{fmt(trace.err_V[i])},{int(trace.newton_iters[i])}"
-        )
-    write_lines(path, lines)
+    columns = [trace.times, trace.energies, trace.err_H, trace.err_V, trace.newton_iters]
+    write_lines(path, comment_block(echo_lines) + ["t,energy,err_H,err_V,newton_iters"]
+                + table_lines(columns))
 
 
 def decay_report_text(report: DecayReport) -> list:

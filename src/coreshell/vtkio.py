@@ -13,7 +13,7 @@ carries a compact configuration echo when the caller provides one.
 import numpy as np
 
 from .mesh import CoreShellMesh
-from .reporting import fmt, write_lines
+from .reporting import table_lines, write_lines
 
 _VTK_LINE = 3
 _VTK_TRIANGLE = 5
@@ -25,33 +25,23 @@ def write_vtk(path, mesh: CoreShellMesh, point_data: dict | None = None,
     lines = ["# vtk DataFile Version 2.0", title[:255], "ASCII",
              "DATASET UNSTRUCTURED_GRID"]
 
+    coords = mesh.nodes.reshape(mesh.n_nodes, -1).T
     lines.append(f"POINTS {mesh.n_nodes} double")
-    if mesh.kind == "radial":
-        for r in mesh.nodes:
-            lines.append(f"{fmt(r)} 0 0")
-    else:
-        for x, y in mesh.nodes:
-            lines.append(f"{fmt(x)} {fmt(y)} 0")
+    lines += table_lines([*coords] + [np.zeros(mesh.n_nodes)] * (3 - len(coords)), " ")
 
-    k = mesh.elements.shape[1]
-    lines.append(f"CELLS {mesh.n_elements} {mesh.n_elements * (k + 1)}")
-    for element in mesh.elements:
-        lines.append(f"{k} " + " ".join(str(int(v)) for v in element))
-    cell_type = _VTK_LINE if k == 2 else _VTK_TRIANGLE
-    lines.append(f"CELL_TYPES {mesh.n_elements}")
-    lines.extend([str(cell_type)] * mesh.n_elements)
+    m, k = mesh.elements.shape
+    lines.append(f"CELLS {m} {m * (k + 1)}")
+    lines += table_lines([np.full(m, k), *mesh.elements.T], " ")
+    lines.append(f"CELL_TYPES {m}")
+    lines += [str(_VTK_LINE if k == 2 else _VTK_TRIANGLE)] * m
 
-    lines.append(f"CELL_DATA {mesh.n_elements}")
-    lines.append("SCALARS region int 1")
-    lines.append("LOOKUP_TABLE default")
-    lines.extend(str(int(tag)) for tag in mesh.region)
+    lines += [f"CELL_DATA {m}", "SCALARS region int 1", "LOOKUP_TABLE default"]
+    lines += table_lines([mesh.region])
 
     if point_data:
         lines.append(f"POINT_DATA {mesh.n_nodes}")
         for name, values in point_data.items():
-            values = np.asarray(values, dtype=float)
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(fmt(v) for v in values)
+            lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+            lines += table_lines([values])
 
     write_lines(path, lines)

@@ -1,0 +1,85 @@
+"""Pinned artifact bytes: the CLI writers reproduce stored files exactly.
+
+`tests/data/artifacts/<kind>/` holds the mesh VTK, the stationary field as
+CSV and VTK, the evolution trace and the `verify --corrupt-b` violation
+sample of a coarse radial (h=0.25) and planar (h=0.35) run of the shipped
+desk configs. VTK files are compared byte for byte. CSV files are compared
+without their leading '#' comment lines, because the configuration echo in
+them names the output directory; the stored CSV files carry no comment lines.
+
+Regenerate (only when a change of output is intended and recorded):
+
+    PYTHONPATH=src python tests/test_artifacts.py --write
+"""
+
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from coreshell.cli import main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+DATA = Path(__file__).with_name("data") / "artifacts"
+RUNS = {
+    "radial": ("radial_desk.cfg", "0.25"),
+    "planar": ("annulus_desk.cfg", "0.35"),
+}
+COMMANDS = (["mesh"], ["stationary"], ["evolve"], ["verify", "--corrupt-b"])
+EXIT_CODES = (0, 0, 0, 1)
+FILES = ("mesh.vtk", "stationary_field.csv", "stationary_field.vtk", "trace.csv",
+         "violation_sample.csv")
+
+
+def produce(kind, out_dir):
+    """Run every command of one pinned case into out_dir; return the exit codes."""
+    config, h = RUNS[kind]
+    return tuple(
+        main(command + [str(REPO_ROOT / "configs" / config), "--set", f"geometry.h={h}",
+                        "--output-dir", str(out_dir)])
+        for command in COMMANDS
+    )
+
+
+def comparable(path) -> bytes:
+    """File bytes, without '#' comment lines for CSV files."""
+    data = Path(path).read_bytes()
+    if Path(path).suffix != ".csv":
+        return data
+    return b"".join(line for line in data.splitlines(keepends=True)
+                    if not line.startswith(b"#"))
+
+
+@pytest.fixture(scope="module")
+def produced(tmp_path_factory):
+    out = {}
+    for kind in RUNS:
+        out_dir = tmp_path_factory.mktemp(kind)
+        out[kind] = (out_dir, produce(kind, out_dir))
+    return out
+
+
+@pytest.mark.parametrize("kind", RUNS)
+def test_exit_codes(produced, kind):
+    assert produced[kind][1] == EXIT_CODES
+
+
+@pytest.mark.parametrize("name", FILES)
+@pytest.mark.parametrize("kind", RUNS)
+def test_artifact_bytes(produced, kind, name):
+    assert comparable(produced[kind][0] / name) == comparable(DATA / kind / name)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_artifacts.py --write")
+    for kind in RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            codes = produce(kind, Path(tmp))
+            if codes != EXIT_CODES:
+                sys.exit(f"{kind}: exit codes {codes}, expected {EXIT_CODES}")
+            (DATA / kind).mkdir(parents=True, exist_ok=True)
+            for name in FILES:
+                (DATA / kind / name).write_bytes(comparable(Path(tmp) / name))
+    print(f"wrote {DATA}")

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +267,22 @@ class TestCmdMesh:
 
 
 class TestCmdStationary:
+    @pytest.mark.parametrize("overrides", [
+        ["geometry.r1=1e-200"],
+        ["geometry.r2=1e200", "geometry.h=1e199"],
+    ])
+    def test_overflowing_radial_geometry_exit_2(self, repo_root, tmp_path, capsys, overrides):
+        # Local stiffness or mass entries overflow; that is invalid input, not
+        # a solver failure, and no numpy RuntimeWarning escapes.
+        argv = ["stationary", str(repo_root / "configs" / "radial_desk.cfg"),
+                "--output-dir", str(tmp_path)]
+        for override in overrides:
+            argv += ["--set", override]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 2
+        assert "non-finite local matrices" in capsys.readouterr().err
+
     def test_reaction_disabled_zero_state(self, quick_cfg, capsys):
         path, out = quick_cfg
         rc = main(["stationary", str(path), "--set", "model.reaction=false"])

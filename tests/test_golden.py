@@ -47,9 +47,8 @@ def _mesh_arrays(mesh, prefix):
         f"{prefix}/region": np.asarray(mesh.region),
         f"{prefix}/s_nodes": np.asarray(mesh.s_nodes),
         f"{prefix}/gamma_nodes": np.asarray(mesh.gamma_nodes),
-        f"{prefix}/facet_nodes": np.array([f.nodes for f in mesh.gamma_facets]),
-        f"{prefix}/facet_elements": np.array(
-            [(f.core_element, f.shell_element) for f in mesh.gamma_facets]),
+        f"{prefix}/facet_nodes": np.asarray(mesh.gamma_facets),
+        f"{prefix}/facet_elements": np.asarray(mesh.facet_elements),
     }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -51,7 +52,7 @@ class TestRadialMesh:
     def test_partition_property(self):
         for h in (0.3, 0.177, 0.05):
             mesh = build_radial_mesh(GeometrySpec(kind="radial", dimension=2, r1=0.4, r2=1.3, h=h))
-            assert mesh.element_measures().sum() == pytest.approx(1.3, abs=1e-14)
+            assert mesh.measures.sum() == pytest.approx(1.3, abs=1e-14)
             mesh.validate()
 
     def test_center_not_masked(self):
@@ -84,25 +85,25 @@ class TestAnnulusMesh:
 
     def test_area_partition_identity(self, coarse):
         # triangles exactly tile the inscribed polygon of the outer circle
-        m = len({f.nodes for f in coarse.gamma_facets})
+        m = len({tuple(f) for f in coarse.gamma_facets})
         n_sectors = m
         poly = 0.5 * n_sectors * coarse.r2**2 * math.sin(2 * math.pi / n_sectors)
-        assert coarse.element_measures().sum() == pytest.approx(poly, rel=1e-13)
+        assert coarse.measures.sum() == pytest.approx(poly, rel=1e-13)
         core_poly = 0.5 * n_sectors * coarse.r1**2 * math.sin(2 * math.pi / n_sectors)
-        core_area = coarse.element_measures()[coarse.region == CORE].sum()
+        core_area = coarse.measures[coarse.region == CORE].sum()
         assert core_area == pytest.approx(core_poly, rel=1e-13)
 
     def test_gamma_orientation_contract(self, coarse):
         # the core element lies on the side opposite to the facet normal
-        for facet in coarse.gamma_facets:
-            nu = np.asarray(facet.normal)
-            mid = coarse.nodes[list(facet.nodes)].mean(axis=0)
-            core_c = coarse.nodes[coarse.elements[facet.core_element]].mean(axis=0)
-            shell_c = coarse.nodes[coarse.elements[facet.shell_element]].mean(axis=0)
+        for facet, (core_element, shell_element), nu in zip(
+                coarse.gamma_facets, coarse.facet_elements, coarse.facet_normals):
+            mid = coarse.nodes[facet].mean(axis=0)
+            core_c = coarse.nodes[coarse.elements[core_element]].mean(axis=0)
+            shell_c = coarse.nodes[coarse.elements[shell_element]].mean(axis=0)
             assert float(nu @ (core_c - mid)) < 0.0
             assert float(nu @ (shell_c - mid)) > 0.0
-            assert coarse.region[facet.core_element] == CORE
-            assert coarse.region[facet.shell_element] == SHELL
+            assert coarse.region[core_element] == CORE
+            assert coarse.region[shell_element] == SHELL
 
     def test_refinement_doubles_gamma_facets(self, coarse):
         fine = refine(coarse)
@@ -124,8 +125,14 @@ class TestAnnulusMesh:
         mesh = coarse
         for _ in range(2):
             mesh = refine(mesh)
-            assert np.all(mesh.element_measures() > 0.0)
+            assert np.all(mesh.measures > 0.0)
             mesh.validate()
+
+    def test_inverted_element_rejected_at_construction(self, coarse):
+        elements = coarse.elements.copy()
+        elements[7, [1, 2]] = elements[7, [2, 1]]
+        with pytest.raises(GeometryError, match="element 7 has non-positive measure"):
+            dataclasses.replace(coarse, elements=elements)
 
     def test_interface_fitted(self, coarse):
         radii = coarse.node_radii()

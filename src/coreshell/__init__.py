@@ -8,13 +8,11 @@ from .analysis import (
     estimate_gamma,
     fit_decay_rate,
     interface_flux_jump,
-    norms,
     radial_stationary_reference,
     smallest_generalized_eigenvalue,
 )
 from .fem import (
     AssembledSystem,
-    DiscreteField,
     assemble,
     energy,
     energy_gradient,

@@ -1,4 +1,4 @@
-"""Diagnostics: norms, decay-rate fitting, interface flux jumps, the
+"""Diagnostics: decay-rate fitting, interface flux jumps, the
 strong-monotonicity constant, and the independent radial shooting reference.
 
 The shooting reference integrates the stationary radial ODE through the core
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import AssembledSystem, DiscreteField, h_norm, v_norm
+from .fem import AssembledSystem
 from .mesh import CoreShellMesh, GeometrySpec
 from .model import ModelParams, consumption_rate
 from .solvers import EvolutionTrace, _constant_part, solve_spd
@@ -20,16 +20,6 @@ from .solvers import EvolutionTrace, _constant_part, solve_spd
 
 class AnalysisError(RuntimeError):
     """A diagnostic computation could not be carried out."""
-
-
-def norms(system: AssembledSystem, u: DiscreteField):
-    """(H-norm, V-norm) of a masked field.
-
-    The V-norm uses the unit-coefficient stiffness, matching the metric
-    ||u||^2 = (u, u)_H + (grad u, grad u)_H.
-    """
-    system.check_field(u)
-    return h_norm(system, u.values), v_norm(system, u.values)
 
 
 # ----------------------------------------------------------------------------
@@ -57,6 +47,8 @@ class DecayReport:
 _PLATEAU_DECADES = 1e-6
 _PLATEAU_FACTOR = 10.0
 _MIN_WINDOW = 5
+# Fewest trace samples (steps + 1) that `fit_decay_rate` accepts.
+MIN_SAMPLES = 10
 
 
 def fit_decay_rate(trace: EvolutionTrace, *, gamma_disc: float = math.nan,
@@ -74,8 +66,8 @@ def fit_decay_rate(trace: EvolutionTrace, *, gamma_disc: float = math.nan,
     """
     t = np.asarray(trace.times, dtype=float)
     err = np.asarray(trace.err_H, dtype=float)
-    if t.shape[0] < 10:
-        raise AnalysisError(f"trace has {t.shape[0]} samples; at least 10 required")
+    if t.shape[0] < MIN_SAMPLES:
+        raise AnalysisError(f"trace has {t.shape[0]} samples; at least {MIN_SAMPLES} required")
 
     scale = err[0]
     if not scale > 0.0:
@@ -168,7 +160,7 @@ def estimate_gamma(system: AssembledSystem, params: ModelParams) -> float:
 
 
 def interface_flux_jump(system: AssembledSystem, mesh: CoreShellMesh,
-                        u: DiscreteField, params: ModelParams) -> float:
+                        u: np.ndarray, params: ModelParams) -> float:
     """Max over interface facets of the conormal-flux mismatch.
 
     Per-element constant gradients give, for each facet,
@@ -178,7 +170,7 @@ def interface_flux_jump(system: AssembledSystem, mesh: CoreShellMesh,
     system.check_field(u)
     sides = mesh.facet_elements  # (F, 2): core, shell
     side_grads = np.einsum("fskd,fsk->fsd", mesh.gradients[sides],
-                           u.values[mesh.elements[sides]])
+                           u[mesh.elements[sides]])
     flux = np.einsum("fsd,fd->fs", side_grads, mesh.facet_normals)
     return float(np.abs(params.b2 * flux[:, 1] - params.b1 * flux[:, 0]).max())
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    MIN_SAMPLES,
     AnalysisError,
     estimate_gamma,
     fit_decay_rate,
@@ -93,11 +94,11 @@ def cmd_stationary(config: RunConfig, init: str = "zero") -> int:
                               _initial_field(init, mesh, config))
     jump = interface_flux_jump(system, mesh, result.field, config.model)
     if config.output.write_csv:
-        write_field_csv(out_dir / "stationary_field.csv", mesh, result.field.values,
+        write_field_csv(out_dir / "stationary_field.csv", mesh, result.field,
                         config.echo_lines())
     if config.output.write_vtk:
         write_vtk(out_dir / "stationary_field.vtk", mesh,
-                  point_data={"u": result.field.values}, title=_vtk_title(config))
+                  point_data={"u": result.field}, title=_vtk_title(config))
     body = [
         "stationary solve report",
         f"  initial field    = {init}",
@@ -117,6 +118,9 @@ def cmd_stationary(config: RunConfig, init: str = "zero") -> int:
 
 def cmd_evolve(config: RunConfig, u0_file: str | None = None) -> int:
     config.solver.require_timestep()
+    if config.solver.n_steps + 1 < MIN_SAMPLES:
+        raise ValueError(f"step count t_end / dt = {config.solver.n_steps} is below "
+                         f"{MIN_SAMPLES - 1}, the fewest the decay-rate fit needs")
     mesh, system, out_dir = _prepare(config)
     if u0_file is not None:
         u0 = field_from_values(mesh, read_field_csv(u0_file, mesh))

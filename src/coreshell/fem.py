@@ -10,6 +10,8 @@ level, not just asymptotically.
 Dirichlet rows/columns are handled by symmetric elimination: matrices are
 stored over all nodes, solvers restrict to the unmasked subspace, and
 residual/gradient vectors are returned embedded with zeros at masked nodes.
+A field is the array of its nodal values over all nodes; members of the
+homogeneous-boundary space are zero at the masked nodes.
 
 Assembly is sequential and deterministic; assembled systems are immutable.
 """
@@ -28,33 +30,20 @@ from .model import (
 )
 
 
-@dataclass
-class DiscreteField:
-    """Nodal coefficients of a P1 field with its Dirichlet mask.
-
-    Masked entries are exactly zero for any field representing a member of
-    the homogeneous-boundary space.
-    """
-
-    values: np.ndarray
-    mask: np.ndarray
+def zero_field(mesh: CoreShellMesh) -> np.ndarray:
+    return np.zeros(mesh.n_nodes)
 
 
-def zero_field(mesh: CoreShellMesh) -> DiscreteField:
-    return DiscreteField(np.zeros(mesh.n_nodes), mesh.dirichlet_mask())
-
-
-def field_from_values(mesh: CoreShellMesh, values) -> DiscreteField:
-    """Wrap nodal values as a field, zeroing the Dirichlet entries."""
+def field_from_values(mesh: CoreShellMesh, values) -> np.ndarray:
+    """Copy nodal values into a float field, zeroing the Dirichlet entries."""
     vals = np.array(values, dtype=float)
     if vals.shape != (mesh.n_nodes,):
         raise ValueError(f"expected {mesh.n_nodes} nodal values, got shape {vals.shape}")
-    mask = mesh.dirichlet_mask()
-    vals[mask] = 0.0
-    return DiscreteField(vals, mask)
+    vals[mesh.dirichlet_mask()] = 0.0
+    return vals
 
 
-def ramp_field(mesh: CoreShellMesh, params: ModelParams) -> DiscreteField:
+def ramp_field(mesh: CoreShellMesh, params: ModelParams) -> np.ndarray:
     """Nodal interpolant of c0 * (1 - r/r2): a documented nonzero initial state."""
     vals = params.c0 * (1.0 - mesh.node_radii() / mesh.r2)
     return field_from_values(mesh, vals)
@@ -93,11 +82,9 @@ class AssembledSystem:
         """Symmetric elimination: the free-by-free block of a full matrix."""
         return matrix[self.free][:, self.free].tocsr()
 
-    def check_field(self, u: DiscreteField):
-        if u.values.shape != (self.n_nodes,):
-            raise ValueError(
-                f"field has {u.values.shape[0]} entries, system has {self.n_nodes} nodes"
-            )
+    def check_field(self, u: np.ndarray):
+        if u.shape != (self.n_nodes,):
+            raise ValueError(f"field has shape {u.shape}, system has {self.n_nodes} nodes")
 
 
 def assemble(
@@ -194,13 +181,13 @@ def assemble(
 # ----------------------------------------------------------------------------
 
 
-def reaction_vector(system: AssembledSystem, u: DiscreteField, params: ModelParams) -> np.ndarray:
+def reaction_vector(system: AssembledSystem, u: np.ndarray, params: ModelParams) -> np.ndarray:
     """Nodal-quadrature consumption load: entry i is M1_i * rate(u_i)."""
     system.check_field(u)
-    return system.M1 * consumption_rate(u.values, params)
+    return system.M1 * consumption_rate(u, params)
 
 
-def energy_gradient(system: AssembledSystem, u: DiscreteField, params: ModelParams) -> np.ndarray:
+def energy_gradient(system: AssembledSystem, u: np.ndarray, params: ModelParams) -> np.ndarray:
     """Gradient of the discrete energy: K u - reaction, zeroed at masked nodes.
 
     By the gradient-flow identity this is also the discrete
@@ -208,33 +195,33 @@ def energy_gradient(system: AssembledSystem, u: DiscreteField, params: ModelPara
     function under that name.
     """
     system.check_field(u)
-    g = system.K @ u.values - reaction_vector(system, u, params)
+    g = system.K @ u - reaction_vector(system, u, params)
     g[system.mask] = 0.0
     return g
 
 
-def residual(system: AssembledSystem, u: DiscreteField, params: ModelParams) -> np.ndarray:
+def residual(system: AssembledSystem, u: np.ndarray, params: ModelParams) -> np.ndarray:
     """Unmasked-subspace residual of the stationary problem (zero at the solution)."""
     return energy_gradient(system, u, params)
 
 
-def energy(system: AssembledSystem, u: DiscreteField, params: ModelParams) -> float:
+def energy(system: AssembledSystem, u: np.ndarray, params: ModelParams) -> float:
     """Discrete energy: half the weighted Dirichlet form minus the consumption potential."""
     system.check_field(u)
-    quad = 0.5 * float(u.values @ (system.K @ u.values))
-    pot = float(system.M1 @ consumption_potential(u.values, params))
+    quad = 0.5 * float(u @ (system.K @ u))
+    pot = float(system.M1 @ consumption_potential(u, params))
     return quad - pot
 
 
 def reaction_jacobian_diagonal(
-    system: AssembledSystem, u: DiscreteField, params: ModelParams
+    system: AssembledSystem, u: np.ndarray, params: ModelParams
 ) -> np.ndarray:
     """Diagonal -M1_i * rate'(u_i) of the reaction part of the energy Hessian.
 
     Nonnegative because the consumption rate is decreasing, so the full
     Hessian K + diag stays positive definite on the free subspace.
     """
-    return system.M1 * (-consumption_rate_slope(u.values, params))
+    return system.M1 * (-consumption_rate_slope(u, params))
 
 
 def h_norm(system: AssembledSystem, values: np.ndarray) -> float:

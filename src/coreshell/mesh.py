@@ -332,9 +332,15 @@ def build_annulus_mesh(spec: GeometrySpec) -> CoreShellMesh:
 
 
 def build_mesh(spec: GeometrySpec) -> CoreShellMesh:
-    if spec.kind == "radial":
-        return build_radial_mesh(spec)
-    return build_annulus_mesh(spec)
+    """Mesh of a geometry. Raises GeometryError when extreme radii make the
+    mesh arithmetic overflow or divide by zero, instead of warning."""
+    builder = build_radial_mesh if spec.kind == "radial" else build_annulus_mesh
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return builder(spec)
+    except FloatingPointError as exc:
+        raise GeometryError(f"geometry r1={spec.r1:g}, r2={spec.r2:g}, h={spec.h:g} is out "
+                            f"of floating-point range ({exc})") from None
 
 
 # ----------------------------------------------------------------------------

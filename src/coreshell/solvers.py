@@ -2,7 +2,7 @@
 
 The stationary state is the unique minimizer of the strictly convex discrete
 energy and is computed by damped Newton (exact SPD Hessian, Armijo
-backtracking on the energy). Time stepping is implicit Euler: each step is
+backtracking on the energy's change along the Newton line). Time stepping is implicit Euler: each step is
 the proximal minimization of E(w) + ||w - u_n||_M^2 / (2 dt), solved by the
 same Newton loop started at u_n, which makes the energy decrease across
 steps unconditional.
@@ -25,7 +25,6 @@ import scipy.sparse as sp
 
 from .fem import (
     AssembledSystem,
-    DiscreteField,
     dual_norm,
     energy,
     h_norm,
@@ -34,7 +33,7 @@ from .fem import (
     v_norm,
     zero_field,
 )
-from .model import ModelParams
+from .model import ModelParams, consumption_potential
 
 
 class LinearSolveError(RuntimeError):
@@ -91,12 +90,17 @@ class SolverConfig:
             raise ValueError(f"step count t_end / dt = {steps:.0f} exceeds the limit "
                              f"{MAX_STEPS} (t_end={self.t_end}, dt={self.dt})")
 
+    @property
+    def n_steps(self) -> int:
+        """Number of implicit-Euler steps: round(t_end / dt), at least one."""
+        return max(1, int(round(self.t_end / self.dt)))
+
 
 @dataclass
 class StationarySolution:
     """Best iterate of the stationary solve plus convergence diagnostics."""
 
-    field: DiscreteField
+    field: np.ndarray
     converged: bool
     iterations: int
     residual_norm: float
@@ -315,15 +319,8 @@ def _newton_minimize(
     u = start.copy()
     u[mask] = 0.0
 
-    def objective(vals: np.ndarray) -> float:
-        e = energy(system, DiscreteField(vals, mask), params)
-        if prox_center is not None:
-            d = vals - prox_center
-            e += float(d @ (system.M @ d)) / (2.0 * dt)
-        return e
-
     def gradient(vals: np.ndarray) -> np.ndarray:
-        g = system.K @ vals - reaction_vector(system, DiscreteField(vals, mask), params)
+        g = system.K @ vals - reaction_vector(system, vals, params)
         if prox_center is not None:
             g = g + (system.M @ (vals - prox_center)) / dt
         g[mask] = 0.0
@@ -341,8 +338,7 @@ def _newton_minimize(
     for iteration in range(1, cfg.newton_max_iter + 1):
         if res <= cfg.newton_tol * scale:
             return u, iteration - 1, history, True
-        hess_ff = base_ff + sp.diags(reaction_jacobian_diagonal(
-            system, DiscreteField(u, mask), params)[free])
+        hess_ff = base_ff + sp.diags(reaction_jacobian_diagonal(system, u, params)[free])
         direction = np.zeros_like(u)
         direction[free] = solve_spd(hess_ff, -g[free], cfg.linear_tol,
                                     precondition=precondition)
@@ -353,14 +349,21 @@ def _newton_minimize(
                 "Newton direction is not a descent direction; "
                 "energy model and assembly are inconsistent"
             )
-        f0 = objective(u)
-        # Acceptance needs slack at the level of the objective's rounding
-        # error, or the search stalls once decrements fall below resolution.
-        fp_slack = 32.0 * np.finfo(float).eps * max(1.0, abs(f0))
+        # Armijo on the change along the line in difference form,
+        # t d.(K u + M(u - c)/dt) + t^2/2 d.(base d) - M1.(F(u + t d) - F(u)):
+        # near the minimizer two objective values differ by less than their
+        # rounding (Hager & Zhang, SIAM J. Optim. 16, 2005). The slack covers
+        # the rounding of the potential difference.
+        linear = slope + float(direction @ reaction_vector(system, u, params))
+        curvature = float(direction[free] @ (base_ff @ direction[free]))
+        potential = consumption_potential(u, params)
+        fp_slack = 32.0 * np.finfo(float).eps * max(1.0, float(system.M1 @ np.abs(potential)))
         step = 1.0
         while True:
             candidate = u + step * direction
-            if objective(candidate) <= f0 + _ARMIJO_SLOPE * step * slope + fp_slack:
+            change = (step * linear + 0.5 * step**2 * curvature - float(
+                system.M1 @ (consumption_potential(candidate, params) - potential)))
+            if change <= _ARMIJO_SLOPE * step * slope + fp_slack:
                 break
             step *= _ARMIJO_FACTOR
             if step < _ARMIJO_MIN_STEP:
@@ -380,7 +383,7 @@ def stationary_solve(
     system: AssembledSystem,
     params: ModelParams,
     cfg: SolverConfig,
-    u_init: DiscreteField,
+    u_init: np.ndarray,
 ) -> StationarySolution:
     """Compute the unique discrete stationary state from a given start.
 
@@ -389,15 +392,14 @@ def stationary_solve(
     cap the best iterate is returned with converged=False.
     """
     system.check_field(u_init)
-    values, iters, history, converged = _newton_minimize(system, params, cfg, u_init.values)
-    fld = DiscreteField(values, system.mask)
+    values, iters, history, converged = _newton_minimize(system, params, cfg, u_init)
     return StationarySolution(
-        field=fld,
+        field=values,
         converged=converged,
         iterations=iters,
         residual_norm=history[-1],
         residual_history=history,
-        energy=energy(system, fld, params),
+        energy=energy(system, values, params),
     )
 
 
@@ -405,8 +407,8 @@ def step_implicit_euler(
     system: AssembledSystem,
     params: ModelParams,
     cfg: SolverConfig,
-    u_n: DiscreteField,
-) -> DiscreteField:
+    u_n: np.ndarray,
+) -> np.ndarray:
     """One backward-Euler step: the proximal minimization of the energy.
 
     The accepted state satisfies the proximal inequality
@@ -423,22 +425,20 @@ def _step_implicit_euler_counted(system, params, cfg, u_n, constant=None):
         raise ValueError(f"time step dt must be positive, got {cfg.dt}")
     system.check_field(u_n)
     values, iters, history, converged = _newton_minimize(
-        system, params, cfg, u_n.values, prox_center=u_n.values, dt=cfg.dt,
-        constant=constant,
-    )
+        system, params, cfg, u_n, prox_center=u_n, dt=cfg.dt, constant=constant)
     if not converged:
         raise NonlinearSolveError(
             f"implicit-Euler inner solve stopped at residual {history[-1]:.3e} "
             f"after {iters} iterations"
         )
-    return DiscreteField(values, system.mask), iters
+    return values, iters
 
 
 def evolve(
     system: AssembledSystem,
     params: ModelParams,
     cfg: SolverConfig,
-    u0: DiscreteField,
+    u0: np.ndarray,
 ) -> EvolutionTrace:
     """Implicit-Euler trajectory with per-step energy and error records.
 
@@ -449,19 +449,18 @@ def evolve(
     """
     cfg.require_timestep()
     system.check_field(u0)
-    n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
 
     reference = stationary_solve(system, params, cfg, zero_field(system.mesh))
     if not reference.converged:
         raise NonlinearSolveError(
             "stationary reference solve did not converge; cannot measure decay"
         )
-    u_star = reference.field.values
+    u_star = reference.field
 
     times = [0.0]
     energies = [energy(system, u0, params)]
-    err_h = [h_norm(system, u0.values - u_star)]
-    err_v = [v_norm(system, u0.values - u_star)]
+    err_h = [h_norm(system, u0 - u_star)]
+    err_v = [v_norm(system, u0 - u_star)]
     iters = [0]
     meta = {
         **asdict(cfg),
@@ -473,7 +472,7 @@ def evolve(
 
     step_constant = _constant_part(system, (system.K + system.M / cfg.dt).tocsr())
     u = u0
-    for n in range(1, n_steps + 1):
+    for n in range(1, cfg.n_steps + 1):
         try:
             u, k = _step_implicit_euler_counted(system, params, cfg, u, step_constant)
         except (NonlinearSolveError, LinearSolveError) as exc:
@@ -483,8 +482,8 @@ def evolve(
             break
         times.append(n * cfg.dt)
         energies.append(energy(system, u, params))
-        err_h.append(h_norm(system, u.values - u_star))
-        err_v.append(v_norm(system, u.values - u_star))
+        err_h.append(h_norm(system, u - u_star))
+        err_v.append(v_norm(system, u - u_star))
         iters.append(k)
 
     return EvolutionTrace(

@@ -19,7 +19,6 @@ import numpy as np
 from .analysis import estimate_gamma
 from .config import RunConfig
 from .fem import (
-    DiscreteField,
     assemble,
     dual_norm,
     energy,
@@ -178,7 +177,7 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
             if np.any(r[~active] != 0.0) or np.any(r[active] < 0.0) \
                     or np.any(r[active] >= system.M1[active]):
                 return PropertyResult(name, False, "reaction entry out of [0, M1_i)",
-                                      {"u": u.values})
+                                      {"u": u})
             if np.any(active):
                 worst = max(worst, float((r[active] / system.M1[active]).max()))
         return PropertyResult(name, True, f"max rate={fmt(worst)}")
@@ -190,14 +189,14 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         for _ in range(v.monotonicity_pairs):
             u = _random_field(rng, system, 2.0 * params.c0)
             w = _random_field(rng, system, 2.0 * params.c0)
-            d = u.values - w.values
+            d = u - w
             lhs = float((residual(system, u, params) - residual(system, w, params)) @ d)
             floor = -v.pairing_slack * float(d @ (system.M @ d))
             worst = min(worst, lhs)
             if lhs < floor:
                 return PropertyResult(name, False,
                                       f"pairing {fmt(lhs)} below floor {fmt(floor)}",
-                                      {"u": u.values, "v": w.values})
+                                      {"u": u, "v": w})
         return PropertyResult(name, True, f"min pairing={fmt(worst)}")
 
     def check_coercivity(name):
@@ -205,16 +204,15 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         worst = np.inf
         for _ in range(v.coercivity_samples):
             u = _random_field(rng, system, 3.0 * params.c0)
-            uv = u.values
-            lhs = float(uv @ (system.M @ uv) + uv @ (system.K @ uv)
-                        - reaction_vector(system, u, params) @ uv)
-            vnorm2 = float(uv @ (system.M @ uv) + uv @ (system.Kt @ uv))
+            lhs = float(u @ (system.M @ u) + u @ (system.K @ u)
+                        - reaction_vector(system, u, params) @ u)
+            vnorm2 = float(u @ (system.M @ u) + u @ (system.Kt @ u))
             rhs = c_coef * vnorm2 - params.c0 * system.core_volume
             slack = 1e-9 * max(1.0, abs(lhs), vnorm2)
             worst = min(worst, lhs - rhs)
             if lhs < rhs - slack:
                 return PropertyResult(name, False,
-                                      f"coercivity gap {fmt(lhs - rhs)}", {"u": uv})
+                                      f"coercivity gap {fmt(lhs - rhs)}", {"u": u})
         return PropertyResult(name, True, f"min slack={fmt(worst)}")
 
     def check_strong_monotonicity(name):
@@ -223,7 +221,7 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         for _ in range(v.strong_monotonicity_pairs):
             u = _random_field(rng, system, 2.0 * params.c0)
             w = _random_field(rng, system, 2.0 * params.c0)
-            d = u.values - w.values
+            d = u - w
             lhs = float((energy_gradient(system, u, params)
                          - energy_gradient(system, w, params)) @ d)
             vnorm2 = float(d @ (system.M @ d) + d @ (system.Kt @ d))
@@ -233,7 +231,7 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
                 return PropertyResult(
                     name, False,
                     f"gamma_disc={fmt(gamma)} violated by {fmt(rhs - lhs)}",
-                    {"u": u.values, "v": w.values})
+                    {"u": u, "v": w})
         return PropertyResult(name, True,
                               f"gamma_disc={fmt(gamma)} min slack={fmt(worst)}")
 
@@ -250,15 +248,14 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
             raw[near] = params.c0 - 2e-3
             u = field_from_values(mesh, raw)
             hdir = field_from_values(mesh, rng.uniform(-1.0, 1.0, system.n_nodes))
-            up = DiscreteField(u.values + eps * hdir.values, system.mask)
-            dn = DiscreteField(u.values - eps * hdir.values, system.mask)
-            fd = (energy(system, up, params) - energy(system, dn, params)) / (2.0 * eps)
-            gh = float(energy_gradient(system, u, params) @ hdir.values)
+            fd = (energy(system, u + eps * hdir, params)
+                  - energy(system, u - eps * hdir, params)) / (2.0 * eps)
+            gh = float(energy_gradient(system, u, params) @ hdir)
             rel = abs(fd - gh) / max(abs(fd), abs(gh), 1e-300)
             worst = max(worst, rel)
             if rel > v.gradient_rtol:
                 return PropertyResult(name, False, f"rel err={fmt(rel)}",
-                                      {"u": u.values, "h": hdir.values})
+                                      {"u": u, "h": hdir})
         return PropertyResult(name, True, f"max rel err={fmt(worst)}")
 
     def check_gradient_is_residual(name):
@@ -266,7 +263,7 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         same = np.array_equal(energy_gradient(system, u, params),
                               residual(system, u, params))
         return PropertyResult(name, bool(same), "bitwise identical" if same else "mismatch",
-                              None if same else {"u": u.values})
+                              None if same else {"u": u})
 
     def check_resolvent(name):
         # Discrete counterpart of full range for (identity + operator):
@@ -275,15 +272,14 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         worst = 0.0
         for _ in range(v.resolvent_solves):
             g = _random_field(rng, system, 2.0 * params.c0)
-            u, converged = solve_resolvent(system, params, g.values, constant)
-            res = (mk @ u - reaction_vector(system, DiscreteField(u, system.mask), params)
-                   - system.M @ g.values)
+            u, converged = solve_resolvent(system, params, g, constant)
+            res = mk @ u - reaction_vector(system, u, params) - system.M @ g
             res[system.mask] = 0.0
             res_norm = dual_norm(system, res)
             if not (converged and res_norm <= 1e-8):
                 return PropertyResult(name, False,
                                       f"resolvent solve stalled at {fmt(res_norm)}",
-                                      {"g": g.values})
+                                      {"g": g})
             worst = max(worst, res_norm)
         return PropertyResult(name, True, f"max residual={fmt(worst)}")
 
@@ -296,13 +292,11 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
             test = _random_field(rng, system, 1.0)
 
             def pairing(t):
-                vals = u.values + t * w_dir.values
-                fld = DiscreteField(vals, system.mask)
-                return float(vals @ (mk @ test.values)
-                             - reaction_vector(system, fld, params) @ test.values)
+                vals = u + t * w_dir
+                return float(vals @ (mk @ test) - reaction_vector(system, vals, params) @ test)
 
-            bound_slope = (abs(float(w_dir.values @ (mk @ test.values)))
-                           + lip * float(system.M1 @ np.abs(w_dir.values * test.values)))
+            bound_slope = (abs(float(w_dir @ (mk @ test)))
+                           + lip * float(system.M1 @ np.abs(w_dir * test)))
             ts = np.linspace(0.0, 1.0, 9)
             vals = np.array([pairing(t) for t in ts])
             for i in range(len(ts)):
@@ -314,8 +308,7 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
                         return PropertyResult(name, False,
                                               f"pairing jump {fmt(diff)} exceeds "
                                               f"Lipschitz bound {fmt(allowed)}",
-                                              {"u": u.values, "v": w_dir.values,
-                                               "w": test.values})
+                                              {"u": u, "v": w_dir, "w": test})
         return PropertyResult(name, True, f"max overshoot={fmt(worst)}")
 
     run("consumption-rate-range", check_rate_range)

@@ -14,7 +14,6 @@ from coreshell import (
     field_from_values,
     fit_decay_rate,
     interface_flux_jump,
-    norms,
     radial_stationary_reference,
     refine,
     smallest_generalized_eigenvalue,
@@ -22,6 +21,7 @@ from coreshell import (
     zero_field,
 )
 from coreshell.analysis import AnalysisError
+from coreshell.fem import h_norm, v_norm
 from coreshell.solvers import EvolutionTrace
 
 
@@ -43,14 +43,15 @@ def make_trace(times, err_h):
 
 class TestNorms:
     def test_zero(self, radial_desk_system, radial_desk_mesh):
-        h, v = norms(radial_desk_system, zero_field(radial_desk_mesh))
+        u = zero_field(radial_desk_mesh)
+        h, v = h_norm(radial_desk_system, u), v_norm(radial_desk_system, u)
         assert h == 0.0 and v == 0.0
 
     def test_v_dominates(self, radial_desk_system, radial_desk_mesh):
         rng = np.random.default_rng(2)
         for _ in range(10):
             u = field_from_values(radial_desk_mesh, rng.uniform(-1, 1, radial_desk_mesh.n_nodes))
-            h, v = norms(radial_desk_system, u)
+            h, v = h_norm(radial_desk_system, u), v_norm(radial_desk_system, u)
             assert v >= h
 
     def test_against_gauss_quadrature_radial(self, params):
@@ -69,11 +70,11 @@ class TestNorms:
             rr = 0.5 * (rb - ra) * gauss_x + 0.5 * (ra + rb)
             jac = 0.5 * (rb - ra)
             phi_a = (rb - rr) / (rb - ra)
-            uh = u.values[ia] * phi_a + u.values[ib] * (1 - phi_a)
-            slope = (u.values[ib] - u.values[ia]) / (rb - ra)
+            uh = u[ia] * phi_a + u[ib] * (1 - phi_a)
+            slope = (u[ib] - u[ia]) / (rb - ra)
             int_u2 += jac * np.sum(gauss_w * uh**2 * rr**w)
             int_grad2 += jac * np.sum(gauss_w * slope**2 * rr**w)
-        h, v = norms(system, u)
+        h, v = h_norm(system, u), v_norm(system, u)
         assert h == pytest.approx(math.sqrt(int_u2), rel=1e-10)
         assert v == pytest.approx(math.sqrt(int_u2 + int_grad2), rel=1e-10)
 
@@ -89,7 +90,7 @@ class TestNorms:
         for e in range(mesh.n_elements):
             idx = mesh.elements[e]
             p = mesh.nodes[idx]
-            vals = u.values[idx]
+            vals = u[idx]
             area = 0.5 * abs(
                 (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
                 - (p[1, 1] - p[0, 1]) * (p[2, 0] - p[0, 0])
@@ -105,7 +106,7 @@ class TestNorms:
             gx = float(by @ vals) / (2 * area)
             gy = float(cx @ vals) / (2 * area)
             int_grad2 += area * (gx**2 + gy**2)
-        h, v = norms(system, u)
+        h, v = h_norm(system, u), v_norm(system, u)
         assert h == pytest.approx(math.sqrt(int_u2), rel=1e-10)
         assert v == pytest.approx(math.sqrt(int_u2 + int_grad2), rel=1e-10)
 
@@ -204,13 +205,11 @@ class TestFluxJump:
     def test_constructed_flux_continuous_field(self):
         # hand-built two-element field with slope ratio b2/b1 across the
         # interface; all values binary-exact so the jump is zero exactly
-        from coreshell.fem import DiscreteField
-
         params_exact = ModelParams(1.0, 4.0, 1.0, 2.0)
         mesh = build_radial_mesh(GeometrySpec(kind="radial", dimension=3, r1=0.5, r2=1.0, h=0.5))
         system = assemble(mesh, params_exact)
         vals = np.array([0.0, 0.5, 0.625])  # slopes 1.0 and 0.25 = b1/b2
-        u = DiscreteField(vals, mesh.dirichlet_mask())
+        u = vals
         assert interface_flux_jump(system, mesh, u, params_exact) == 0.0
 
     def test_equal_coefficients_smooth_interpolant(self):
@@ -222,7 +221,7 @@ class TestFluxJump:
             system = assemble(mesh, params_eq)
             vals = mesh.nodes[:, 0] ** 2 - mesh.nodes[:, 1] ** 2  # harmonic, smooth
             u = field_from_values(mesh, vals)
-            u.values[mesh.s_nodes] = (mesh.nodes[mesh.s_nodes, 0] ** 2
+            u[mesh.s_nodes] = (mesh.nodes[mesh.s_nodes, 0] ** 2
                                       - mesh.nodes[mesh.s_nodes, 1] ** 2)
             jumps.append(interface_flux_jump(system, mesh, u, params_eq))
             mesh = refine(mesh)
@@ -285,16 +284,13 @@ class TestShootingReference:
         cfg = SolverConfig()
         res = stationary_solve(radial_desk_system, params, cfg, zero_field(radial_desk_mesh))
         profile = radial_stationary_reference(params, radial_desk_spec)
-        err = np.max(np.abs(res.field.values - profile(radial_desk_mesh.nodes)))
+        err = np.max(np.abs(res.field - profile(radial_desk_mesh.nodes)))
         assert err <= 1e-3
-
-
-from coreshell.fem import DiscreteField  # noqa: E402  (used in a type-check test)
 
 
 class TestErrors:
     def test_flux_jump_dimension_mismatch(self, radial_desk_system, radial_desk_mesh, params):
-        bad = DiscreteField(np.zeros(3), np.zeros(3, dtype=bool))
+        bad = np.zeros(3)
         with pytest.raises(ValueError):
             interface_flux_jump(radial_desk_system, radial_desk_mesh, bad, params)
 

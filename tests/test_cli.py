@@ -283,6 +283,23 @@ class TestCmdStationary:
             assert main(argv) == 2
         assert "non-finite local matrices" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        ["geometry.r1=1e-200"],
+        ["geometry.r2=1e200", "geometry.h=1e199"],
+    ])
+    def test_out_of_range_planar_geometry_exit_2(self, repo_root, tmp_path, capsys, overrides):
+        # Interface facet lengths underflow to zero, or squared coordinates
+        # overflow, while the mesh is built: invalid input, and no numpy
+        # RuntimeWarning escapes.
+        argv = ["stationary", str(repo_root / "configs" / "annulus_desk.cfg"),
+                "--output-dir", str(tmp_path)]
+        for override in overrides:
+            argv += ["--set", override]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 2
+        assert "out of floating-point range" in capsys.readouterr().err
+
     def test_reaction_disabled_zero_state(self, quick_cfg, capsys):
         path, out = quick_cfg
         rc = main(["stationary", str(path), "--set", "model.reaction=false"])
@@ -402,6 +419,16 @@ class TestCmdEvolve:
         err = capsys.readouterr().err
         assert "step count" in err and "1000000000000000000" in err
         assert str(MAX_STEPS) in err
+        assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("override, steps", [("solver.t_end=0.4", 8), ("solver.dt=1e300", 1)])
+    def test_too_few_steps_for_decay_fit_exit_2(self, quick_cfg, capsys, override, steps):
+        # The decay fit needs MIN_SAMPLES trace samples; fewer steps is invalid
+        # input, rejected before any step runs, not a solver failure after.
+        path, out = quick_cfg
+        assert main(["evolve", str(path), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert f"step count t_end / dt = {steps} " in err
         assert not (out / "trace.csv").exists()
 
     def test_invalid_dt_exit_2(self, quick_cfg):

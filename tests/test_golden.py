@@ -63,7 +63,7 @@ def compute_golden() -> dict:
         sol = stationary_solve(system, params, cfg, zero_field(mesh))
         trace = evolve(system, params, cfg, ramp_field(mesh, params))
         out.update({
-            f"{name}/stationary_field": sol.field.values,
+            f"{name}/stationary_field": sol.field,
             f"{name}/stationary_energy": np.array(sol.energy),
             f"{name}/stationary_newton": np.array(sol.iterations),
             f"{name}/flux_jump": np.array(interface_flux_jump(system, mesh, sol.field, params)),

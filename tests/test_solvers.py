@@ -4,7 +4,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from coreshell import (
-    DiscreteField,
     GeometrySpec,
     LinearSolveError,
     ModelParams,
@@ -169,7 +168,7 @@ class TestStationary:
         result = stationary_solve(system, params, SolverConfig(), zero_field(mesh))
         assert result.converged
         assert result.iterations == 0
-        assert np.array_equal(result.field.values, np.zeros(mesh.n_nodes))
+        assert np.array_equal(result.field, np.zeros(mesh.n_nodes))
         assert result.energy == 0.0
 
     def test_uniqueness_across_inits(self, desk, params):
@@ -178,7 +177,7 @@ class TestStationary:
         a = stationary_solve(system, params, cfg, zero_field(mesh))
         b = stationary_solve(system, params, cfg, ramp_field(mesh, params))
         assert a.converged and b.converged
-        assert h_norm(system, a.field.values - b.field.values) <= 1e-8
+        assert h_norm(system, a.field - b.field) <= 1e-8
 
     def test_energy_decreases_from_init(self, desk, params):
         mesh, system = desk
@@ -219,7 +218,7 @@ class TestImplicitEuler:
         cfg = SolverConfig(dt=0.1, t_end=1.0)
         star = stationary_solve(system, params, cfg, zero_field(mesh)).field
         nxt = step_implicit_euler(system, params, cfg, star)
-        assert np.array_equal(nxt.values, star.values)  # frozen exactly
+        assert np.array_equal(nxt, star)  # frozen exactly
 
     def test_small_step_continuity(self, desk, params):
         mesh, system = desk
@@ -230,7 +229,7 @@ class TestImplicitEuler:
         nxt = step_implicit_euler(system, params, cfg, u_n)
         g = energy_gradient(system, u_n, params)
         bound = 2.0 * dt * dual_norm(system, g) + 2.0 * dt * cfg.newton_tol
-        assert h_norm(system, nxt.values - u_n.values) <= bound
+        assert h_norm(system, nxt - u_n) <= bound
 
     def test_proximal_inequality(self, desk, params):
         mesh, system = desk
@@ -241,10 +240,29 @@ class TestImplicitEuler:
         for _ in range(5):
             nxt = step_implicit_euler(system, params, cfg, u)
             e1 = energy(system, nxt, params)
-            d = nxt.values - u.values
+            d = nxt - u
             prox = e1 + float(d @ (system.M @ d)) / (2 * cfg.dt)
             assert prox <= energy(system, u, params) + 1e-12 * max(1.0, abs(e0))
             u = nxt
+
+    def test_line_search_resolves_decrements_below_energy_rounding(self, repo_root):
+        # The stored field is perfbench/inputs.py `low_mode_field(mesh, c0, 12)`
+        # on this mesh (2049 nodes). Near the step's minimizer the Newton
+        # decrement (about 1e-16) is far below the rounding of E (about 1e-13),
+        # so an Armijo test on differences of objective values rejected every
+        # trial and Newton stopped at dual residual 7.7e-8 after 50 iterations.
+        config = load_config(repo_root / "configs" / "radial_desk.cfg",
+                             ["geometry.h=0.00048828125"])
+        params, cfg = config.model, config.solver
+        mesh = build_mesh(config.geometry)
+        system = assemble(mesh, params)
+        u_n = field_from_values(
+            mesh, np.load(repo_root / "tests" / "data" / "radial_fine_low_mode_seed12.npy"))
+        e0 = energy(system, u_n, params)
+        nxt = step_implicit_euler(system, params, cfg, u_n)
+        d = nxt - u_n
+        prox = energy(system, nxt, params) + float(d @ (system.M @ d)) / (2 * cfg.dt)
+        assert prox <= e0 + 1e-12 * max(1.0, abs(e0))
 
     def test_one_step_vs_fine_explicit_oracle(self, desk, params):
         # Frozen regression: implicit vs forward-Euler reference with 1e-6
@@ -260,9 +278,9 @@ class TestImplicitEuler:
         u = np.zeros(mesh.n_nodes)
         dt_sub = 1e-6
         for _ in range(int(round(cfg.dt / dt_sub))):
-            g = energy_gradient(system, DiscreteField(u, system.mask), params)
+            g = energy_gradient(system, u, params)
             u[free] -= dt_sub * lu.solve(g[free])
-        rel = h_norm(system, u_impl.values - u) / h_norm(system, u)
+        rel = h_norm(system, u_impl - u) / h_norm(system, u)
         assert rel == pytest.approx(0.2100, abs=5e-3)
 
     def test_invalid_dt(self, desk, params):
@@ -310,11 +328,11 @@ class TestEvolve:
         cfg = SolverConfig(dt=0.05, t_end=1.0)
         u = zero_field(mesh)
         v = ramp_field(mesh, params)
-        gap = [h_norm(system, u.values - v.values)]
+        gap = [h_norm(system, u - v)]
         for _ in range(int(round(cfg.t_end / cfg.dt))):
             u = step_implicit_euler(system, params, cfg, u)
             v = step_implicit_euler(system, params, cfg, v)
-            gap.append(h_norm(system, u.values - v.values))
+            gap.append(h_norm(system, u - v))
         slack = 2 * cfg.dt * cfg.newton_tol + 1e-12 * gap[0]
         assert np.all(np.diff(gap) <= slack)
 
@@ -347,7 +365,7 @@ class TestEvolve:
             u = zero_field(mesh)
             for _ in range(int(round(t_final / dt))):
                 u = step_implicit_euler(system, params, cfg, u)
-            states[dt] = u.values
+            states[dt] = u
         d1 = h_norm(system, states[0.05] - states[0.025])
         d2 = h_norm(system, states[0.025] - states[0.0125])
         assert 1.5 <= d1 / d2 <= 2.5

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coreshell.config import load_config
-from coreshell.fem import DiscreteField, dual_norm, field_from_values, reaction_vector
+from coreshell.fem import dual_norm, field_from_values, reaction_vector
 from coreshell.verify import run_verification, solve_resolvent
 
 
@@ -43,10 +43,10 @@ def test_resolvent_solution_meets_residual_bound(radial_desk_system, desk_params
     rng = np.random.default_rng(7)
     for _ in range(3):
         g = field_from_values(system.mesh, rng.uniform(-2.0, 2.0, system.n_nodes))
-        u, converged = solve_resolvent(system, desk_params, g.values)
+        u, converged = solve_resolvent(system, desk_params, g)
         assert converged
         res = (system.M @ u + system.K @ u
-               - reaction_vector(system, DiscreteField(u, system.mask), desk_params)
-               - system.M @ g.values)
+               - reaction_vector(system, u, desk_params)
+               - system.M @ g)
         res[system.mask] = 0.0
         assert dual_norm(system, res) <= 1e-8

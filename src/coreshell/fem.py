@@ -13,13 +13,17 @@ residual/gradient vectors are returned embedded with zeros at masked nodes.
 A field is the array of its nodal values over all nodes; members of the
 homogeneous-boundary space are zero at the masked nodes.
 
+All operators of one system share one sparsity pattern (`SparsityPattern`,
+padded ELL layout), so sums, restrictions and diagonal shifts of them are
+arithmetic on their value arrays.
+
 Assembly is sequential and deterministic; assembled systems are immutable.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import CORE, CoreShellMesh, GeometryError
 from .model import (
@@ -49,6 +53,150 @@ def ramp_field(mesh: CoreShellMesh, params: ModelParams) -> np.ndarray:
     return field_from_values(mesh, vals)
 
 
+# ----------------------------------------------------------------------------
+# sparse operators
+# ----------------------------------------------------------------------------
+
+
+class SparsityPattern:
+    """Stored entries of the operators of one mesh, in padded ELL layout.
+
+    The entries of row i, in increasing column order, fill slots 0, 1, ...
+    of column i of the (w, n) table `cols`; a slot left over holds column i
+    and the value 0, so it adds nothing. w is the longest row apart from hub
+    rows, those longer than twice the median (the center of a planar mesh,
+    joined to every node of the first ring), whose entries are stored apart
+    in `long` as (row, data slice, columns). An operator's values are one
+    flat array of `size` entries: the slot table `data[:w * n]` row by row
+    of `cols`, then the hub rows.
+
+    Per stored entry, in row-major order: `keys` (row * n + column, sorted),
+    `slots` (its index in the data), `transpose` (the data index of the
+    entry at the mirrored position) and, for a `block`, `source` (its data
+    index in the parent pattern). `diag` holds the data index of every
+    diagonal entry.
+    """
+
+    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray, source=None):
+        lengths = np.bincount(rows, minlength=n)
+        hub = lengths > 2.0 * np.median(lengths)
+        width = int(lengths[~hub].max())
+        in_hub = hub[rows]
+        first = np.cumsum(lengths) - lengths
+        slots = (np.arange(rows.shape[0]) - first[rows]) * n + rows
+        slots[in_hub] = width * n + np.arange(np.count_nonzero(in_hub))
+        self.cols = np.tile(np.arange(n), (width, 1))
+        self.cols.flat[slots[~in_hub]] = cols[~in_hub]
+        self.long = []
+        for row in np.flatnonzero(hub):
+            mine = rows == row
+            self.long.append((int(row), slice(slots[mine][0], slots[mine][-1] + 1), cols[mine]))
+        self.n = n
+        self.size = width * n + int(np.count_nonzero(in_hub))
+        self.keys = rows * n + cols
+        self.slots = slots
+        self.diag = slots[rows == cols]
+        self.source = source
+
+    @cached_property
+    def transpose(self) -> np.ndarray:
+        rows, cols = np.divmod(self.keys, self.n)
+        return self.slots[np.searchsorted(self.keys, cols * self.n + rows)]
+
+    @classmethod
+    def of_elements(cls, elements: np.ndarray, n: int):
+        """Pattern of the node pairs that share an element, plus the diagonal.
+
+        Also returns the data index of each entry (e, a, b) of an (m, k, k)
+        table of element matrices.
+        """
+        k = elements.shape[1]
+        pairs = (np.repeat(elements, k, axis=1) * n + np.tile(elements, (1, k))).ravel()
+        keys, inverse = np.unique(np.concatenate([pairs, np.arange(n) * (n + 1)]),
+                                  return_inverse=True)
+        pattern = cls(n, *np.divmod(keys, n))
+        return pattern, pattern.slots[inverse[:pairs.shape[0]]]
+
+    def block(self, keep: np.ndarray) -> "SparsityPattern":
+        """Pattern of the rows and columns where `keep` is True, renumbered in order."""
+        rows, cols = np.divmod(self.keys, self.n)
+        inside = keep[rows] & keep[cols]
+        new = np.cumsum(keep) - 1
+        return SparsityPattern(int(np.count_nonzero(keep)), new[rows[inside]],
+                               new[cols[inside]], self.slots[inside])
+
+
+class SparseOperator:
+    """A matrix on a `SparsityPattern`, given by the flat array `data`
+    (`vals` is its slot table part as a (w, n) view).
+
+    `A @ x` sums each row in increasing column order, as a CSR product
+    does. Operators on one pattern add, scale and shift their diagonal by
+    arithmetic on `data`. `nnz` counts stored entries, explicit zeros
+    included; `A[rows, cols]` reads entries (zero off the pattern).
+    """
+
+    def __init__(self, pattern: SparsityPattern, data: np.ndarray):
+        self.pattern = pattern
+        self.data = data
+        self.vals = data[:pattern.cols.size].reshape(pattern.cols.shape)
+
+    @property
+    def shape(self) -> tuple:
+        return (self.pattern.n, self.pattern.n)
+
+    @property
+    def nnz(self) -> int:
+        return self.pattern.slots.shape[0]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        products = x.take(self.pattern.cols)
+        products *= self.vals
+        y = products.sum(axis=0)
+        for row, part, long_cols in self.pattern.long:
+            # a running sum adds in column order, like the slot table
+            y[row] = np.cumsum(self.data[part] * x.take(long_cols))[-1]
+        return y
+
+    def diagonal(self) -> np.ndarray:
+        return self.data[self.pattern.diag]
+
+    def plus_diagonal(self, values: np.ndarray) -> "SparseOperator":
+        data = self.data.copy()
+        data[self.pattern.diag] += values
+        return SparseOperator(self.pattern, data)
+
+    def __add__(self, other: "SparseOperator") -> "SparseOperator":
+        if other.pattern is not self.pattern:
+            raise ValueError("operators on different sparsity patterns")
+        return SparseOperator(self.pattern, self.data + other.data)
+
+    def __mul__(self, scale: float) -> "SparseOperator":
+        return SparseOperator(self.pattern, self.data * scale)
+
+    def __truediv__(self, scale: float) -> "SparseOperator":
+        # Multiplies by the reciprocal: the rounding the pinned artifacts
+        # of `K + M/dt` were made with.
+        return self * (1.0 / scale)
+
+    def __getitem__(self, index) -> np.ndarray:
+        rows, cols = index
+        keys = self.pattern.keys
+        key = np.asarray(rows) * self.pattern.n + np.asarray(cols)
+        at = np.minimum(np.searchsorted(keys, key), keys.shape[0] - 1)
+        return np.where(keys[at] == key, self.data[self.pattern.slots[at]], 0.0)[()]
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense.flat[self.pattern.keys] = self.data[self.pattern.slots]
+        return dense
+
+    def asymmetric_entries(self) -> int:
+        """Number of stored entries that differ from their mirrored entry."""
+        return int(np.count_nonzero(self.data[self.pattern.slots]
+                                    != self.data[self.pattern.transpose]))
+
+
 @dataclass
 class AssembledSystem:
     """Sparse operators of one mesh/parameter combination (immutable).
@@ -58,64 +206,53 @@ class AssembledSystem:
     M  : consistent mass matrix (the H inner product)
     M1 : core-restricted lumped quadrature weights (zero off the core closure)
     lumped_mass : row sums of M, used as the diagonal dual-norm metric
+    free_pattern : the free-by-free block of the pattern of K, Kt and M
     """
 
     mesh: CoreShellMesh
-    K: sp.csr_matrix
-    Kt: sp.csr_matrix
-    M: sp.csr_matrix
+    K: SparseOperator
+    Kt: SparseOperator
+    M: SparseOperator
     M1: np.ndarray
     lumped_mass: np.ndarray
     mask: np.ndarray
     free: np.ndarray
     core_volume: float
+    free_pattern: SparsityPattern
 
     def __post_init__(self):
-        for arr in (self.M1, self.lumped_mass, self.mask, self.free):
+        for arr in (self.M1, self.lumped_mass, self.mask, self.free,
+                    self.K.data, self.Kt.data, self.M.data):
             arr.setflags(write=False)
 
     @property
     def n_nodes(self) -> int:
         return self.mesh.n_nodes
 
-    def restrict(self, matrix: sp.csr_matrix) -> sp.csr_matrix:
-        """Symmetric elimination: the free-by-free block of a full matrix."""
-        return matrix[self.free][:, self.free].tocsr()
+    def restrict(self, matrix: SparseOperator) -> SparseOperator:
+        """Symmetric elimination: the free-by-free block of a full operator."""
+        if matrix.pattern is not self.K.pattern:
+            raise ValueError("operator is not on this system's sparsity pattern")
+        block = self.free_pattern
+        data = np.zeros(block.size)
+        data[block.slots] = matrix.data[block.source]
+        return SparseOperator(block, data)
 
     def check_field(self, u: np.ndarray):
         if u.shape != (self.n_nodes,):
             raise ValueError(f"field has shape {u.shape}, system has {self.n_nodes} nodes")
 
 
-def assemble(
-    mesh: CoreShellMesh,
-    params: ModelParams,
-    *,
-    reaction: bool = True,
-    weight_exponent: int | None = None,
-    dirichlet_nodes=None,
-    b_override: tuple | None = None,
-) -> AssembledSystem:
-    """Assemble stiffness, mass, and core quadrature weights on a mesh.
+def element_matrices(mesh: CoreShellMesh, b1: float, b2: float, weight_exponent: int):
+    """Local matrices of all elements, built at once from the mesh's measures and gradients.
 
-    Radial meshes include the r^(N-1) volume weight in every integral.
-    Keyword arguments are testing hooks: `weight_exponent` overrides the
-    radial weight (0 disables it), `dirichlet_nodes` overrides the mask,
-    `reaction=False` zeroes the consumption weights (load-free mode), and
-    `b_override` bypasses parameter validation for harness sanity checks.
-
-    Local element matrices are built for all elements at once from the
-    mesh's element measures and gradients, and duplicate positions are summed
-    by the sparse conversion. An off-diagonal entry sums at most two element
-    terms (an edge has at most two elements), and a + b == b + a exactly, so
-    K and M are symmetric bitwise. Raises GeometryError naming the first
-    element whose local matrices are not finite (they overflow on extreme
-    radii or mesh sizes).
+    Returns (m, k, k) tables of the stiffness weighted by b1 on core and b2
+    on shell elements, the unit stiffness and the mass, the (m, k) lumped
+    mass and the (m,) element volumes; radial integrals carry the weight
+    r^weight_exponent. Raises GeometryError naming the first element whose
+    local matrices are not finite (they overflow on extreme radii or mesh
+    sizes).
     """
-    b1, b2 = (params.b1, params.b2) if b_override is None else b_override
-    if weight_exponent is None:
-        weight_exponent = mesh.dimension - 1 if mesh.kind == "radial" else 0
-
     measures, grads = mesh.measures, mesh.gradients
     core = mesh.region == CORE
     with np.errstate(over="ignore", invalid="ignore"):
@@ -142,14 +279,44 @@ def assemble(
               & np.isfinite(lumped_local).all(axis=1))
     if not finite.all():
         raise GeometryError(f"element {int(np.argmin(finite))} has non-finite local matrices")
+    return k_local, kt_local, m_local, lumped_local, volume
+
+
+def assemble(
+    mesh: CoreShellMesh,
+    params: ModelParams,
+    *,
+    reaction: bool = True,
+    weight_exponent: int | None = None,
+    dirichlet_nodes=None,
+    b_override: tuple | None = None,
+) -> AssembledSystem:
+    """Assemble stiffness, mass, and core quadrature weights on a mesh.
+
+    Radial meshes include the r^(N-1) volume weight in every integral.
+    Keyword arguments are testing hooks: `weight_exponent` overrides the
+    radial weight (0 disables it), `dirichlet_nodes` overrides the mask,
+    `reaction=False` zeroes the consumption weights (load-free mode), and
+    `b_override` bypasses parameter validation for harness sanity checks.
+
+    Each entry of K, Kt and M sums its `element_matrices` terms in element
+    order. An off-diagonal entry sums at most two element terms (an edge has
+    at most two elements), and a + b == b + a exactly, so K and M are
+    symmetric bitwise.
+    """
+    b1, b2 = (params.b1, params.b2) if b_override is None else b_override
+    if weight_exponent is None:
+        weight_exponent = mesh.dimension - 1 if mesh.kind == "radial" else 0
+    k_local, kt_local, m_local, lumped_local, volume = element_matrices(
+        mesh, b1, b2, weight_exponent)
+    core = mesh.region == CORE
 
     n = mesh.n_nodes
-    k = mesh.elements.shape[1]
-    rows = np.repeat(mesh.elements, k, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, k)).ravel()
+    pattern, slots = SparsityPattern.of_elements(mesh.elements, n)
 
-    def to_csr(local):
-        return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    def operator(local):
+        return SparseOperator(pattern, np.bincount(slots.ravel(), weights=local.ravel(),
+                                                   minlength=pattern.size))
 
     lumped = np.bincount(mesh.elements.ravel(), weights=lumped_local.ravel(), minlength=n)
     m1 = np.bincount(mesh.elements[core].ravel(), weights=lumped_local[core].ravel(),
@@ -165,14 +332,15 @@ def assemble(
 
     return AssembledSystem(
         mesh=mesh,
-        K=to_csr(k_local),
-        Kt=to_csr(kt_local),
-        M=to_csr(m_local),
+        K=operator(k_local),
+        Kt=operator(kt_local),
+        M=operator(m_local),
         M1=m1,
         lumped_mass=lumped,
         mask=mask,
         free=np.flatnonzero(~mask),
         core_volume=float(volume[core].sum()),
+        free_pattern=pattern.block(~mask),
     )
 
 

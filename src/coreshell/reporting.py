@@ -20,11 +20,15 @@ def fmt(x) -> str:
 def table_lines(columns, sep=","):
     """One line per row of equal-length numeric columns, values as `fmt` prints them.
 
+    Integer columns print with %d, which gives the same text for them.
     Raises ValueError if the columns differ in length.
     """
-    row = sep.join(["%.17g"] * len(columns))
+    columns = [np.asarray(c) for c in columns]
+    integer = [c.dtype.kind in "iu" for c in columns]
+    row = sep.join("%d" if i else "%.17g" for i in integer)
     return [row % values for values in
-            zip(*(np.asarray(c, dtype=float).tolist() for c in columns), strict=True)]
+            zip(*(c.tolist() if i else c.astype(float).tolist()
+                  for c, i in zip(columns, integer)), strict=True)]
 
 
 def write_lines(path, lines):

@@ -18,13 +18,14 @@ share meshes and assembled systems freely. Given a configuration, the
 sequential mode is deterministic.
 """
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fem import (
     AssembledSystem,
+    SparseOperator,
     dual_norm,
     energy,
     h_norm,
@@ -133,7 +134,7 @@ class EvolutionTrace:
 # ----------------------------------------------------------------------------
 
 
-def solve_spd(matrix: sp.csr_matrix, rhs: np.ndarray, tol: float, max_iter: int | None = None,
+def solve_spd(matrix: SparseOperator, rhs: np.ndarray, tol: float, max_iter: int | None = None,
               precondition=None) -> np.ndarray:
     """Preconditioned conjugate gradients for SPD systems.
 
@@ -182,7 +183,7 @@ def solve_spd(matrix: sp.csr_matrix, rhs: np.ndarray, tol: float, max_iter: int 
 _SECTOR_INVERSE_RTOL = 1e-8
 
 
-def sector_inverse(system: AssembledSystem, matrix_ff: sp.csr_matrix):
+def sector_inverse(system: AssembledSystem, matrix_ff: SparseOperator):
     """Exact inverse of a constant operator on a rotation-invariant mesh, or None.
 
     Applies when the mesh has the ring-major layout of `CoreShellMesh.sectors`
@@ -234,20 +235,22 @@ def sector_inverse(system: AssembledSystem, matrix_ff: sp.csr_matrix):
     diag[1:] = symbol[0]
     upper[1:] = symbol[1]
 
-    # Forward elimination factors: factor[i] = lower[i] / pivot[i - 1].
-    factor = np.zeros_like(lower)
-    pivot = diag.copy()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(1, n_rings + 1):
-            factor[i] = lower[i] / pivot[i - 1]
-            pivot[i] = diag[i] - factor[i] * upper[i - 1]
-        inv_pivot = 1.0 / pivot
-    if not (np.all(np.isfinite(factor)) and np.all(np.isfinite(inv_pivot))):
-        return None
-
     if sectors == 1:
-        # A chain: numpy scalar overhead would dominate, so sweep in floats.
-        f, w, u = (c.real[:, 0].tolist() for c in (factor, inv_pivot, upper))
+        # A chain: numpy scalar overhead would dominate, so factor and sweep
+        # in floats. f[i] = lower[i] * (1 / pivot[i - 1]) is what the
+        # complex `lower / pivot` below computes for a real pivot.
+        lo, di, u = (c.real[:, 0].tolist() for c in (lower, diag, upper))
+        f = [0.0] * (n_rings + 1)
+        w = [0.0] * (n_rings + 1)
+        try:
+            w[0] = 1.0 / di[0]
+            for i in range(1, n_rings + 1):
+                f[i] = lo[i] * w[i - 1]
+                w[i] = 1.0 / (di[i] - f[i] * u[i - 1])
+        except ZeroDivisionError:
+            return None
+        if not all(map(math.isfinite, f + w)):
+            return None
 
         def apply(r):
             y = r.tolist()
@@ -258,6 +261,17 @@ def sector_inverse(system: AssembledSystem, matrix_ff: sp.csr_matrix):
                 y[i] = (y[i] - u[i] * y[i + 1]) * w[i]
             return np.array(y)
     else:
+        # Forward elimination factors: factor[i] = lower[i] / pivot[i - 1].
+        factor = np.zeros_like(lower)
+        pivot = diag.copy()
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for i in range(1, n_rings + 1):
+                factor[i] = lower[i] / pivot[i - 1]
+                pivot[i] = diag[i] - factor[i] * upper[i - 1]
+            inv_pivot = 1.0 / pivot
+        if not (np.all(np.isfinite(factor)) and np.all(np.isfinite(inv_pivot))):
+            return None
+
         def apply(r):
             y = np.empty_like(lower)
             y[0] = 0.0
@@ -281,7 +295,7 @@ def sector_inverse(system: AssembledSystem, matrix_ff: sp.csr_matrix):
     return apply
 
 
-def _constant_part(system: AssembledSystem, base: sp.csr_matrix):
+def _constant_part(system: AssembledSystem, base: SparseOperator):
     """Free block of a constant Hessian part and its preconditioner (None: Jacobi)."""
     base_ff = system.restrict(base)
     return base_ff, sector_inverse(system, base_ff)
@@ -332,13 +346,13 @@ def _newton_minimize(
     history = [res]
     if constant is None:
         constant = _constant_part(
-            system, system.K if prox_center is None else (system.K + system.M / dt).tocsr())
+            system, system.K if prox_center is None else system.K + system.M / dt)
     base_ff, precondition = constant
 
     for iteration in range(1, cfg.newton_max_iter + 1):
         if res <= cfg.newton_tol * scale:
             return u, iteration - 1, history, True
-        hess_ff = base_ff + sp.diags(reaction_jacobian_diagonal(system, u, params)[free])
+        hess_ff = base_ff.plus_diagonal(reaction_jacobian_diagonal(system, u, params)[free])
         direction = np.zeros_like(u)
         direction[free] = solve_spd(hess_ff, -g[free], cfg.linear_tol,
                                     precondition=precondition)
@@ -470,7 +484,7 @@ def evolve(
         "failed_at_step": None,
     }
 
-    step_constant = _constant_part(system, (system.K + system.M / cfg.dt).tocsr())
+    step_constant = _constant_part(system, system.K + system.M / cfg.dt)
     u = u0
     for n in range(1, cfg.n_steps + 1):
         try:

@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from coreshell import (
     CORE,
@@ -21,7 +22,7 @@ from coreshell import (
     residual,
     zero_field,
 )
-from coreshell.fem import dual_norm, h_norm, v_norm
+from coreshell.fem import dual_norm, element_matrices, h_norm, v_norm
 
 
 @pytest.fixture(scope="module")
@@ -99,13 +100,13 @@ class TestAssembly:
         system = assemble(mesh, ModelParams(1.0, 1.0, 1.0, 2.0))
         row_sums = np.asarray(system.K @ np.ones(mesh.n_nodes))
         interior = ~mesh.dirichlet_mask()
-        scale = np.abs(system.K).max()
+        scale = np.abs(system.K.toarray()).max()
         assert np.max(np.abs(row_sums[interior])) < 1e-13 * scale
 
     def test_symmetry_exact(self, sys4, annulus_desk_system):
         for system in (sys4, annulus_desk_system):
-            assert (system.K - system.K.T).count_nonzero() == 0
-            assert (system.M - system.M.T).count_nonzero() == 0
+            for matrix in (system.K.toarray(), system.M.toarray()):
+                assert np.count_nonzero(matrix - matrix.T) == 0
 
     def test_spd_on_free_subspace(self, sys4):
         k_ff = sys4.restrict(sys4.K).toarray()
@@ -139,7 +140,7 @@ class TestAssembly:
         mesh = build_radial_mesh(GeometrySpec(kind="radial", dimension=3, r1=0.5, r2=1.0,
                                               h=2.0**-11))
         system = assemble(mesh, params)
-        mass = system.M.tocsr()
+        mass = system.M
 
         def integral(ra, rb, *basis):
             # int r^2 prod(phi_a) dr with r = ra + h t, phi_0 = 1 - t, phi_1 = t,
@@ -165,6 +166,59 @@ class TestAssembly:
                 worst = max(worst, rel_err(
                     system.lumped_mass[i], integral(left, ra, 1) + integral(ra, rb, 0)))
         assert worst <= 1e-12
+
+
+def scipy_csr(mesh, local):
+    """Reference assembly: scipy's COO -> CSR sum of an (m, k, k) element table."""
+    k = mesh.elements.shape[1]
+    rows = np.repeat(mesh.elements, k, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, k)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_nodes,) * 2).tocsr()
+
+
+DESK_SYSTEMS = ["radial_desk_system", "annulus_desk_system"]
+
+
+class TestSparseOperators:
+    @pytest.mark.parametrize("name", DESK_SYSTEMS)
+    def test_against_scipy_assembly(self, request, desk_params, name):
+        # Bitwise on radial meshes; on planar ones scipy sums an entry's
+        # element terms in another order, which moves it by rounding.
+        system = request.getfixturevalue(name)
+        mesh, free = system.mesh, system.free
+        weight = mesh.dimension - 1 if mesh.kind == "radial" else 0
+        local = element_matrices(mesh, desk_params.b1, desk_params.b2, weight)[:3]
+        ref = dict(zip(("K", "Kt", "M"), (scipy_csr(mesh, table) for table in local)))
+        shift = np.linspace(0.0, 1.0, free.shape[0])
+        pairs = [(getattr(system, label), ref[label]) for label in ref]
+        pairs += [(system.restrict(system.K), ref["K"][free][:, free]),
+                  (system.K + system.M / 0.05, ref["K"] + ref["M"] / 0.05),
+                  (system.restrict(system.M + system.K).plus_diagonal(shift),
+                   (ref["M"] + ref["K"])[free][:, free] + sp.diags(shift))]
+        for mine, theirs in pairs:
+            assert mine.nnz == theirs.nnz
+            a, b = mine.toarray(), theirs.toarray()
+            if mesh.kind == "radial":
+                assert np.array_equal(a, b)
+            else:
+                assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+    @pytest.mark.parametrize("name", DESK_SYSTEMS)
+    def test_product_and_entries_match_scipy(self, request, name):
+        system = request.getfixturevalue(name)
+        if system.mesh.kind == "planar2d":
+            # the center row (the hub) is stored apart from the slot table
+            assert [row for row, _, _ in system.K.pattern.long] == [0]
+        rng = np.random.default_rng(11)
+        for op in (system.K, system.M, system.K + system.M / 0.05,
+                   system.restrict(system.Kt)):
+            dense = op.toarray()
+            x = rng.standard_normal(op.shape[0])
+            assert np.array_equal(op @ x, sp.csr_matrix(dense) @ x)
+            assert np.array_equal(op.diagonal(), np.diag(dense))
+            i, j = rng.integers(0, op.shape[0], (2, 300))
+            assert np.array_equal(op[i, j], dense[i, j])
+            assert op[i[0], j[0]] == dense[i[0], j[0]]
 
 
 class TestReactionVector:

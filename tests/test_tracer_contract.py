@@ -9,7 +9,6 @@ import importlib
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from coreshell.fem import ramp_field, reaction_jacobian_diagonal
 from coreshell.solvers import sector_inverse, solve_spd
@@ -35,7 +34,7 @@ def test_counting_matrix_counts_preconditioned_iterations(
     system = annulus_desk_system
     free = system.free
     k_ff = system.restrict(system.K)
-    hess_ff = k_ff + sp.diags(reaction_jacobian_diagonal(
+    hess_ff = k_ff.plus_diagonal(reaction_jacobian_diagonal(
         system, ramp_field(annulus_desk_mesh, desk_params), desk_params)[free])
     exact = sector_inverse(system, k_ff)
     assert exact is not None

@@ -1,8 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from coreshell import verify
 from coreshell.config import load_config
-from coreshell.fem import dual_norm, field_from_values, reaction_vector
+from coreshell.fem import (
+    SparseOperator,
+    assemble,
+    dual_norm,
+    field_from_values,
+    reaction_vector,
+)
 from coreshell.verify import run_verification, solve_resolvent
 
 
@@ -36,6 +45,24 @@ def test_resolvent_fails_on_corrupted_b(repo_root, name):
     config = load_config(repo_root / "configs" / name)
     results = run_verification(config, corrupt_b=True)
     assert not _result(results, "resolvent-solvability").passed
+
+
+@pytest.mark.parametrize("name", ["annulus_desk.cfg", "radial_desk.cfg"])
+def test_matrix_symmetry_fails_on_one_perturbed_entry(repo_root, monkeypatch, name):
+    def perturbed(*args, **kwargs):
+        system = assemble(*args, **kwargs)
+        rows, cols = np.divmod(system.K.pattern.keys, system.n_nodes)
+        slot = system.K.pattern.slots[np.flatnonzero(rows != cols)[0]]
+        data = system.K.data.copy()
+        data[slot] = np.nextafter(data[slot], np.inf)
+        return dataclasses.replace(system, K=SparseOperator(system.K.pattern, data))
+
+    config = load_config(repo_root / "configs" / name)
+    assert _result(run_verification(config), "matrix-symmetry").passed
+    monkeypatch.setattr(verify, "assemble", perturbed)
+    result = _result(run_verification(config), "matrix-symmetry")
+    assert not result.passed
+    assert result.detail == "K asym entries=2 M asym entries=0"
 
 
 def test_resolvent_solution_meets_residual_bound(radial_desk_system, desk_params):

@@ -123,12 +123,12 @@ def smallest_generalized_eigenvalue(system: AssembledSystem, rel_tol: float = 1e
                                     max_iter: int = 500) -> float:
     """Smallest eigenvalue of the pencil (unit stiffness, mass) on free nodes.
 
-    Inverse power iteration from the all-ones vector; each inverse apply is
-    a preconditioned conjugate-gradient solve. Deterministic.
+    Inverse power iteration from the all-ones vector on the free nodes; each
+    inverse apply is a preconditioned conjugate-gradient solve. Deterministic.
     """
     kt, precondition = _constant_part(system, system.Kt)
-    m = system.restrict(system.M)
-    x = np.ones(system.free.shape[0])
+    m = system.eliminate(system.M)
+    x = (~system.mask).astype(float)
     x /= math.sqrt(float(x @ (m @ x)))
     lam = float(x @ (kt @ x))
     for _ in range(max_iter):

@@ -47,6 +47,17 @@ class VerifyConfig:
     pairing_slack: float = 1e-12
     gradient_rtol: float = 1e-6
 
+    def __post_init__(self):
+        for f in fields(self):
+            # the rate checks compare neighbouring samples, so they need two
+            least = 2 if f.name == "rate_samples" else 1
+            if f.type is int and f.name != "seed" and getattr(self, f.name) < least:
+                raise ValueError(f"{f.name} must be >= {least}, got {getattr(self, f.name)}")
+        if not self.gradient_rtol > 0.0:
+            raise ValueError(f"gradient_rtol must be positive, got {self.gradient_rtol}")
+        if not self.pairing_slack >= 0.0:
+            raise ValueError(f"pairing_slack must be nonnegative, got {self.pairing_slack}")
+
 
 @dataclass
 class RunConfig:

@@ -1,20 +1,20 @@
 """P1 finite-element assembly on core-shell meshes.
 
 The assembled operators are the discrete counterparts of the weighted
-diffusion form, the mass inner product, and the core-restricted consumption
+diffusion form, the mass inner product, and the core-supported consumption
 load. The consumption term uses nodal (lumped) quadrature, entry i being
 weight_i * rate(u_i) with nonnegative weights: this preserves the sign and
 monotonicity structure of the continuous reaction exactly at the discrete
 level, not just asymptotically.
 
-Dirichlet rows/columns are handled by symmetric elimination: matrices are
-stored over all nodes, solvers restrict to the unmasked subspace, and
-residual/gradient vectors are returned embedded with zeros at masked nodes.
-A field is the array of its nodal values over all nodes; members of the
-homogeneous-boundary space are zero at the masked nodes.
+Dirichlet rows/columns are handled by symmetric elimination on the full
+operators (`AssembledSystem.eliminate`): solvers work on full-length vectors
+that stay zero at masked nodes, and residual/gradient vectors are zeroed
+there. A field is the array of its nodal values over all nodes; members of
+the homogeneous-boundary space are zero at the masked nodes.
 
 All operators of one system share one sparsity pattern (`SparsityPattern`,
-padded ELL layout), so sums, restrictions and diagonal shifts of them are
+padded ELL layout), so sums, eliminations and diagonal shifts of them are
 arithmetic on their value arrays.
 
 Assembly is sequential and deterministic; assembled systems are immutable.
@@ -59,7 +59,7 @@ def ramp_field(mesh: CoreShellMesh, params: ModelParams) -> np.ndarray:
 
 
 class SparsityPattern:
-    """Stored entries of the operators of one mesh, in padded ELL layout.
+    """The node pairs that share an element, plus the diagonal, in padded ELL layout.
 
     The entries of row i, in increasing column order, fill slots 0, 1, ...
     of column i of the (w, n) table `cols`; a slot left over holds column i
@@ -71,13 +71,18 @@ class SparsityPattern:
     of `cols`, then the hub rows.
 
     Per stored entry, in row-major order: `keys` (row * n + column, sorted),
-    `slots` (its index in the data), `transpose` (the data index of the
-    entry at the mirrored position) and, for a `block`, `source` (its data
-    index in the parent pattern). `diag` holds the data index of every
-    diagonal entry.
+    `slots` (its index in the data) and `transpose` (the data index of the
+    entry at the mirrored position). `diag` holds the data index of every
+    diagonal entry, and `element_slots` that of each entry (e, a, b) of an
+    (m, k, k) table of element matrices, flattened.
     """
 
-    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray, source=None):
+    def __init__(self, elements: np.ndarray, n: int):
+        k = elements.shape[1]
+        pairs = (np.repeat(elements, k, axis=1) * n + np.tile(elements, (1, k))).ravel()
+        keys, inverse = np.unique(np.concatenate([pairs, np.arange(n) * (n + 1)]),
+                                  return_inverse=True)
+        rows, cols = np.divmod(keys, n)
         lengths = np.bincount(rows, minlength=n)
         hub = lengths > 2.0 * np.median(lengths)
         width = int(lengths[~hub].max())
@@ -93,37 +98,15 @@ class SparsityPattern:
             self.long.append((int(row), slice(slots[mine][0], slots[mine][-1] + 1), cols[mine]))
         self.n = n
         self.size = width * n + int(np.count_nonzero(in_hub))
-        self.keys = rows * n + cols
+        self.keys = keys
         self.slots = slots
         self.diag = slots[rows == cols]
-        self.source = source
+        self.element_slots = slots[inverse[:pairs.shape[0]]]
 
     @cached_property
     def transpose(self) -> np.ndarray:
         rows, cols = np.divmod(self.keys, self.n)
         return self.slots[np.searchsorted(self.keys, cols * self.n + rows)]
-
-    @classmethod
-    def of_elements(cls, elements: np.ndarray, n: int):
-        """Pattern of the node pairs that share an element, plus the diagonal.
-
-        Also returns the data index of each entry (e, a, b) of an (m, k, k)
-        table of element matrices.
-        """
-        k = elements.shape[1]
-        pairs = (np.repeat(elements, k, axis=1) * n + np.tile(elements, (1, k))).ravel()
-        keys, inverse = np.unique(np.concatenate([pairs, np.arange(n) * (n + 1)]),
-                                  return_inverse=True)
-        pattern = cls(n, *np.divmod(keys, n))
-        return pattern, pattern.slots[inverse[:pairs.shape[0]]]
-
-    def block(self, keep: np.ndarray) -> "SparsityPattern":
-        """Pattern of the rows and columns where `keep` is True, renumbered in order."""
-        rows, cols = np.divmod(self.keys, self.n)
-        inside = keep[rows] & keep[cols]
-        new = np.cumsum(keep) - 1
-        return SparsityPattern(int(np.count_nonzero(keep)), new[rows[inside]],
-                               new[cols[inside]], self.slots[inside])
 
 
 class SparseOperator:
@@ -204,9 +187,9 @@ class AssembledSystem:
     K  : stiffness weighted by the region diffusion coefficients
     Kt : stiffness with unit coefficient (metric part of the V-norm)
     M  : consistent mass matrix (the H inner product)
-    M1 : core-restricted lumped quadrature weights (zero off the core closure)
+    M1 : lumped quadrature weights of the core (zero off the core closure)
     lumped_mass : row sums of M, used as the diagonal dual-norm metric
-    free_pattern : the free-by-free block of the pattern of K, Kt and M
+    mask : the Dirichlet nodes, those of the mesh's `s_nodes`
     """
 
     mesh: CoreShellMesh
@@ -216,40 +199,39 @@ class AssembledSystem:
     M1: np.ndarray
     lumped_mass: np.ndarray
     mask: np.ndarray
-    free: np.ndarray
     core_volume: float
-    free_pattern: SparsityPattern
 
     def __post_init__(self):
-        for arr in (self.M1, self.lumped_mass, self.mask, self.free,
-                    self.K.data, self.Kt.data, self.M.data):
+        for arr in (self.M1, self.lumped_mass, self.mask, self.K.data, self.Kt.data, self.M.data):
             arr.setflags(write=False)
 
     @property
     def n_nodes(self) -> int:
         return self.mesh.n_nodes
 
-    def restrict(self, matrix: SparseOperator) -> SparseOperator:
-        """Symmetric elimination: the free-by-free block of a full operator."""
-        if matrix.pattern is not self.K.pattern:
+    def eliminate(self, matrix: SparseOperator) -> SparseOperator:
+        """Symmetric elimination: a copy, masked rows and columns zeroed, 1 on their diagonal."""
+        pattern = self.K.pattern
+        if matrix.pattern is not pattern:
             raise ValueError("operator is not on this system's sparsity pattern")
-        block = self.free_pattern
-        data = np.zeros(block.size)
-        data[block.slots] = matrix.data[block.source]
-        return SparseOperator(block, data)
+        rows, cols = np.divmod(pattern.keys, pattern.n)
+        data = matrix.data.copy()
+        data[pattern.slots[self.mask[rows] | self.mask[cols]]] = 0.0
+        data[pattern.diag[self.mask]] = 1.0
+        return SparseOperator(pattern, data)
 
     def check_field(self, u: np.ndarray):
         if u.shape != (self.n_nodes,):
             raise ValueError(f"field has shape {u.shape}, system has {self.n_nodes} nodes")
 
 
-def element_matrices(mesh: CoreShellMesh, b1: float, b2: float, weight_exponent: int):
+def element_matrices(mesh: CoreShellMesh, b1: float, b2: float):
     """Local matrices of all elements, built at once from the mesh's measures and gradients.
 
     Returns (m, k, k) tables of the stiffness weighted by b1 on core and b2
     on shell elements, the unit stiffness and the mass, the (m, k) lumped
-    mass and the (m,) element volumes; radial integrals carry the weight
-    r^weight_exponent. Raises GeometryError naming the first element whose
+    mass and the (m,) element volumes; radial integrals carry the volume
+    weight r^(N-1). Raises GeometryError naming the first element whose
     local matrices are not finite (they overflow on extreme radii or mesh
     sizes).
     """
@@ -257,13 +239,14 @@ def element_matrices(mesh: CoreShellMesh, b1: float, b2: float, weight_exponent:
     core = mesh.region == CORE
     with np.errstate(over="ignore", invalid="ignore"):
         if mesh.kind == "radial":
+            w = mesh.dimension - 1  # the volume weight is r^w
             # Gauss-Legendre with w//2 + 2 points integrates r^w * phi_a * phi_b
             # (degree w + 2) exactly on each element; differences of monomial
             # moments would cancel as h shrinks.
-            xi, wq = np.polynomial.legendre.leggauss(weight_exponent // 2 + 2)
+            xi, wq = np.polynomial.legendre.leggauss(w // 2 + 2)
             phi = np.column_stack([1.0 - xi, 1.0 + xi]) / 2.0
             r = mesh.nodes[mesh.elements[:, 0]][:, None] + measures[:, None] * phi[:, 1]
-            weight = (measures / 2.0)[:, None] * wq * r**weight_exponent
+            weight = (measures / 2.0)[:, None] * wq * r**w
             m_aa, m_ab, m_bb = (weight @ (phi[:, [0, 0, 1]] * phi[:, [0, 1, 1]])).T
             m_local = np.stack([m_aa, m_ab, m_ab, m_bb], axis=1).reshape(-1, 2, 2)
             lumped_local = weight @ phi
@@ -287,17 +270,16 @@ def assemble(
     params: ModelParams,
     *,
     reaction: bool = True,
-    weight_exponent: int | None = None,
-    dirichlet_nodes=None,
     b_override: tuple | None = None,
 ) -> AssembledSystem:
     """Assemble stiffness, mass, and core quadrature weights on a mesh.
 
-    Radial meshes include the r^(N-1) volume weight in every integral.
-    Keyword arguments are testing hooks: `weight_exponent` overrides the
-    radial weight (0 disables it), `dirichlet_nodes` overrides the mask,
-    `reaction=False` zeroes the consumption weights (load-free mode), and
-    `b_override` bypasses parameter validation for harness sanity checks.
+    Radial meshes include the r^(N-1) volume weight in every integral, and
+    the mask is the mesh's `s_nodes`. `reaction=False` zeroes the
+    consumption weights (load-free mode); `b_override` bypasses parameter
+    validation for harness sanity checks. Raises GeometryError naming the
+    first unmasked node whose lumped mass is not positive (the radial
+    weight underflows at high dimension).
 
     Each entry of K, Kt and M sums its `element_matrices` terms in element
     order. An off-diagonal entry sums at most two element terms (an edge has
@@ -305,30 +287,25 @@ def assemble(
     symmetric bitwise.
     """
     b1, b2 = (params.b1, params.b2) if b_override is None else b_override
-    if weight_exponent is None:
-        weight_exponent = mesh.dimension - 1 if mesh.kind == "radial" else 0
-    k_local, kt_local, m_local, lumped_local, volume = element_matrices(
-        mesh, b1, b2, weight_exponent)
+    k_local, kt_local, m_local, lumped_local, volume = element_matrices(mesh, b1, b2)
     core = mesh.region == CORE
 
     n = mesh.n_nodes
-    pattern, slots = SparsityPattern.of_elements(mesh.elements, n)
+    mask = mesh.dirichlet_mask()
+    lumped = np.bincount(mesh.elements.ravel(), weights=lumped_local.ravel(), minlength=n)
+    thin = np.flatnonzero(~mask & ~(lumped > 0.0))
+    if thin.size:
+        raise GeometryError(f"node {thin[0]} has non-positive lumped mass {lumped[thin[0]]}")
+    pattern = SparsityPattern(mesh.elements, n)
 
     def operator(local):
-        return SparseOperator(pattern, np.bincount(slots.ravel(), weights=local.ravel(),
+        return SparseOperator(pattern, np.bincount(pattern.element_slots, weights=local.ravel(),
                                                    minlength=pattern.size))
 
-    lumped = np.bincount(mesh.elements.ravel(), weights=lumped_local.ravel(), minlength=n)
     m1 = np.bincount(mesh.elements[core].ravel(), weights=lumped_local[core].ravel(),
                      minlength=n)
     if not reaction:
         m1 = np.zeros(mesh.n_nodes)
-
-    if dirichlet_nodes is None:
-        mask = mesh.dirichlet_mask()
-    else:
-        mask = np.zeros(n, dtype=bool)
-        mask[np.asarray(dirichlet_nodes, dtype=np.int64)] = True
 
     return AssembledSystem(
         mesh=mesh,
@@ -338,9 +315,7 @@ def assemble(
         M1=m1,
         lumped_mass=lumped,
         mask=mask,
-        free=np.flatnonzero(~mask),
         core_volume=float(volume[core].sum()),
-        free_pattern=pattern.block(~mask),
     )
 
 
@@ -402,5 +377,5 @@ def v_norm(system: AssembledSystem, values: np.ndarray) -> float:
 
 def dual_norm(system: AssembledSystem, values: np.ndarray) -> float:
     """Lumped-mass dual norm of a residual vector on the free subspace."""
-    f = system.free
+    f = ~system.mask
     return float(np.sqrt(np.sum(values[f] ** 2 / system.lumped_mass[f])))

@@ -8,10 +8,10 @@ same Newton loop started at u_n, which makes the energy decrease across
 steps unconditional.
 
 Each Newton system is the constant part of its Hessian (K, or K + M/dt for a
-time step) plus the nonnegative reaction diagonal, solved by preconditioned
-conjugate gradients: Jacobi by default, and on the built-in rotation-invariant
-meshes the exact inverse of the constant part (`sector_inverse`), built once
-per operator.
+time step) with the Dirichlet nodes eliminated, plus the nonnegative reaction
+diagonal, solved by preconditioned conjugate gradients on full-length vectors:
+Jacobi by default, and on the built-in rotation-invariant meshes the exact
+inverse of the constant part (`sector_inverse`), built once per operator.
 
 A single evolution is sequential in the step index; independent runs may
 share meshes and assembled systems freely. Given a configuration, the
@@ -183,31 +183,29 @@ def solve_spd(matrix: SparseOperator, rhs: np.ndarray, tol: float, max_iter: int
 _SECTOR_INVERSE_RTOL = 1e-8
 
 
-def sector_inverse(system: AssembledSystem, matrix_ff: SparseOperator):
-    """Exact inverse of a constant operator on a rotation-invariant mesh, or None.
+def sector_inverse(system: AssembledSystem, matrix: SparseOperator):
+    """Exact inverse of an eliminated constant operator on a rotation-invariant mesh, or None.
 
     Applies when the mesh has the ring-major layout of `CoreShellMesh.sectors`
-    and the Dirichlet set is exactly the outer ring, so the free nodes are
-    the center and n_r rings of S nodes. The free block of any operator
+    and the mask is exactly the last ring, so the free nodes are the center
+    and the n_r rings of S nodes before it. The free block of any operator
     assembled on such a mesh is then block-circulant over the sectors and
     block-tridiagonal over the rings: a real FFT along each ring splits it
     into one tridiagonal system per Fourier mode, and the center couples to
     mode 0 only (Swarztrauber & Sweet, SIAM J. Numer. Anal. 10, 1973). The
     ring-to-ring couplings are read from the rows of sector 0 and the
     tridiagonal systems are factored here, once; `apply(r)` then costs two
-    FFTs and one forward and one backward sweep over the rings.
+    FFTs and one forward and one backward sweep over the rings, and passes
+    the masked entries of r through unchanged.
 
     Returns None ("use Jacobi") when the layout does not apply or when
-    ||matrix_ff @ apply(b) - b|| > 1e-8 ||b|| on a probe vector, so a wrong
+    ||matrix @ apply(b) - b|| > 1e-8 ||b|| on a probe vector, so a wrong
     layout costs speed, never correctness.
     """
-    sectors = system.mesh.sectors
-    n_free = system.free.shape[0]
-    if sectors < 1 or system.n_nodes != n_free + sectors or (n_free - 1) % sectors:
+    sectors, n = system.mesh.sectors, system.n_nodes
+    if sectors < 1 or not np.array_equal(system.mask, np.arange(n) >= n - sectors):
         return None
-    n_rings = (n_free - 1) // sectors
-    if n_rings < 1 or system.free[-1] != n_free - 1 or matrix_ff.shape != (n_free, n_free):
-        return None
+    n_rings = (n - 1) // sectors - 1
 
     # symbol[j][k, m]: mode-m symbol of the coupling of ring k to ring k + j,
     # from the entries (ring k, sector 0) -> (ring k + j, sector d).
@@ -221,16 +219,16 @@ def sector_inverse(system: AssembledSystem, matrix_ff: SparseOperator):
         target = rings + j
         valid = (target >= 0) & (target < n_rings)
         cols = 1 + sectors * np.where(valid, target, 0)[:, None] + np.array(offsets)
-        a = np.asarray(matrix_ff[rows, cols.ravel()]).reshape(n_rings, -1) * valid[:, None]
+        a = np.asarray(matrix[rows, cols.ravel()]).reshape(n_rings, -1) * valid[:, None]
         symbol[j] = a @ phase
 
     # Row 0 is the center in mode 0 and a decoupled identity row otherwise.
     lower = np.zeros((n_rings + 1, modes.shape[0]), dtype=complex)
     diag = np.ones_like(lower)
     upper = np.zeros_like(lower)
-    diag[0, 0] = matrix_ff[0, 0]
-    upper[0, 0] = matrix_ff[0, 1]
-    lower[1, 0] = sectors * matrix_ff[1, 0]
+    diag[0, 0] = matrix[0, 0]
+    upper[0, 0] = matrix[0, 1]
+    lower[1, 0] = sectors * matrix[1, 0]
     lower[2:] = symbol[-1][1:]
     diag[1:] = symbol[0]
     upper[1:] = symbol[1]
@@ -253,7 +251,7 @@ def sector_inverse(system: AssembledSystem, matrix_ff: SparseOperator):
             return None
 
         def apply(r):
-            y = r.tolist()
+            y = r.tolist()  # entries past n_rings are the masked ring
             for i in range(1, n_rings + 1):
                 y[i] -= f[i] * y[i - 1]
             y[n_rings] *= w[n_rings]
@@ -276,29 +274,29 @@ def sector_inverse(system: AssembledSystem, matrix_ff: SparseOperator):
             y = np.empty_like(lower)
             y[0] = 0.0
             y[0, 0] = r[0]
-            y[1:] = np.fft.rfft(r[1:].reshape(n_rings, sectors), axis=1)
+            y[1:] = np.fft.rfft(r[1:-sectors].reshape(n_rings, sectors), axis=1)
             for i in range(1, n_rings + 1):
                 y[i] -= factor[i] * y[i - 1]
             y[n_rings] *= inv_pivot[n_rings]
             for i in range(n_rings - 1, -1, -1):
                 y[i] = (y[i] - upper[i] * y[i + 1]) * inv_pivot[i]
-            x = np.empty(r.shape[0])
+            x = r.copy()
             x[0] = y[0, 0].real
-            x[1:] = np.fft.irfft(y[1:], n=sectors, axis=1).ravel()
+            x[1:-sectors] = np.fft.irfft(y[1:], n=sectors, axis=1).ravel()
             return x
 
-    probe = np.cos(np.arange(n_free, dtype=float))
+    probe = np.cos(np.arange(n, dtype=float))
     with np.errstate(invalid="ignore", over="ignore"):
-        miss = float(np.linalg.norm(matrix_ff @ apply(probe) - probe))
+        miss = float(np.linalg.norm(matrix @ apply(probe) - probe))
     if not miss <= _SECTOR_INVERSE_RTOL * float(np.linalg.norm(probe)):
         return None
     return apply
 
 
 def _constant_part(system: AssembledSystem, base: SparseOperator):
-    """Free block of a constant Hessian part and its preconditioner (None: Jacobi)."""
-    base_ff = system.restrict(base)
-    return base_ff, sector_inverse(system, base_ff)
+    """A constant Hessian part, masked nodes eliminated, and its preconditioner (None: Jacobi)."""
+    eliminated = system.eliminate(base)
+    return eliminated, sector_inverse(system, eliminated)
 
 
 # ----------------------------------------------------------------------------
@@ -329,7 +327,7 @@ def _newton_minimize(
     built here when None. Returns
     (values, iterations, dual-residual history, converged).
     """
-    mask, free = system.mask, system.free
+    mask = system.mask
     u = start.copy()
     u[mask] = 0.0
 
@@ -347,17 +345,15 @@ def _newton_minimize(
     if constant is None:
         constant = _constant_part(
             system, system.K if prox_center is None else system.K + system.M / dt)
-    base_ff, precondition = constant
+    base, precondition = constant
 
     for iteration in range(1, cfg.newton_max_iter + 1):
         if res <= cfg.newton_tol * scale:
             return u, iteration - 1, history, True
-        hess_ff = base_ff.plus_diagonal(reaction_jacobian_diagonal(system, u, params)[free])
-        direction = np.zeros_like(u)
-        direction[free] = solve_spd(hess_ff, -g[free], cfg.linear_tol,
-                                    precondition=precondition)
+        hessian = base.plus_diagonal(reaction_jacobian_diagonal(system, u, params))
+        direction = solve_spd(hessian, -g, cfg.linear_tol, precondition=precondition)
 
-        slope = float(g[free] @ direction[free])
+        slope = float(g @ direction)
         if slope >= 0.0:
             raise NonlinearSolveError(
                 "Newton direction is not a descent direction; "
@@ -369,7 +365,7 @@ def _newton_minimize(
         # rounding (Hager & Zhang, SIAM J. Optim. 16, 2005). The slack covers
         # the rounding of the potential difference.
         linear = slope + float(direction @ reaction_vector(system, u, params))
-        curvature = float(direction[free] @ (base_ff @ direction[free]))
+        curvature = float(direction @ (base @ direction))
         potential = consumption_potential(u, params)
         fp_slack = 32.0 * np.finfo(float).eps * max(1.0, float(system.M1 @ np.abs(potential)))
         step = 1.0
@@ -457,7 +453,7 @@ def evolve(
     """Implicit-Euler trajectory with per-step energy and error records.
 
     The stationary reference is computed once (from zero) before stepping,
-    and the constant part K + M/dt of every step's Hessian is restricted
+    and the constant part K + M/dt of every step's Hessian is eliminated
     and preconditioned once for all steps. On a step failure the partial trace is returned with
     meta["completed"] = False and the failing step recorded.
     """

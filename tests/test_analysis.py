@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,11 +170,17 @@ class TestDecayFit:
         assert report.beta_fit == pytest.approx(2.0, abs=1e-8)
 
 
+def interval_system(mesh, params):
+    """A radial mesh read as the unit interval: dimension 1 (no volume
+    weight) with both ends masked."""
+    return assemble(replace(mesh, dimension=1, s_nodes=np.array([0, mesh.n_nodes - 1])), params)
+
+
 class TestGamma:
     def test_unit_interval_dirichlet_eigenvalue(self, params):
         # weight off, both ends masked: smallest eigenvalue tends to pi^2
         mesh = build_radial_mesh(GeometrySpec(kind="radial", dimension=2, r1=0.5, r2=1.0, h=1.0 / 64))
-        system = assemble(mesh, params, weight_exponent=0, dirichlet_nodes=[0, mesh.n_nodes - 1])
+        system = interval_system(mesh, params)
         lam = smallest_generalized_eigenvalue(system)
         assert abs(lam - math.pi**2) / math.pi**2 <= 1e-3
 
@@ -181,8 +188,7 @@ class TestGamma:
         mesh = build_radial_mesh(GeometrySpec(kind="radial", dimension=2, r1=0.5, r2=1.0, h=1.0 / 8))
         lams = []
         for _ in range(3):
-            system = assemble(mesh, params, weight_exponent=0,
-                              dirichlet_nodes=[0, mesh.n_nodes - 1])
+            system = interval_system(mesh, params)
             lams.append(smallest_generalized_eigenvalue(system))
             mesh = refine(mesh)
         assert lams[0] > lams[1] > lams[2] > math.pi**2

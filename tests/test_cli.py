@@ -185,6 +185,22 @@ class TestConfig:
         assert main(["mesh", str(path), "--set", override]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        "verify.rate_samples=1", "verify.monotonicity_pairs=0",
+        "verify.strong_monotonicity_pairs=-1", "verify.coercivity_samples=0",
+        "verify.gradient_checks=-3", "verify.resolvent_solves=0",
+        "verify.hemicontinuity_samples=0", "verify.gradient_rtol=0",
+        "verify.gradient_rtol=-1e-6", "verify.pairing_slack=-1e-12",
+    ])
+    def test_vacuous_verify_settings_exit_2(self, quick_cfg, capsys, override):
+        # No sample, or a tolerance nothing can meet, would pass or fail a
+        # property without checking it.
+        path, _ = quick_cfg
+        with pytest.raises(ConfigError, match=override.split(".")[1].split("=")[0]):
+            load_config(path, [override])
+        assert main(["verify", str(path), "--set", override]) == 2
+        assert "invalid input" in capsys.readouterr().err
+
     def test_unknown_key_in_file_rejected(self, tmp_path):
         path = tmp_path / "typo.cfg"
         path.write_text(QUICK_RADIAL.format(out=tmp_path).replace("dt = 0.05", "dtt = 0.05"))
@@ -299,6 +315,18 @@ class TestCmdStationary:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(argv) == 2
         assert "out of floating-point range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["stationary", "verify"])
+    def test_underflowing_radial_weight_exit_2(self, repo_root, tmp_path, capsys, command):
+        # r^399 underflows to zero near the center, so the lumped mass of
+        # node 0 is zero: invalid input, not a solver failure, and no numpy
+        # RuntimeWarning escapes.
+        argv = [command, str(repo_root / "configs" / "radial_desk.cfg"),
+                "--set", "geometry.dimension=400", "--output-dir", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 2
+        assert "node 0 has non-positive lumped mass" in capsys.readouterr().err
 
     def test_reaction_disabled_zero_state(self, quick_cfg, capsys):
         path, out = quick_cfg

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial
 
@@ -79,9 +80,9 @@ def dense_energy_oracle(mesh, u_vals, params, nsub=10000):
 
 class TestAssembly:
     def test_textbook_stiffness_weight_disabled(self, params):
-        # two unit elements, b == 1, volume weight off: the classic tridiagonal
+        # two unit elements, b == 1, dimension 1 (no volume weight): the classic tridiagonal
         mesh = build_radial_mesh(GeometrySpec(kind="radial", dimension=3, r1=1.0, r2=2.0, h=1.0))
-        system = assemble(mesh, ModelParams(1.0, 1.0, 1.0, 2.0), weight_exponent=0)
+        system = assemble(replace(mesh, dimension=1), ModelParams(1.0, 1.0, 1.0, 2.0))
         expected = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
         assert np.allclose(system.K.toarray(), expected, atol=1e-15)
         assert np.allclose(system.Kt.toarray(), expected, atol=1e-15)
@@ -109,7 +110,8 @@ class TestAssembly:
                 assert np.count_nonzero(matrix - matrix.T) == 0
 
     def test_spd_on_free_subspace(self, sys4):
-        k_ff = sys4.restrict(sys4.K).toarray()
+        free = ~sys4.mask
+        k_ff = sys4.K.toarray()[free][:, free]
         eigvals = np.linalg.eigvalsh(k_ff)
         assert eigvals.min() > 0.0
         m_eigs = np.linalg.eigvalsh(sys4.M.toarray())
@@ -176,6 +178,20 @@ def scipy_csr(mesh, local):
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_nodes,) * 2).tocsr()
 
 
+def scipy_eliminated(matrix, mask, shift=None):
+    """Reference elimination: the masked rows and columns of a scipy matrix
+    zeroed (kept as explicit zeros) and 1 on their diagonal, plus `shift` on
+    the diagonal."""
+    a = matrix.tocoo()
+    masked = mask[a.row] | mask[a.col]
+    on_diag = a.row == a.col
+    data = np.where(masked, 0.0, a.data)
+    data[masked & on_diag] = 1.0
+    if shift is not None:
+        data[on_diag] += shift[a.row[on_diag]]
+    return sp.csr_matrix((data, (a.row, a.col)), shape=a.shape)
+
+
 DESK_SYSTEMS = ["radial_desk_system", "annulus_desk_system"]
 
 
@@ -185,16 +201,15 @@ class TestSparseOperators:
         # Bitwise on radial meshes; on planar ones scipy sums an entry's
         # element terms in another order, which moves it by rounding.
         system = request.getfixturevalue(name)
-        mesh, free = system.mesh, system.free
-        weight = mesh.dimension - 1 if mesh.kind == "radial" else 0
-        local = element_matrices(mesh, desk_params.b1, desk_params.b2, weight)[:3]
+        mesh, mask = system.mesh, system.mask
+        local = element_matrices(mesh, desk_params.b1, desk_params.b2)[:3]
         ref = dict(zip(("K", "Kt", "M"), (scipy_csr(mesh, table) for table in local)))
-        shift = np.linspace(0.0, 1.0, free.shape[0])
+        shift = np.linspace(0.0, 1.0, mesh.n_nodes)
         pairs = [(getattr(system, label), ref[label]) for label in ref]
-        pairs += [(system.restrict(system.K), ref["K"][free][:, free]),
+        pairs += [(system.eliminate(system.K), scipy_eliminated(ref["K"], mask)),
                   (system.K + system.M / 0.05, ref["K"] + ref["M"] / 0.05),
-                  (system.restrict(system.M + system.K).plus_diagonal(shift),
-                   (ref["M"] + ref["K"])[free][:, free] + sp.diags(shift))]
+                  (system.eliminate(system.M + system.K).plus_diagonal(shift),
+                   scipy_eliminated(ref["M"] + ref["K"], mask, shift))]
         for mine, theirs in pairs:
             assert mine.nnz == theirs.nnz
             a, b = mine.toarray(), theirs.toarray()
@@ -211,7 +226,7 @@ class TestSparseOperators:
             assert [row for row, _, _ in system.K.pattern.long] == [0]
         rng = np.random.default_rng(11)
         for op in (system.K, system.M, system.K + system.M / 0.05,
-                   system.restrict(system.Kt)):
+                   system.eliminate(system.Kt)):
             dense = op.toarray()
             x = rng.standard_normal(op.shape[0])
             assert np.array_equal(op @ x, sp.csr_matrix(dense) @ x)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -25,7 +27,8 @@ from coreshell import (
 )
 from coreshell.config import load_config
 from coreshell.fem import h_norm, dual_norm, reaction_jacobian_diagonal
-from coreshell.solvers import MAX_STEPS, sector_inverse
+from coreshell.model import consumption_rate, consumption_rate_slope
+from coreshell.solvers import MAX_STEPS, _constant_part, sector_inverse
 
 
 @pytest.fixture(scope="module")
@@ -47,10 +50,10 @@ class TestSolveSpd:
 
     def test_constructed_solution(self, desk, params):
         _, system = desk
-        k_ff = system.restrict(system.K)
-        x_true = np.sin(np.arange(k_ff.shape[0], dtype=float))
-        rhs = k_ff @ x_true
-        x = solve_spd(k_ff, rhs, 1e-12)
+        k = system.eliminate(system.K)
+        x_true = np.sin(np.arange(k.shape[0], dtype=float))
+        rhs = k @ x_true
+        x = solve_spd(k, rhs, 1e-12)
         assert np.linalg.norm(x - x_true) / np.linalg.norm(x_true) < 1e-8
 
     def test_against_dense_factorization(self):
@@ -73,9 +76,9 @@ class TestSolveSpd:
 
     def test_deterministic(self, desk):
         _, system = desk
-        k_ff = system.restrict(system.K)
-        rhs = np.cos(np.arange(k_ff.shape[0], dtype=float))
-        assert np.array_equal(solve_spd(k_ff, rhs, 1e-12), solve_spd(k_ff, rhs, 1e-12))
+        k = system.eliminate(system.K)
+        rhs = np.cos(np.arange(k.shape[0], dtype=float))
+        assert np.array_equal(solve_spd(k, rhs, 1e-12), solve_spd(k, rhs, 1e-12))
 
 
 def _constant_parts(system, dt):
@@ -101,28 +104,27 @@ class TestSectorInverse:
         system = assemble(mesh, config.model)
         rng = np.random.default_rng(23)
         for label, base in _constant_parts(system, config.solver.dt).items():
-            base_ff = system.restrict(base)
-            apply = sector_inverse(system, base_ff)
+            eliminated = system.eliminate(base)
+            apply = sector_inverse(system, eliminated)
             assert apply is not None, label
-            r = rng.standard_normal(base_ff.shape[0])
-            miss = np.linalg.norm(base_ff @ apply(r) - r)
+            r = rng.standard_normal(eliminated.shape[0])
+            miss = np.linalg.norm(eliminated @ apply(r) - r)
             assert miss <= 1e-10 * np.linalg.norm(r), label
 
     def test_few_iterations_with_reaction_diagonal(self, params):
         mesh = build_annulus_mesh(GeometrySpec(kind="planar2d", dimension=2,
                                                r1=0.5, r2=1.0, h=0.05))
         system = assemble(mesh, params)
-        free = system.free
         for base in _constant_parts(system, 0.05).values():
-            base_ff = system.restrict(base)
-            hess_ff = base_ff.plus_diagonal(
-                reaction_jacobian_diagonal(system, ramp_field(mesh, params), params)[free])
-            rhs = np.sin(np.arange(free.shape[0], dtype=float))
-            apply, calls = _counted(sector_inverse(system, base_ff))
-            x = solve_spd(hess_ff, rhs, 1e-12, precondition=apply)
+            eliminated = system.eliminate(base)
+            hessian = eliminated.plus_diagonal(
+                reaction_jacobian_diagonal(system, ramp_field(mesh, params), params))
+            rhs = np.sin(np.arange(mesh.n_nodes, dtype=float))
+            apply, calls = _counted(sector_inverse(system, eliminated))
+            x = solve_spd(hessian, rhs, 1e-12, precondition=apply)
             assert 1 <= len(calls) <= 12
-            assert np.linalg.norm(hess_ff @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
-            jacobi = solve_spd(hess_ff, rhs, 1e-12)
+            assert np.linalg.norm(hessian @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+            jacobi = solve_spd(hessian, rhs, 1e-12)
             assert np.linalg.norm(x - jacobi) <= 1e-10 * np.linalg.norm(jacobi)
 
     def test_non_rotation_invariant_operator_rejected(self, params):
@@ -131,9 +133,9 @@ class TestSectorInverse:
         mesh = build_annulus_mesh(GeometrySpec(kind="planar2d", dimension=2,
                                                r1=0.5, r2=1.0, h=0.1))
         system = assemble(mesh, params)
-        k_ff = system.restrict(system.K)
-        bumped = k_ff.plus_diagonal(np.linspace(0.0, 1.0, k_ff.shape[0]))
-        assert sector_inverse(system, k_ff) is not None
+        k = system.eliminate(system.K)
+        bumped = k.plus_diagonal(np.linspace(0.0, 1.0, k.shape[0]))
+        assert sector_inverse(system, k) is not None
         assert sector_inverse(system, bumped) is None
 
     @pytest.mark.parametrize("case", ["planar-refined", "planar-custom-dirichlet",
@@ -145,20 +147,83 @@ class TestSectorInverse:
         else:
             mesh = build_radial_mesh(GeometrySpec(kind="radial", dimension=3,
                                                   r1=0.5, r2=1.0, h=0.03125))
-        dirichlet = None
         if case == "planar-refined":
             mesh = refine(mesh)
             assert mesh.sectors == 0
         else:
-            dirichlet = np.append(mesh.s_nodes, 0)
-        system = assemble(mesh, params, dirichlet_nodes=dirichlet)
+            mesh = replace(mesh, s_nodes=np.append(mesh.s_nodes, 0))
+        system = assemble(mesh, params)
         for base in _constant_parts(system, 0.05).values():
-            base_ff = system.restrict(base)
-            assert sector_inverse(system, base_ff) is None
-            rhs = np.cos(np.arange(base_ff.shape[0], dtype=float))
-            exact = np.linalg.solve(base_ff.toarray(), rhs)
-            x = solve_spd(base_ff, rhs, 1e-13, precondition=None)
+            eliminated = system.eliminate(base)
+            assert sector_inverse(system, eliminated) is None
+            rhs = np.cos(np.arange(eliminated.shape[0], dtype=float))
+            exact = np.linalg.solve(eliminated.toarray(), rhs)
+            x = solve_spd(eliminated, rhs, 1e-13, precondition=None)
             assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
+
+
+@pytest.fixture(scope="module")
+def refined_planar(params):
+    """A refined planar system: `refine` appends the new outer-boundary nodes,
+    so the Dirichlet nodes are scattered and every solve runs Jacobi-CG."""
+    mesh = refine(build_annulus_mesh(GeometrySpec(kind="planar2d", dimension=2,
+                                                  r1=0.5, r2=1.0, h=0.2)))
+    system = assemble(mesh, params)
+    masked = np.flatnonzero(system.mask)
+    assert masked[-1] - masked[0] >= mesh.n_nodes // 2
+    assert sector_inverse(system, system.eliminate(system.K)) is None
+    return system
+
+
+def dense_free_block_solve(system, params, base, load):
+    """Zero of base u - reaction(u) - load on the free nodes, by Newton with
+    dense solves of the free-by-free block."""
+    free = ~system.mask
+    a = base.toarray()[free][:, free]
+    m1, b = system.M1[free], load[free]
+    u = np.zeros(a.shape[0])
+    for _ in range(50):
+        g = a @ u - m1 * consumption_rate(u, params) - b
+        if np.linalg.norm(g) <= 1e-15 * max(1.0, np.linalg.norm(b)):
+            break
+        u -= np.linalg.solve(a + np.diag(-m1 * consumption_rate_slope(u, params)), g)
+    return u
+
+
+class TestElimination:
+    @pytest.mark.parametrize("name", ["annulus_desk.cfg", "radial_desk.cfg", "refined"])
+    def test_constant_part_on_the_system_pattern(self, repo_root, refined_planar, name):
+        if name == "refined":
+            system, dt = refined_planar, 0.05
+        else:
+            config = load_config(repo_root / "configs" / name)
+            system = assemble(build_mesh(config.geometry), config.model)
+            dt = config.solver.dt
+        base = system.K + system.M / dt
+        eliminated = _constant_part(system, base)[0]
+        assert eliminated.pattern is system.K.pattern
+        mask, free = system.mask, ~system.mask
+        dense = eliminated.toarray()
+        assert np.array_equal(dense[mask][:, mask], np.eye(np.count_nonzero(mask)))
+        assert not dense[mask][:, free].any() and not dense[free][:, mask].any()
+        assert np.array_equal(dense[free][:, free], base.toarray()[free][:, free])
+
+    def test_solves_match_dense_free_block(self, refined_planar, params):
+        system, mesh = refined_planar, refined_planar.mesh
+        free = ~system.mask
+        cfg = SolverConfig(dt=0.05, t_end=1.0)
+        star = stationary_solve(system, params, cfg, ramp_field(mesh, params))
+        assert star.converged
+        u_n = ramp_field(mesh, params)
+        step = step_implicit_euler(system, params, cfg, u_n)
+        references = [
+            (star.field, dense_free_block_solve(system, params, system.K, zero_field(mesh))),
+            (step, dense_free_block_solve(system, params, system.K + system.M / cfg.dt,
+                                          system.M @ u_n / cfg.dt)),
+        ]
+        for solved, reference in references:
+            assert np.all(solved[system.mask] == 0.0)
+            assert np.abs(solved[free] - reference).max() <= 1e-10
 
 
 class TestStationary:
@@ -273,13 +338,12 @@ class TestImplicitEuler:
         cfg = SolverConfig(dt=0.1, t_end=1.0)
         u_impl = step_implicit_euler(system, params, cfg, zero_field(mesh))
 
-        free = system.free
-        lu = spla.splu(sp.csc_matrix(system.restrict(system.M).toarray()))
+        lu = spla.splu(sp.csc_matrix(system.eliminate(system.M).toarray()))
         u = np.zeros(mesh.n_nodes)
         dt_sub = 1e-6
         for _ in range(int(round(cfg.dt / dt_sub))):
             g = energy_gradient(system, u, params)
-            u[free] -= dt_sub * lu.solve(g[free])
+            u -= dt_sub * lu.solve(g)
         rel = h_norm(system, u_impl - u) / h_norm(system, u)
         assert rel == pytest.approx(0.2100, abs=5e-3)
 

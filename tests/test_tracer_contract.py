@@ -32,11 +32,10 @@ def test_every_wrapped_name_resolves(tracer):
 def test_counting_matrix_counts_preconditioned_iterations(
         tracer, annulus_desk_mesh, annulus_desk_system, desk_params):
     system = annulus_desk_system
-    free = system.free
-    k_ff = system.restrict(system.K)
-    hess_ff = k_ff.plus_diagonal(reaction_jacobian_diagonal(
-        system, ramp_field(annulus_desk_mesh, desk_params), desk_params)[free])
-    exact = sector_inverse(system, k_ff)
+    k = system.eliminate(system.K)
+    hessian = k.plus_diagonal(reaction_jacobian_diagonal(
+        system, ramp_field(annulus_desk_mesh, desk_params), desk_params))
+    exact = sector_inverse(system, k)
     assert exact is not None
     applied = []
 
@@ -44,9 +43,9 @@ def test_counting_matrix_counts_preconditioned_iterations(
         applied.append(1)
         return exact(r)
 
-    rhs = np.cos(np.arange(free.shape[0], dtype=float))
-    counting = tracer.CountingMatrix(hess_ff)
+    rhs = np.cos(np.arange(system.n_nodes, dtype=float))
+    counting = tracer.CountingMatrix(hessian)
     x = solve_spd(counting, rhs, 1e-12, precondition=precondition)
     # One product and one preconditioner apply per iteration.
     assert 1 <= counting.products == len(applied) <= 12
-    assert np.linalg.norm(hess_ff @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    assert np.linalg.norm(hessian @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)

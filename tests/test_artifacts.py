@@ -1,11 +1,13 @@
 """Pinned artifact bytes: the CLI writers reproduce stored files exactly.
 
 `tests/data/artifacts/<kind>/` holds the mesh VTK, the stationary field as
-CSV and VTK, the evolution trace and the `verify --corrupt-b` violation
-sample of a coarse radial (h=0.25) and planar (h=0.35) run of the shipped
-desk configs. VTK files are compared byte for byte. CSV files are compared
-without their leading '#' comment lines, because the configuration echo in
-them names the output directory; the stored CSV files carry no comment lines.
+CSV and VTK, the evolution trace, the `verify --corrupt-b` report and
+violation sample, and (under `passing/`) the report of a plain `verify`
+run, of a coarse radial (h=0.25) and planar (h=0.35) run of the shipped
+desk configs. VTK files are compared byte for byte. CSV and text files are
+compared without their leading '#' comment lines, because the configuration
+echo in them names the output directory; the stored files carry no comment
+lines.
 
 Regenerate (only when a change of output is intended and recorded):
 
@@ -26,10 +28,12 @@ RUNS = {
     "radial": ("radial_desk.cfg", "0.25"),
     "planar": ("annulus_desk.cfg", "0.35"),
 }
-COMMANDS = (["mesh"], ["stationary"], ["evolve"], ["verify", "--corrupt-b"])
-EXIT_CODES = (0, 0, 0, 1)
+# (subdirectory of the output directory, command)
+COMMANDS = (("", ["mesh"]), ("", ["stationary"]), ("", ["evolve"]),
+            ("", ["verify", "--corrupt-b"]), ("passing", ["verify"]))
+EXIT_CODES = (0, 0, 0, 1, 0)
 FILES = ("mesh.vtk", "stationary_field.csv", "stationary_field.vtk", "trace.csv",
-         "violation_sample.csv")
+         "violation_sample.csv", "verify_report.txt", "passing/verify_report.txt")
 
 
 def produce(kind, out_dir):
@@ -37,15 +41,15 @@ def produce(kind, out_dir):
     config, h = RUNS[kind]
     return tuple(
         main(command + [str(REPO_ROOT / "configs" / config), "--set", f"geometry.h={h}",
-                        "--output-dir", str(out_dir)])
-        for command in COMMANDS
+                        "--output-dir", str(Path(out_dir) / subdir)])
+        for subdir, command in COMMANDS
     )
 
 
 def comparable(path) -> bytes:
-    """File bytes, without '#' comment lines for CSV files."""
+    """File bytes, without '#' comment lines for CSV and text files."""
     data = Path(path).read_bytes()
-    if Path(path).suffix != ".csv":
+    if Path(path).suffix not in (".csv", ".txt"):
         return data
     return b"".join(line for line in data.splitlines(keepends=True)
                     if not line.startswith(b"#"))
@@ -79,7 +83,7 @@ if __name__ == "__main__":
             codes = produce(kind, Path(tmp))
             if codes != EXIT_CODES:
                 sys.exit(f"{kind}: exit codes {codes}, expected {EXIT_CODES}")
-            (DATA / kind).mkdir(parents=True, exist_ok=True)
             for name in FILES:
+                (DATA / kind / name).parent.mkdir(parents=True, exist_ok=True)
                 (DATA / kind / name).write_bytes(comparable(Path(tmp) / name))
     print(f"wrote {DATA}")

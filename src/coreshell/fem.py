@@ -17,6 +17,14 @@ All operators of one system share one sparsity pattern (`SparsityPattern`,
 padded ELL layout), so sums, eliminations and diagonal shifts of them are
 arithmetic on their value arrays.
 
+Operators and the field functions (`reaction_vector`, `energy_gradient` /
+`residual`, `energy`) also take a stack of fields, an array of shape
+(..., n), and treat each field as they treat a single one: field j of a
+stacked result equals the single-field result bit for bit. `verify` uses
+this to evaluate its random samples in blocks of about 2^15 nodal values
+(`verify.BLOCK_VALUES`), one sparse product per block instead of one per
+sample.
+
 Assembly is sequential and deterministic; assembled systems are immutable.
 """
 
@@ -114,7 +122,8 @@ class SparseOperator:
     (`vals` is its slot table part as a (w, n) view).
 
     `A @ x` sums each row in increasing column order, as a CSR product
-    does. Operators on one pattern add, scale and shift their diagonal by
+    does; x may be a stack of fields (..., n), each multiplied as alone.
+    Operators on one pattern add, scale and shift their diagonal by
     arithmetic on `data`. `nnz` counts stored entries, explicit zeros
     included; `A[rows, cols]` reads entries (zero off the pattern).
     """
@@ -133,12 +142,13 @@ class SparseOperator:
         return self.pattern.slots.shape[0]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        products = x.take(self.pattern.cols)
+        products = x.take(self.pattern.cols, axis=-1)
         products *= self.vals
-        y = products.sum(axis=0)
+        y = products.sum(axis=-2)
         for row, part, long_cols in self.pattern.long:
             # a running sum adds in column order, like the slot table
-            y[row] = np.cumsum(self.data[part] * x.take(long_cols))[-1]
+            y[..., row] = np.cumsum(self.data[part] * x.take(long_cols, axis=-1),
+                                    axis=-1)[..., -1]
         return y
 
     def diagonal(self) -> np.ndarray:
@@ -221,7 +231,8 @@ class AssembledSystem:
         return SparseOperator(pattern, data)
 
     def check_field(self, u: np.ndarray):
-        if u.shape != (self.n_nodes,):
+        """Accept a field or a stack of fields, shape (..., n_nodes)."""
+        if u.shape[-1:] != (self.n_nodes,):
             raise ValueError(f"field has shape {u.shape}, system has {self.n_nodes} nodes")
 
 
@@ -324,6 +335,16 @@ def assemble(
 # ----------------------------------------------------------------------------
 
 
+def dot_fields(a: np.ndarray, b: np.ndarray):
+    """a @ b over the last axis, one product per field of a stack.
+
+    Each entry equals the single-field `a[j] @ b[j]` bit for bit: the
+    stacked (1, n) @ (n, 1) products take the same BLAS dot. A single field
+    pair gives a scalar.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def reaction_vector(system: AssembledSystem, u: np.ndarray, params: ModelParams) -> np.ndarray:
     """Nodal-quadrature consumption load: entry i is M1_i * rate(u_i)."""
     system.check_field(u)
@@ -339,7 +360,7 @@ def energy_gradient(system: AssembledSystem, u: np.ndarray, params: ModelParams)
     """
     system.check_field(u)
     g = system.K @ u - reaction_vector(system, u, params)
-    g[system.mask] = 0.0
+    np.copyto(g, 0.0, where=system.mask)
     return g
 
 
@@ -348,11 +369,14 @@ def residual(system: AssembledSystem, u: np.ndarray, params: ModelParams) -> np.
     return energy_gradient(system, u, params)
 
 
-def energy(system: AssembledSystem, u: np.ndarray, params: ModelParams) -> float:
-    """Discrete energy: half the weighted Dirichlet form minus the consumption potential."""
+def energy(system: AssembledSystem, u: np.ndarray, params: ModelParams):
+    """Discrete energy: half the weighted Dirichlet form minus the consumption potential.
+
+    A scalar for a field, an array of one energy per field for a stack.
+    """
     system.check_field(u)
-    quad = 0.5 * float(u @ (system.K @ u))
-    pot = float(system.M1 @ consumption_potential(u, params))
+    quad = 0.5 * dot_fields(u, system.K @ u)
+    pot = dot_fields(system.M1, consumption_potential(u, params))
     return quad - pot
 
 

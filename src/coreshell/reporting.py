@@ -49,15 +49,20 @@ def write_field_csv(path, mesh: CoreShellMesh, values, echo_lines=()):
 
 
 def read_field_csv(path, mesh: CoreShellMesh) -> np.ndarray:
-    """Load a nodal field written by write_field_csv, checking the mesh matches."""
-    rows = []
+    """Load a nodal field written by write_field_csv, checking the mesh matches.
+
+    '#' comment lines and blank lines are skipped; the first line after them
+    is the header if it does not parse as numbers. Every other line is a
+    data row, so a row that starts with nan or inf is read as one.
+    """
     with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#") or line[0].isalpha():
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    data = np.asarray(rows, dtype=float)
+        rows = [line for line in handle if line.strip() and not line.lstrip().startswith("#")]
+    if rows:
+        try:
+            np.loadtxt(rows[:1], delimiter=",")
+        except ValueError:
+            rows = rows[1:]  # the header
+    data = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, 1))
     if not np.all(np.isfinite(data)):
         raise ValueError("field file has a non-finite entry")
     if data.shape[0] != mesh.n_nodes:

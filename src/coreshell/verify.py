@@ -20,6 +20,7 @@ from .analysis import estimate_gamma
 from .config import RunConfig
 from .fem import (
     assemble,
+    dot_fields,
     dual_norm,
     energy,
     energy_gradient,
@@ -64,8 +65,48 @@ def solve_resolvent(system, params, g, constant=None):
     return u, converged
 
 
+# Nodal values per block of samples: large enough that per-call overhead is
+# small against the work, small enough that a block's sparse products (about
+# 7 slots per value on planar meshes) stay within 2 MB.
+BLOCK_VALUES = 2**15
+
+
 def _random_field(rng, system, amplitude):
     return field_from_values(system.mesh, rng.uniform(-amplitude, amplitude, system.n_nodes))
+
+
+def sample_blocks(rng, system, count, *bounds):
+    """Draw `count` random samples of one field per (low, high) bound, in blocks.
+
+    One draw of shape (block, fields, n) gives what `count` rounds of
+    `field_from_values(rng.uniform(low, high, n))` per field give, in the
+    same order and bit for bit: uniform maps each standard draw U to
+    low + (high - low) * U. A block holds about BLOCK_VALUES nodal values.
+    Yields (block, stop): `stop(j)` leaves the generator just after sample
+    j of the block, where a per-sample loop that stops at sample j leaves
+    it, so the properties checked next draw the same samples.
+    """
+    low, high = np.array(bounds, dtype=float).T[:, :, None]
+    size = max(1, BLOCK_VALUES // (len(bounds) * system.n_nodes))
+    for start in range(0, count, size):
+        state = rng.bit_generator.state
+        # rng.uniform with array bounds draws the same values, three times slower
+        block = rng.random((min(size, count - start), len(bounds), system.n_nodes))
+        block *= high - low
+        block += low
+        np.copyto(block, 0.0, where=system.mask)
+
+        def stop(j, state=state, shape=block.shape[1:]):
+            rng.bit_generator.state = state
+            rng.random((j + 1,) + shape)
+
+        yield block, stop
+
+
+def _first(violated):
+    """Index of the first violating sample of a block, or None."""
+    hits = np.flatnonzero(violated)
+    return int(hits[0]) if hits.size else None
 
 
 def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
@@ -186,52 +227,62 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
 
     def check_monotonicity(name):
         worst = np.inf
-        for _ in range(v.monotonicity_pairs):
-            u = _random_field(rng, system, 2.0 * params.c0)
-            w = _random_field(rng, system, 2.0 * params.c0)
-            d = u - w
-            lhs = float((residual(system, u, params) - residual(system, w, params)) @ d)
-            floor = -v.pairing_slack * float(d @ (system.M @ d))
-            worst = min(worst, lhs)
-            if lhs < floor:
+        amp = 2.0 * params.c0
+        for pairs, stop in sample_blocks(rng, system, v.monotonicity_pairs,
+                                         (-amp, amp), (-amp, amp)):
+            d = pairs[:, 0] - pairs[:, 1]
+            g = residual(system, pairs, params)
+            lhs = dot_fields(g[:, 0] - g[:, 1], d)
+            floor = -v.pairing_slack * dot_fields(d, system.M @ d)
+            j = _first(lhs < floor)
+            if j is not None:
+                stop(j)
                 return PropertyResult(name, False,
-                                      f"pairing {fmt(lhs)} below floor {fmt(floor)}",
-                                      {"u": u, "v": w})
+                                      f"pairing {fmt(lhs[j])} below floor {fmt(floor[j])}",
+                                      {"u": pairs[j, 0], "v": pairs[j, 1]})
+            # fmin and fmax skip NaN, as min() and max() of single samples did
+            worst = np.fmin(worst, np.fmin.reduce(lhs))
         return PropertyResult(name, True, f"min pairing={fmt(worst)}")
 
     def check_coercivity(name):
         c_coef = min(1.0, params.b_min)
         worst = np.inf
-        for _ in range(v.coercivity_samples):
-            u = _random_field(rng, system, 3.0 * params.c0)
-            lhs = float(u @ (system.M @ u) + u @ (system.K @ u)
-                        - reaction_vector(system, u, params) @ u)
-            vnorm2 = float(u @ (system.M @ u) + u @ (system.Kt @ u))
+        amp = 3.0 * params.c0
+        for block, stop in sample_blocks(rng, system, v.coercivity_samples, (-amp, amp)):
+            u = block[:, 0]
+            mass = dot_fields(u, system.M @ u)
+            lhs = (mass + dot_fields(u, system.K @ u)
+                   - dot_fields(reaction_vector(system, u, params), u))
+            vnorm2 = mass + dot_fields(u, system.Kt @ u)
             rhs = c_coef * vnorm2 - params.c0 * system.core_volume
-            slack = 1e-9 * max(1.0, abs(lhs), vnorm2)
-            worst = min(worst, lhs - rhs)
-            if lhs < rhs - slack:
+            slack = 1e-9 * np.maximum(np.maximum(1.0, np.abs(lhs)), vnorm2)
+            j = _first(lhs < rhs - slack)
+            if j is not None:
+                stop(j)
                 return PropertyResult(name, False,
-                                      f"coercivity gap {fmt(lhs - rhs)}", {"u": u})
+                                      f"coercivity gap {fmt(lhs[j] - rhs[j])}", {"u": u[j]})
+            worst = np.fmin(worst, np.fmin.reduce(lhs - rhs))
         return PropertyResult(name, True, f"min slack={fmt(worst)}")
 
     def check_strong_monotonicity(name):
         gamma = estimate_gamma(system, params)
         worst = np.inf
-        for _ in range(v.strong_monotonicity_pairs):
-            u = _random_field(rng, system, 2.0 * params.c0)
-            w = _random_field(rng, system, 2.0 * params.c0)
-            d = u - w
-            lhs = float((energy_gradient(system, u, params)
-                         - energy_gradient(system, w, params)) @ d)
-            vnorm2 = float(d @ (system.M @ d) + d @ (system.Kt @ d))
+        amp = 2.0 * params.c0
+        for pairs, stop in sample_blocks(rng, system, v.strong_monotonicity_pairs,
+                                         (-amp, amp), (-amp, amp)):
+            d = pairs[:, 0] - pairs[:, 1]
+            g = energy_gradient(system, pairs, params)
+            lhs = dot_fields(g[:, 0] - g[:, 1], d)
+            vnorm2 = dot_fields(d, system.M @ d) + dot_fields(d, system.Kt @ d)
             rhs = gamma * vnorm2 * (1.0 - 1e-10)
-            worst = min(worst, lhs - rhs)
-            if lhs < rhs - 1e-12 * max(1.0, vnorm2):
+            j = _first(lhs < rhs - 1e-12 * np.maximum(1.0, vnorm2))
+            if j is not None:
+                stop(j)
                 return PropertyResult(
                     name, False,
-                    f"gamma_disc={fmt(gamma)} violated by {fmt(rhs - lhs)}",
-                    {"u": u, "v": w})
+                    f"gamma_disc={fmt(gamma)} violated by {fmt(rhs[j] - lhs[j])}",
+                    {"u": pairs[j, 0], "v": pairs[j, 1]})
+            worst = np.fmin(worst, np.fmin.reduce(lhs - rhs))
         return PropertyResult(name, True,
                               f"gamma_disc={fmt(gamma)} min slack={fmt(worst)}")
 
@@ -241,21 +292,22 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         # exceed gradient_rtol.
         eps = 1e-4
         worst = 0.0
-        for _ in range(v.gradient_checks):
-            raw = rng.uniform(-params.c0, 2.0 * params.c0, system.n_nodes)
+        for block, stop in sample_blocks(rng, system, v.gradient_checks,
+                                         (-params.c0, 2.0 * params.c0), (-1.0, 1.0)):
+            u, hdir = block[:, 0], block[:, 1]
             # keep nodal values away from the potential's kink at c0
-            near = np.abs(raw - params.c0) < 1e-3
-            raw[near] = params.c0 - 2e-3
-            u = field_from_values(mesh, raw)
-            hdir = field_from_values(mesh, rng.uniform(-1.0, 1.0, system.n_nodes))
-            fd = (energy(system, u + eps * hdir, params)
-                  - energy(system, u - eps * hdir, params)) / (2.0 * eps)
-            gh = float(energy_gradient(system, u, params) @ hdir)
-            rel = abs(fd - gh) / max(abs(fd), abs(gh), 1e-300)
-            worst = max(worst, rel)
-            if rel > v.gradient_rtol:
-                return PropertyResult(name, False, f"rel err={fmt(rel)}",
-                                      {"u": u, "h": hdir})
+            u[(np.abs(u - params.c0) < 1e-3) & ~system.mask] = params.c0 - 2e-3
+            e_plus, e_minus = energy(system, np.stack([u + eps * hdir, u - eps * hdir]),
+                                     params)
+            fd = (e_plus - e_minus) / (2.0 * eps)
+            gh = dot_fields(energy_gradient(system, u, params), hdir)
+            rel = np.abs(fd - gh) / np.maximum(np.maximum(np.abs(fd), np.abs(gh)), 1e-300)
+            j = _first(rel > v.gradient_rtol)
+            if j is not None:
+                stop(j)
+                return PropertyResult(name, False, f"rel err={fmt(rel[j])}",
+                                      {"u": u[j], "h": hdir[j]})
+            worst = np.fmax(worst, np.fmax.reduce(rel))
         return PropertyResult(name, True, f"max rel err={fmt(worst)}")
 
     def check_gradient_is_residual(name):
@@ -286,29 +338,31 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
     def check_hemicontinuity(name):
         worst = 0.0
         lip = 1.0 / (params.c1 - params.c0)
-        for _ in range(v.hemicontinuity_samples):
-            u = _random_field(rng, system, 2.0 * params.c0)
-            w_dir = _random_field(rng, system, 1.0)
-            test = _random_field(rng, system, 1.0)
-
-            def pairing(t):
-                vals = u + t * w_dir
-                return float(vals @ (mk @ test) - reaction_vector(system, vals, params) @ test)
-
-            bound_slope = (abs(float(w_dir @ (mk @ test)))
-                           + lip * float(system.M1 @ np.abs(w_dir * test)))
-            ts = np.linspace(0.0, 1.0, 9)
-            vals = np.array([pairing(t) for t in ts])
-            for i in range(len(ts)):
-                for j in range(i + 1, len(ts)):
-                    diff = abs(vals[i] - vals[j])
-                    allowed = bound_slope * abs(ts[i] - ts[j]) * (1.0 + 1e-10) + 1e-12
-                    worst = max(worst, diff - allowed)
-                    if diff > allowed:
-                        return PropertyResult(name, False,
-                                              f"pairing jump {fmt(diff)} exceeds "
-                                              f"Lipschitz bound {fmt(allowed)}",
-                                              {"u": u, "v": w_dir, "w": test})
+        ts = np.linspace(0.0, 1.0, 9)
+        # every pair of points along the segment, in (i, j > i) order
+        pair_i, pair_j = np.triu_indices(len(ts), 1)
+        amp = 2.0 * params.c0
+        for block, stop in sample_blocks(rng, system, v.hemicontinuity_samples,
+                                         (-amp, amp), (-1.0, 1.0), (-1.0, 1.0)):
+            u, w_dir, test = block[:, 0], block[:, 1], block[:, 2]
+            mk_test = mk @ test
+            bound_slope = (np.abs(dot_fields(w_dir, mk_test))
+                           + lip * dot_fields(system.M1, np.abs(w_dir * test)))
+            vals = np.column_stack([
+                dot_fields(x, mk_test) - dot_fields(reaction_vector(system, x, params), test)
+                for x in (u + t * w_dir for t in ts)])
+            diff = np.abs(vals[:, pair_i] - vals[:, pair_j])
+            allowed = (bound_slope[:, None] * np.abs(ts[pair_i] - ts[pair_j]) * (1.0 + 1e-10)
+                       + 1e-12)
+            at = _first(diff > allowed)
+            if at is not None:
+                j, pair = divmod(at, pair_i.shape[0])
+                stop(j)
+                return PropertyResult(name, False,
+                                      f"pairing jump {fmt(diff[j, pair])} exceeds "
+                                      f"Lipschitz bound {fmt(allowed[j, pair])}",
+                                      {"u": u[j], "v": w_dir[j], "w": test[j]})
+            worst = np.fmax(worst, np.fmax.reduce(diff - allowed, axis=None))
         return PropertyResult(name, True, f"max overshoot={fmt(worst)}")
 
     run("consumption-rate-range", check_rate_range)

@@ -429,6 +429,19 @@ class TestCmdEvolve:
         assert main(["evolve", str(path), "--u0-file", str(field)]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_first_column_exit_2(self, quick_cfg, capsys, token):
+        # A data row that starts with nan or inf is a data row, not a header.
+        path, out = quick_cfg
+        assert main(["stationary", str(path)]) == 0
+        field = out / "stationary_field.csv"
+        lines = field.read_text().splitlines()
+        row = lines.index("r,u") + 3
+        lines[row] = f"{token},{lines[row].split(',')[1]}"
+        field.write_text("\n".join(lines) + "\n")
+        assert main(["evolve", str(path), "--u0-file", str(field)]) == 2
+        assert "field file has a non-finite entry" in capsys.readouterr().err
+
     def test_infinite_step_count_exit_2(self, quick_cfg, capsys):
         path, _ = quick_cfg
         rc = main(["evolve", str(path), "--set", "solver.t_end=1e300",
@@ -527,3 +540,23 @@ def test_commands_do_not_load_scipy(quick_cfg, repo_root):
                             env=env, timeout=600)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_module_entry_point_runs_the_cli(repo_root, tmp_path):
+    # `python -m coreshell.cli` must run a command, not import the module and exit 0.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo_root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    config = str(repo_root / "configs" / "radial_desk.cfg")
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "coreshell.cli", "stationary", config,
+                               "--output-dir", str(tmp_path), *args],
+                              capture_output=True, text=True, env=env, timeout=600)
+
+    result = run()
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "stationary_report.txt").exists()
+    result = run("--set", "geometry.dimension=400")
+    assert result.returncode == 2
+    assert "invalid input" in result.stderr

@@ -23,7 +23,7 @@ from coreshell import (
     residual,
     zero_field,
 )
-from coreshell.fem import dual_norm, element_matrices, h_norm, v_norm
+from coreshell.fem import dot_fields, dual_norm, element_matrices, h_norm, v_norm
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +234,67 @@ class TestSparseOperators:
             i, j = rng.integers(0, op.shape[0], (2, 300))
             assert np.array_equal(op[i, j], dense[i, j])
             assert op[i[0], j[0]] == dense[i[0], j[0]]
+
+
+@pytest.fixture(scope="module")
+def planar_fine_system(desk_params):
+    """Planar h=0.025: 10081 nodes, and a 253-entry hub row at the center."""
+    spec = GeometrySpec(kind="planar2d", dimension=2, r1=0.5, r2=1.0, h=0.025)
+    return assemble(build_annulus_mesh(spec), desk_params)
+
+
+@pytest.fixture(scope="module")
+def radial_chain_system(desk_params):
+    """Radial h=2^-11: a 2049-node chain."""
+    spec = GeometrySpec(kind="radial", dimension=3, r1=0.5, r2=1.0, h=2.0**-11)
+    return assemble(build_radial_mesh(spec), desk_params)
+
+
+STACK_SYSTEMS = DESK_SYSTEMS + ["planar_fine_system", "radial_chain_system"]
+
+
+class TestFieldStacks:
+    """A stack of fields, shape (..., n), gives field by field the single-field
+    results bit for bit; `verify` evaluates its samples in such blocks and
+    its reports depend on it."""
+
+    @staticmethod
+    def stack(system):
+        fields = np.random.default_rng(5).uniform(-2.0, 2.0, (3, 2, system.n_nodes))
+        fields[..., system.mask] = 0.0
+        return fields
+
+    @pytest.mark.parametrize("name", STACK_SYSTEMS)
+    def test_operator_products(self, request, name):
+        system = request.getfixturevalue(name)
+        if name == "planar_fine_system":
+            assert [cols.shape[0] for _, _, cols in system.K.pattern.long] == [253]
+        fields = self.stack(system)
+        for op in (system.K, system.M, system.Kt, system.M + system.K,
+                   system.eliminate(system.K)):
+            products = op @ fields
+            assert products.shape == fields.shape
+            for j in np.ndindex(fields.shape[:-1]):
+                assert np.array_equal(products[j], op @ fields[j])
+            # a strided stack: the second field of each pair
+            assert np.array_equal(op @ fields[:, 1], products[:, 1])
+
+    @pytest.mark.parametrize("name", STACK_SYSTEMS)
+    def test_field_functions(self, request, desk_params, name):
+        system = request.getfixturevalue(name)
+        fields = self.stack(system)
+        for fn in (reaction_vector, residual, energy_gradient):
+            stacked = fn(system, fields, desk_params)
+            for j in np.ndindex(fields.shape[:-1]):
+                assert np.array_equal(stacked[j], fn(system, fields[j], desk_params))
+        energies = energy(system, fields, desk_params)
+        assert energies.shape == fields.shape[:-1]
+        dots = dot_fields(fields, fields[::-1])
+        weighted = dot_fields(system.M1, fields)
+        for j in np.ndindex(fields.shape[:-1]):
+            assert energies[j] == energy(system, fields[j], desk_params)
+            assert dots[j] == fields[j] @ fields[::-1][j]
+            assert weighted[j] == system.M1 @ fields[j]
 
 
 class TestReactionVector:

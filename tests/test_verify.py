@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from coreshell import verify
+from coreshell import fem, verify
 from coreshell.config import load_config
 from coreshell.fem import (
     SparseOperator,
@@ -12,7 +12,7 @@ from coreshell.fem import (
     field_from_values,
     reaction_vector,
 )
-from coreshell.verify import run_verification, solve_resolvent
+from coreshell.verify import BLOCK_VALUES, run_verification, sample_blocks, solve_resolvent
 
 
 def _result(results, name):
@@ -77,3 +77,70 @@ def test_resolvent_solution_meets_residual_bound(radial_desk_system, desk_params
                - system.M @ g)
         res[system.mask] = 0.0
         assert dual_norm(system, res) <= 1e-8
+
+
+@pytest.mark.parametrize("system_name", ["radial_desk_system", "annulus_desk_system"])
+def test_sample_blocks_draw_the_per_sample_stream(request, system_name):
+    system = request.getfixturevalue(system_name)
+    bounds = [(-1.0, 2.0), (-1.0, 1.0)]
+    per_block = BLOCK_VALUES // (len(bounds) * system.n_nodes)
+    count = 2 * per_block + 3
+
+    reference = np.random.default_rng(17)
+    expected = [[field_from_values(system.mesh, reference.uniform(low, high, system.n_nodes))
+                 for low, high in bounds] for _ in range(count)]
+    rng = np.random.default_rng(17)
+    blocks = [block for block, _ in sample_blocks(rng, system, count, *bounds)]
+    assert [len(block) for block in blocks] == [per_block, per_block, 3]
+    assert np.array_equal(np.concatenate(blocks), np.array(expected))
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+    # stopping at sample 5 of the second block leaves the generator where a
+    # per-sample loop that stopped there would
+    rng = np.random.default_rng(17)
+    blocks = sample_blocks(rng, system, count, *bounds)
+    next(blocks)
+    _, stop = next(blocks)
+    stop(5)
+    reference = np.random.default_rng(17)
+    reference.uniform(size=(per_block + 6) * len(bounds) * system.n_nodes)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+# Details of runs whose first violation lies inside a sample block, as the
+# per-sample loop of earlier versions reported them. The properties after the
+# violation draw from where that loop stopped.
+MID_BLOCK_VIOLATIONS = {
+    # operator-monotonicity fails at its 18th pair, inside the first block
+    "radial": ("radial_desk.cfg", ["verify.pairing_slack=3e5"], True, 0.0, {
+        "operator-monotonicity":
+            "pairing -171076.24340291641 below floor -169356.13423555065",
+        "operator-coercivity": "coercivity gap -149078.10240647229",
+        "gradient-strong-monotonicity":
+            "gamma_disc=0.90800086800799495 violated by 121249.32048212325",
+        "gradient-finite-difference": "max rel err=3.6174568365353616e-10",
+    }),
+    # a reaction term of slope 1e4 makes operator-monotonicity fail at its
+    # 58th pair, inside the third block
+    "planar": ("annulus_desk.cfg", [], False, 1e4, {
+        "operator-monotonicity":
+            "pairing -1213.3233895967585 below floor -3.6009592463634616e-12",
+        "operator-coercivity": "coercivity gap -9813.4292383145912",
+        "gradient-strong-monotonicity":
+            "gamma_disc=0.85299744052448145 violated by 5888.7757731264956",
+        "gradient-finite-difference": "rel err=0.31994596411975285",
+        "weak-operator-hemicontinuity":
+            "pairing jump 32.314232169700148 exceeds Lipschitz bound 7.498113399334386",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", MID_BLOCK_VIOLATIONS)
+def test_violation_inside_a_block_rewinds_the_generator(repo_root, monkeypatch, case):
+    config_name, overrides, corrupt_b, slope, details = MID_BLOCK_VIOLATIONS[case]
+    if slope:
+        rate = fem.consumption_rate
+        monkeypatch.setattr(fem, "consumption_rate", lambda u, p: rate(u, p) + slope * u)
+    config = load_config(repo_root / "configs" / config_name, overrides)
+    results = run_verification(config, corrupt_b=corrupt_b)
+    assert {name: _result(results, name).detail for name in details} == details

@@ -15,7 +15,7 @@ import numpy as np
 from .fem import AssembledSystem
 from .mesh import CoreShellMesh, GeometrySpec
 from .model import ModelParams, consumption_rate
-from .solvers import EvolutionTrace, _constant_part, solve_spd
+from .solvers import LINEAR_TOL, EvolutionTrace, _constant_part, solve_spd
 
 
 class AnalysisError(RuntimeError):
@@ -132,7 +132,7 @@ def smallest_generalized_eigenvalue(system: AssembledSystem, rel_tol: float = 1e
     x /= math.sqrt(float(x @ (m @ x)))
     lam = float(x @ (kt @ x))
     for _ in range(max_iter):
-        y = solve_spd(kt, m @ x, 1e-12, precondition=precondition)
+        y = solve_spd(kt, m @ x, LINEAR_TOL, precondition=precondition)
         y /= math.sqrt(float(y @ (m @ y)))
         lam_new = float(y @ (kt @ y)) / float(y @ (m @ y))
         x = y

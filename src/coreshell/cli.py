@@ -63,8 +63,7 @@ def cmd_mesh(config: RunConfig) -> int:
     mesh.validate()
     n_core = int(np.sum(mesh.region == CORE))
     n_shell = mesh.n_elements - n_core
-    if config.output.write_vtk:
-        write_vtk(out_dir / "mesh.vtk", mesh, title=_vtk_title(config))
+    write_vtk(out_dir / "mesh.vtk", mesh, title=_vtk_title(config))
     body = [
         "mesh summary",
         f"  kind            = {mesh.kind}",
@@ -93,12 +92,9 @@ def cmd_stationary(config: RunConfig, init: str = "zero") -> int:
     result = stationary_solve(system, config.model, config.solver,
                               _initial_field(init, mesh, config))
     jump = interface_flux_jump(system, mesh, result.field, config.model)
-    if config.output.write_csv:
-        write_field_csv(out_dir / "stationary_field.csv", mesh, result.field,
-                        config.echo_lines())
-    if config.output.write_vtk:
-        write_vtk(out_dir / "stationary_field.vtk", mesh,
-                  point_data={"u": result.field}, title=_vtk_title(config))
+    write_field_csv(out_dir / "stationary_field.csv", mesh, result.field, config.echo_lines())
+    write_vtk(out_dir / "stationary_field.vtk", mesh, point_data={"u": result.field},
+              title=_vtk_title(config))
     body = [
         "stationary solve report",
         f"  initial field    = {init}",
@@ -128,8 +124,7 @@ def cmd_evolve(config: RunConfig, u0_file: str | None = None) -> int:
         u0 = zero_field(mesh)
 
     trace = evolve(system, config.model, config.solver, u0)
-    if config.output.write_csv:
-        write_trace_csv(out_dir / "trace.csv", trace, config.echo_lines())
+    write_trace_csv(out_dir / "trace.csv", trace, config.echo_lines())
     if not trace.meta["completed"]:
         print(f"evolution failed at step {trace.meta['failed_at_step']} "
               f"({trace.meta['failure']}); last good time {fmt(trace.times[-1])}",

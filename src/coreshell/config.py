@@ -8,6 +8,10 @@ The schema is the dataclasses: each section is a dataclass field of
 `RunConfig`, and its keys are that dataclass's fields. A field's type picks
 the parser, its default is the key's default, and a field without a default
 is required. Unknown sections and keys are rejected.
+
+What has one value in every run is no key but a constant of the module
+that uses it (`solvers.LINEAR_TOL`, the sample counts and tolerances of
+`verify`), so no setting can make a property check vacuous.
 """
 
 import configparser
@@ -28,35 +32,13 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class OutputConfig:
     directory: Path = Path("out")
-    write_vtk: bool = True
-    write_csv: bool = True
 
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Sample counts and tolerances of the randomized property suite."""
+    """Seed of the randomized property suite; its sample counts are fixed in `verify`."""
 
     seed: int = 20260808
-    rate_samples: int = 200000
-    monotonicity_pairs: int = 500
-    strong_monotonicity_pairs: int = 100
-    coercivity_samples: int = 200
-    gradient_checks: int = 50
-    resolvent_solves: int = 5
-    hemicontinuity_samples: int = 20
-    pairing_slack: float = 1e-12
-    gradient_rtol: float = 1e-6
-
-    def __post_init__(self):
-        for f in fields(self):
-            # the rate checks compare neighbouring samples, so they need two
-            least = 2 if f.name == "rate_samples" else 1
-            if f.type is int and f.name != "seed" and getattr(self, f.name) < least:
-                raise ValueError(f"{f.name} must be >= {least}, got {getattr(self, f.name)}")
-        if not self.gradient_rtol > 0.0:
-            raise ValueError(f"gradient_rtol must be positive, got {self.gradient_rtol}")
-        if not self.pairing_slack >= 0.0:
-            raise ValueError(f"pairing_slack must be nonnegative, got {self.pairing_slack}")
 
 
 @dataclass
@@ -108,8 +90,7 @@ def _to_bool(raw: str) -> bool:
 
 
 # Field type -> parser of the raw string.
-_CONVERTERS = {float: float, float | None: float, int: int, str: str, bool: _to_bool,
-               Path: Path}
+_CONVERTERS = {float: float, float | None: float, int: int, str: str, Path: Path}
 
 
 def _get(parser, section, key, convert):

@@ -338,7 +338,7 @@ def build_mesh(spec: GeometrySpec) -> CoreShellMesh:
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return builder(spec)
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:
         raise GeometryError(f"geometry r1={spec.r1:g}, r2={spec.r2:g}, h={spec.h:g} is out "
                             f"of floating-point range ({exc})") from None
 

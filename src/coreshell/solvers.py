@@ -28,6 +28,7 @@ from .fem import (
     SparseOperator,
     dual_norm,
     energy,
+    energy_gradient,
     h_norm,
     reaction_jacobian_diagonal,
     reaction_vector,
@@ -58,26 +59,27 @@ class NonlinearSolveError(RuntimeError):
 # Largest number of implicit-Euler steps, round(t_end / dt), that `evolve` accepts.
 MAX_STEPS = 10**6
 
+# Relative residual at which every conjugate-gradient solve stops.
+LINEAR_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and time-stepping controls.
+    """Newton controls and time stepping.
 
-    dt and t_end are only required for evolution runs and are validated
-    there, with at most MAX_STEPS steps; all tolerances must be positive.
+    newton_tol must be positive. dt and t_end are only required for
+    evolution runs and are validated there, with at most MAX_STEPS steps.
+    Each Newton system is solved to LINEAR_TOL.
     """
 
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
     dt: float | None = None
     t_end: float | None = None
-    linear_tol: float = 1e-12
 
     def __post_init__(self):
         if not self.newton_tol > 0.0:
             raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
-        if not self.linear_tol > 0.0:
-            raise ValueError(f"linear_tol must be positive, got {self.linear_tol}")
         if self.newton_max_iter < 1:
             raise ValueError(f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
 
@@ -332,10 +334,10 @@ def _newton_minimize(
     u[mask] = 0.0
 
     def gradient(vals: np.ndarray) -> np.ndarray:
-        g = system.K @ vals - reaction_vector(system, vals, params)
+        g = energy_gradient(system, vals, params)
         if prox_center is not None:
             g = g + (system.M @ (vals - prox_center)) / dt
-        g[mask] = 0.0
+            g[mask] = 0.0
         return g
 
     g = gradient(u)
@@ -351,7 +353,7 @@ def _newton_minimize(
         if res <= cfg.newton_tol * scale:
             return u, iteration - 1, history, True
         hessian = base.plus_diagonal(reaction_jacobian_diagonal(system, u, params))
-        direction = solve_spd(hessian, -g, cfg.linear_tol, precondition=precondition)
+        direction = solve_spd(hessian, -g, LINEAR_TOL, precondition=precondition)
 
         slope = float(g @ direction)
         if slope >= 0.0:

@@ -49,7 +49,21 @@ class PropertyResult:
 
 
 # Fixed here, not read from [solver], so the report does not depend on it.
-_RESOLVENT_SOLVER = SolverConfig(newton_tol=1e-8, newton_max_iter=60, linear_tol=1e-12)
+_RESOLVENT_SOLVER = SolverConfig(newton_tol=1e-8, newton_max_iter=60)
+
+# Sample counts and tolerances, fixed here for the same reason: the verdict
+# is a property of the operator, and no setting can make a check vacuous.
+RATE_SAMPLES = 200000
+MONOTONICITY_PAIRS = 500
+STRONG_MONOTONICITY_PAIRS = 100
+COERCIVITY_SAMPLES = 200
+GRADIENT_CHECKS = 50
+RESOLVENT_SOLVES = 5
+HEMICONTINUITY_SAMPLES = 20
+# operator-monotonicity accepts a pairing down to -PAIRING_SLACK * ||u - v||_M^2
+PAIRING_SLACK = 1e-12
+# largest relative error of the gradient against its central difference
+GRADIENT_RTOL = 1e-6
 
 
 def solve_resolvent(system, params, g, constant=None):
@@ -117,7 +131,6 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
     system = assemble(mesh, params, reaction=config.reaction, b_override=b_override)
     mk = system.M + system.K
     rng = np.random.default_rng(config.verify.seed)
-    v = config.verify
     results = []
 
     def run(name, fn):
@@ -130,8 +143,7 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
 
     def rate_samples():
         width = 10.0 * params.c1
-        z = np.sort(rng.uniform(-width, width, v.rate_samples))
-        return z
+        return np.sort(rng.uniform(-width, width, RATE_SAMPLES))
 
     def check_rate_range(name):
         z = rate_samples()
@@ -228,12 +240,12 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
     def check_monotonicity(name):
         worst = np.inf
         amp = 2.0 * params.c0
-        for pairs, stop in sample_blocks(rng, system, v.monotonicity_pairs,
+        for pairs, stop in sample_blocks(rng, system, MONOTONICITY_PAIRS,
                                          (-amp, amp), (-amp, amp)):
             d = pairs[:, 0] - pairs[:, 1]
             g = residual(system, pairs, params)
             lhs = dot_fields(g[:, 0] - g[:, 1], d)
-            floor = -v.pairing_slack * dot_fields(d, system.M @ d)
+            floor = -PAIRING_SLACK * dot_fields(d, system.M @ d)
             j = _first(lhs < floor)
             if j is not None:
                 stop(j)
@@ -248,7 +260,7 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         c_coef = min(1.0, params.b_min)
         worst = np.inf
         amp = 3.0 * params.c0
-        for block, stop in sample_blocks(rng, system, v.coercivity_samples, (-amp, amp)):
+        for block, stop in sample_blocks(rng, system, COERCIVITY_SAMPLES, (-amp, amp)):
             u = block[:, 0]
             mass = dot_fields(u, system.M @ u)
             lhs = (mass + dot_fields(u, system.K @ u)
@@ -268,7 +280,7 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         gamma = estimate_gamma(system, params)
         worst = np.inf
         amp = 2.0 * params.c0
-        for pairs, stop in sample_blocks(rng, system, v.strong_monotonicity_pairs,
+        for pairs, stop in sample_blocks(rng, system, STRONG_MONOTONICITY_PAIRS,
                                          (-amp, amp), (-amp, amp)):
             d = pairs[:, 0] - pairs[:, 1]
             g = energy_gradient(system, pairs, params)
@@ -289,10 +301,10 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
     def check_gradient_fd(name):
         # The step stays inside the 1e-3 guard around the kink at c0 below;
         # a much smaller one lets the rounding of E, about eps_mach * |E| / eps,
-        # exceed gradient_rtol.
+        # exceed GRADIENT_RTOL.
         eps = 1e-4
         worst = 0.0
-        for block, stop in sample_blocks(rng, system, v.gradient_checks,
+        for block, stop in sample_blocks(rng, system, GRADIENT_CHECKS,
                                          (-params.c0, 2.0 * params.c0), (-1.0, 1.0)):
             u, hdir = block[:, 0], block[:, 1]
             # keep nodal values away from the potential's kink at c0
@@ -302,7 +314,7 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
             fd = (e_plus - e_minus) / (2.0 * eps)
             gh = dot_fields(energy_gradient(system, u, params), hdir)
             rel = np.abs(fd - gh) / np.maximum(np.maximum(np.abs(fd), np.abs(gh)), 1e-300)
-            j = _first(rel > v.gradient_rtol)
+            j = _first(rel > GRADIENT_RTOL)
             if j is not None:
                 stop(j)
                 return PropertyResult(name, False, f"rel err={fmt(rel[j])}",
@@ -322,7 +334,7 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         # mass + stiffness - reaction = mass * g is solvable for any g.
         constant = _constant_part(system, mk)
         worst = 0.0
-        for _ in range(v.resolvent_solves):
+        for _ in range(RESOLVENT_SOLVES):
             g = _random_field(rng, system, 2.0 * params.c0)
             u, converged = solve_resolvent(system, params, g, constant)
             res = mk @ u - reaction_vector(system, u, params) - system.M @ g
@@ -342,7 +354,7 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         # every pair of points along the segment, in (i, j > i) order
         pair_i, pair_j = np.triu_indices(len(ts), 1)
         amp = 2.0 * params.c0
-        for block, stop in sample_blocks(rng, system, v.hemicontinuity_samples,
+        for block, stop in sample_blocks(rng, system, HEMICONTINUITY_SAMPLES,
                                          (-amp, amp), (-1.0, 1.0), (-1.0, 1.0)):
             u, w_dir, test = block[:, 0], block[:, 1], block[:, 2]
             mk_test = mk @ test

@@ -36,13 +36,6 @@ directory = {out}
 
 [verify]
 seed = 99
-rate_samples = 20000
-monotonicity_pairs = 50
-strong_monotonicity_pairs = 20
-coercivity_samples = 30
-gradient_checks = 10
-resolvent_solves = 2
-hemicontinuity_samples = 5
 """
 
 
@@ -68,28 +61,16 @@ newton_tol = 1e-10
 newton_max_iter = 50
 dt = 0.10000000000000001
 t_end = 10
-linear_tol = 9.9999999999999998e-13
 [output]
 directory = out/x
-write_vtk = true
-write_csv = true
 [verify]
 seed = 7
-rate_samples = 200000
-monotonicity_pairs = 500
-strong_monotonicity_pairs = 100
-coercivity_samples = 200
-gradient_checks = 50
-resolvent_solves = 5
-hemicontinuity_samples = 20
-pairing_slack = 9.9999999999999998e-13
-gradient_rtol = 9.9999999999999995e-07
 """
 
 ECHO_ANNULUS_DESK = """
 config: configs/annulus_desk.cfg
 override: model.reaction=false
-override: verify.pairing_slack=1e-9
+override: solver.newton_tol=1e-9
 [model]
 b1 = 1
 b2 = 5
@@ -103,26 +84,14 @@ r1 = 0.5
 r2 = 1
 h = 0.10000000000000001
 [solver]
-newton_tol = 1e-10
+newton_tol = 1.0000000000000001e-09
 newton_max_iter = 50
 dt = 0.050000000000000003
 t_end = 2
-linear_tol = 9.9999999999999998e-13
 [output]
 directory = out/annulus_desk
-write_vtk = true
-write_csv = true
 [verify]
 seed = 20260808
-rate_samples = 200000
-monotonicity_pairs = 500
-strong_monotonicity_pairs = 100
-coercivity_samples = 200
-gradient_checks = 50
-resolvent_solves = 5
-hemicontinuity_samples = 20
-pairing_slack = 1.0000000000000001e-09
-gradient_rtol = 9.9999999999999995e-07
 """
 
 
@@ -175,6 +144,10 @@ class TestConfig:
         ("solver.newton_tl=1e-3", "[solver] newton_tl"),
         ("solvr.dt=7", "[solvr]"),
         ("model.b3=1", "[model] b3"),
+        # counts, tolerances and toggles with one value in every run are no keys
+        ("verify.pairing_slack=1e9", "[verify] pairing_slack"),
+        ("output.write_vtk=false", "[output] write_vtk"),
+        ("solver.linear_tol=1e-6", "[solver] linear_tol"),
     ])
     def test_unknown_key_or_section_exit_2(self, quick_cfg, capsys, override, named):
         # A misspelt key must not be echoed as `override:` into every
@@ -194,12 +167,14 @@ class TestConfig:
     ])
     def test_vacuous_verify_settings_exit_2(self, quick_cfg, capsys, override):
         # No sample, or a tolerance nothing can meet, would pass or fail a
-        # property without checking it.
+        # property without checking it. The counts and tolerances are
+        # constants of `verify`, so none of these settings is a key.
         path, _ = quick_cfg
-        with pytest.raises(ConfigError, match=override.split(".")[1].split("=")[0]):
+        key = override.split("=")[0].split(".")[1]
+        with pytest.raises(ConfigError, match=rf"unknown key \[verify\] {key}$"):
             load_config(path, [override])
         assert main(["verify", str(path), "--set", override]) == 2
-        assert "invalid input" in capsys.readouterr().err
+        assert f"invalid input: unknown key [verify] {key}" in capsys.readouterr().err
 
     def test_unknown_key_in_file_rejected(self, tmp_path):
         path = tmp_path / "typo.cfg"
@@ -211,7 +186,7 @@ class TestConfig:
         (["verify", "configs/radial_desk.cfg", "--seed", "7", "--set", "solver.dt=0.1",
           "--output-dir", "out/x"], ECHO_RADIAL_DESK),
         (["mesh", "configs/annulus_desk.cfg", "--set", "model.reaction=false",
-          "--set", "verify.pairing_slack=1e-9"], ECHO_ANNULUS_DESK),
+          "--set", "solver.newton_tol=1e-9"], ECHO_ANNULUS_DESK),
     ])
     def test_echo_of_shipped_configs_is_pinned(self, argv, expected, repo_root,
                                                monkeypatch):
@@ -286,10 +261,12 @@ class TestCmdStationary:
     @pytest.mark.parametrize("overrides", [
         ["geometry.r1=1e-200"],
         ["geometry.r2=1e200", "geometry.h=1e199"],
+        ["geometry.h=5e-324"],
     ])
     def test_overflowing_radial_geometry_exit_2(self, repo_root, tmp_path, capsys, overrides):
         # Local stiffness or mass entries overflow; that is invalid input, not
-        # a solver failure, and no numpy RuntimeWarning escapes.
+        # a solver failure, and no numpy RuntimeWarning escapes. With h=5e-324
+        # the cell count r1 / h is already infinite in the mesh builder.
         argv = ["stationary", str(repo_root / "configs" / "radial_desk.cfg"),
                 "--output-dir", str(tmp_path)]
         for override in overrides:
@@ -297,16 +274,19 @@ class TestCmdStationary:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(argv) == 2
-        assert "non-finite local matrices" in capsys.readouterr().err
+        expected = ("out of floating-point range" if overrides == ["geometry.h=5e-324"]
+                    else "non-finite local matrices")
+        assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides", [
         ["geometry.r1=1e-200"],
         ["geometry.r2=1e200", "geometry.h=1e199"],
+        ["geometry.h=5e-324"],
     ])
     def test_out_of_range_planar_geometry_exit_2(self, repo_root, tmp_path, capsys, overrides):
-        # Interface facet lengths underflow to zero, or squared coordinates
-        # overflow, while the mesh is built: invalid input, and no numpy
-        # RuntimeWarning escapes.
+        # Interface facet lengths underflow to zero, squared coordinates
+        # overflow, or the ring and sector counts are infinite, while the mesh
+        # is built: invalid input, and no numpy RuntimeWarning escapes.
         argv = ["stationary", str(repo_root / "configs" / "annulus_desk.cfg"),
                 "--output-dir", str(tmp_path)]
         for override in overrides:

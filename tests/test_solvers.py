@@ -28,7 +28,7 @@ from coreshell import (
 from coreshell.config import load_config
 from coreshell.fem import h_norm, dual_norm, reaction_jacobian_diagonal
 from coreshell.model import consumption_rate, consumption_rate_slope
-from coreshell.solvers import MAX_STEPS, _constant_part, sector_inverse
+from coreshell.solvers import LINEAR_TOL, MAX_STEPS, _constant_part, sector_inverse
 
 
 @pytest.fixture(scope="module")
@@ -445,11 +445,11 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.newton_tol == 1e-10
         assert cfg.newton_max_iter == 50
-        assert cfg.linear_tol == 1e-12
+        assert LINEAR_TOL == 1e-12
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(newton_tol=0.0), dict(newton_max_iter=0), dict(linear_tol=-1.0)],
+        [dict(newton_tol=0.0), dict(newton_max_iter=0), dict(newton_tol=float("nan"))],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ def _result(results, name):
 
 def test_gradient_fd_step_above_rounding(repo_root):
     # With a 1e-6 difference step the rounding of E alone exceeded
-    # gradient_rtol at this seed (rel err 9.7e-6), a false failure.
+    # GRADIENT_RTOL at this seed (rel err 9.7e-6), a false failure.
     config = load_config(repo_root / "configs" / "annulus_desk.cfg",
                          ["verify.seed=1376710555"])
     results = run_verification(config)
@@ -29,12 +29,12 @@ def test_gradient_fd_step_above_rounding(repo_root):
     assert len(results) == 17
 
 
-def test_pairing_slack_sets_monotonicity_floor(repo_root):
+def test_pairing_slack_sets_monotonicity_floor(repo_root, monkeypatch):
+    config = load_config(repo_root / "configs" / "radial_desk.cfg")
+    monkeypatch.setattr(verify, "MONOTONICITY_PAIRS", 50)
     verdicts = []
-    for slack in ("1e-12", "1e9"):
-        config = load_config(repo_root / "configs" / "radial_desk.cfg",
-                             [f"verify.pairing_slack={slack}",
-                              "verify.monotonicity_pairs=50"])
+    for slack in (verify.PAIRING_SLACK, 1e9):
+        monkeypatch.setattr(verify, "PAIRING_SLACK", slack)
         results = run_verification(config, corrupt_b=True)
         verdicts.append(_result(results, "operator-monotonicity").passed)
     assert verdicts == [False, True]
@@ -112,7 +112,7 @@ def test_sample_blocks_draw_the_per_sample_stream(request, system_name):
 # violation draw from where that loop stopped.
 MID_BLOCK_VIOLATIONS = {
     # operator-monotonicity fails at its 18th pair, inside the first block
-    "radial": ("radial_desk.cfg", ["verify.pairing_slack=3e5"], True, 0.0, {
+    "radial": ("radial_desk.cfg", 3e5, True, 0.0, {
         "operator-monotonicity":
             "pairing -171076.24340291641 below floor -169356.13423555065",
         "operator-coercivity": "coercivity gap -149078.10240647229",
@@ -122,7 +122,7 @@ MID_BLOCK_VIOLATIONS = {
     }),
     # a reaction term of slope 1e4 makes operator-monotonicity fail at its
     # 58th pair, inside the third block
-    "planar": ("annulus_desk.cfg", [], False, 1e4, {
+    "planar": ("annulus_desk.cfg", verify.PAIRING_SLACK, False, 1e4, {
         "operator-monotonicity":
             "pairing -1213.3233895967585 below floor -3.6009592463634616e-12",
         "operator-coercivity": "coercivity gap -9813.4292383145912",
@@ -137,10 +137,11 @@ MID_BLOCK_VIOLATIONS = {
 
 @pytest.mark.parametrize("case", MID_BLOCK_VIOLATIONS)
 def test_violation_inside_a_block_rewinds_the_generator(repo_root, monkeypatch, case):
-    config_name, overrides, corrupt_b, slope, details = MID_BLOCK_VIOLATIONS[case]
+    config_name, slack, corrupt_b, slope, details = MID_BLOCK_VIOLATIONS[case]
+    monkeypatch.setattr(verify, "PAIRING_SLACK", slack)
     if slope:
         rate = fem.consumption_rate
         monkeypatch.setattr(fem, "consumption_rate", lambda u, p: rate(u, p) + slope * u)
-    config = load_config(repo_root / "configs" / config_name, overrides)
+    config = load_config(repo_root / "configs" / config_name)
     results = run_verification(config, corrupt_b=corrupt_b)
     assert {name: _result(results, name).detail for name in details} == details

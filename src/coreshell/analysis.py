@@ -119,8 +119,13 @@ def fit_decay_rate(trace: EvolutionTrace, *, gamma_disc: float = math.nan,
 # ----------------------------------------------------------------------------
 
 
-def smallest_generalized_eigenvalue(system: AssembledSystem, rel_tol: float = 1e-8,
-                                    max_iter: int = 500) -> float:
+# Inverse power iteration stops once the eigenvalue estimate changes by at
+# most EIGEN_RTOL relative, and fails after EIGEN_MAX_ITER iterations.
+EIGEN_RTOL = 1e-8
+EIGEN_MAX_ITER = 500
+
+
+def smallest_generalized_eigenvalue(system: AssembledSystem) -> float:
     """Smallest eigenvalue of the pencil (unit stiffness, mass) on free nodes.
 
     Inverse power iteration from the all-ones vector on the free nodes; each
@@ -131,15 +136,15 @@ def smallest_generalized_eigenvalue(system: AssembledSystem, rel_tol: float = 1e
     x = (~system.mask).astype(float)
     x /= math.sqrt(float(x @ (m @ x)))
     lam = float(x @ (kt @ x))
-    for _ in range(max_iter):
+    for _ in range(EIGEN_MAX_ITER):
         y = solve_spd(kt, m @ x, LINEAR_TOL, precondition=precondition)
         y /= math.sqrt(float(y @ (m @ y)))
         lam_new = float(y @ (kt @ y)) / float(y @ (m @ y))
         x = y
-        if abs(lam_new - lam) <= rel_tol * abs(lam_new):
+        if abs(lam_new - lam) <= EIGEN_RTOL * abs(lam_new):
             return lam_new
         lam = lam_new
-    raise AnalysisError(f"inverse power iteration did not converge in {max_iter} iterations")
+    raise AnalysisError(f"inverse power iteration did not converge in {EIGEN_MAX_ITER} iterations")
 
 
 def estimate_gamma(system: AssembledSystem, params: ModelParams) -> float:

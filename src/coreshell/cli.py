@@ -22,8 +22,7 @@ from .analysis import (
 )
 from .config import ConfigError, RunConfig, load_config
 from .fem import assemble, field_from_values, ramp_field, zero_field
-from .mesh import CORE, GeometryError, build_mesh
-from .model import ParameterError
+from .mesh import CORE, build_mesh
 from .reporting import (
     fmt,
     read_field_csv,
@@ -34,7 +33,7 @@ from .reporting import (
     write_text_report,
     write_trace_csv,
 )
-from .solvers import LinearSolveError, NonlinearSolveError, evolve, stationary_solve
+from .solvers import NEWTON_TOL, LinearSolveError, NonlinearSolveError, evolve, stationary_solve
 from .verify import report_lines, run_verification
 from .vtkio import write_vtk
 
@@ -46,7 +45,7 @@ EXIT_SOLVER_FAILURE = 3
 
 def _prepare(config: RunConfig):
     mesh = build_mesh(config.geometry)
-    system = assemble(mesh, config.model, reaction=config.reaction)
+    system = assemble(mesh, config.model)
     out_dir = Path(config.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     return mesh, system, out_dir
@@ -89,8 +88,7 @@ def _initial_field(which: str, mesh, config: RunConfig):
 
 def cmd_stationary(config: RunConfig, init: str = "zero") -> int:
     mesh, system, out_dir = _prepare(config)
-    result = stationary_solve(system, config.model, config.solver,
-                              _initial_field(init, mesh, config))
+    result = stationary_solve(system, config.model, _initial_field(init, mesh, config))
     jump = interface_flux_jump(system, mesh, result.field, config.model)
     write_field_csv(out_dir / "stationary_field.csv", mesh, result.field, config.echo_lines())
     write_vtk(out_dir / "stationary_field.vtk", mesh, point_data={"u": result.field},
@@ -125,9 +123,9 @@ def cmd_evolve(config: RunConfig, u0_file: str | None = None) -> int:
 
     trace = evolve(system, config.model, config.solver, u0)
     write_trace_csv(out_dir / "trace.csv", trace, config.echo_lines())
-    if not trace.meta["completed"]:
-        print(f"evolution failed at step {trace.meta['failed_at_step']} "
-              f"({trace.meta['failure']}); last good time {fmt(trace.times[-1])}",
+    if trace.failure is not None:
+        print(f"evolution failed at step {len(trace)} "
+              f"({trace.failure}); last good time {fmt(trace.times[-1])}",
               file=sys.stderr)
         return EXIT_SOLVER_FAILURE
 
@@ -139,14 +137,14 @@ def cmd_evolve(config: RunConfig, u0_file: str | None = None) -> int:
     slack_energy = 1e-12 * max(1.0, abs(trace.energies[0]))
     energy_ok = bool(np.all(np.diff(trace.energies) <= slack_energy))
     # Per-step inexactness of the proximal solve in the M-norm.
-    slack_h = (2.0 * config.solver.dt * config.solver.newton_tol
+    slack_h = (2.0 * config.solver.dt * NEWTON_TOL
                + 1e-12 * max(1.0, trace.err_H[0]))
     contraction_ok = bool(np.all(np.diff(trace.err_H) <= slack_h))
 
     body = [
         "evolution report",
         f"  steps            = {len(trace) - 1}",
-        f"  completed        = {trace.meta['completed']}",
+        f"  completed        = {trace.failure is None}",
         f"  final time       = {fmt(trace.times[-1])}",
         f"  final err_H      = {fmt(trace.err_H[-1])}",
         f"  energy monotone  = {energy_ok}",
@@ -242,7 +240,9 @@ def main(argv=None) -> int:
         if args.command == "evolve":
             return cmd_evolve(config, u0_file=args.u0_file)
         return cmd_verify(config, corrupt_b=args.corrupt_b)
-    except (ConfigError, GeometryError, ParameterError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
+        # ConfigError, GeometryError and ParameterError are ValueErrors; an
+        # OSError is a path that cannot be read or written.
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except (NonlinearSolveError, LinearSolveError, AnalysisError) as exc:

@@ -10,8 +10,9 @@ the parser, its default is the key's default, and a field without a default
 is required. Unknown sections and keys are rejected.
 
 What has one value in every run is no key but a constant of the module
-that uses it (`solvers.LINEAR_TOL`, the sample counts and tolerances of
-`verify`), so no setting can make a property check vacuous.
+that uses it (`solvers.LINEAR_TOL`, `NEWTON_TOL` and `NEWTON_MAX_ITER`, the
+sample counts and tolerances of `verify`), so no setting can make a
+property check vacuous.
 """
 
 import configparser
@@ -43,14 +44,13 @@ class VerifyConfig:
 
 @dataclass
 class RunConfig:
-    """The resolved run; `reaction` is read from [model] but is no model parameter."""
+    """The resolved run: one dataclass per section, and where it came from."""
 
     model: ModelParams
     geometry: GeometrySpec
     solver: SolverConfig
     output: OutputConfig
     verify: VerifyConfig
-    reaction: bool = True
     source: str = ""
     overrides: tuple = ()
 
@@ -62,8 +62,6 @@ class RunConfig:
             section = getattr(self, name)
             lines.append(f"[{name}]")
             lines += [f"{f.name} = {_echo(getattr(section, f.name))}" for f in fields(section)]
-            if name == "model":
-                lines.append(f"reaction = {_echo(self.reaction)}")
         return lines
 
 
@@ -74,19 +72,9 @@ _SECTIONS = {f.name: f.type for f in fields(RunConfig) if is_dataclass(f.type)}
 def _echo(value) -> str:
     if value is None:
         return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return fmt(value)
     return str(value)
-
-
-def _to_bool(raw: str) -> bool:
-    """1/yes/true/on or 0/no/false/off, as `ConfigParser.getboolean` reads them."""
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
-    except KeyError:
-        raise ValueError(raw) from None
 
 
 # Field type -> parser of the raw string.
@@ -147,14 +135,9 @@ def load_config(path, overrides=()) -> RunConfig:
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
         known = {f.name for f in fields(_SECTIONS[section])}
-        if section == "model":
-            known.add("reaction")
         for key in parser.options(section):
             if key not in known:
                 raise ConfigError(f"unknown key [{section}] {key}")
 
     sections = {name: _section(parser, name, cls) for name, cls in _SECTIONS.items()}
-    if parser.has_option("model", "reaction"):
-        sections["reaction"] = _get(parser, "model", "reaction", _to_bool)
-
     return RunConfig(**sections, source=str(path), overrides=tuple(overrides))

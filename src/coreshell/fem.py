@@ -280,14 +280,12 @@ def assemble(
     mesh: CoreShellMesh,
     params: ModelParams,
     *,
-    reaction: bool = True,
     b_override: tuple | None = None,
 ) -> AssembledSystem:
     """Assemble stiffness, mass, and core quadrature weights on a mesh.
 
     Radial meshes include the r^(N-1) volume weight in every integral, and
-    the mask is the mesh's `s_nodes`. `reaction=False` zeroes the
-    consumption weights (load-free mode); `b_override` bypasses parameter
+    the mask is the mesh's `s_nodes`. `b_override` bypasses parameter
     validation for harness sanity checks. Raises GeometryError naming the
     first unmasked node whose lumped mass is not positive (the radial
     weight underflows at high dimension).
@@ -313,17 +311,13 @@ def assemble(
         return SparseOperator(pattern, np.bincount(pattern.element_slots, weights=local.ravel(),
                                                    minlength=pattern.size))
 
-    m1 = np.bincount(mesh.elements[core].ravel(), weights=lumped_local[core].ravel(),
-                     minlength=n)
-    if not reaction:
-        m1 = np.zeros(mesh.n_nodes)
-
     return AssembledSystem(
         mesh=mesh,
         K=operator(k_local),
         Kt=operator(kt_local),
         M=operator(m_local),
-        M1=m1,
+        M1=np.bincount(mesh.elements[core].ravel(), weights=lumped_local[core].ravel(),
+                       minlength=n),
         lumped_mass=lumped,
         mask=mask,
         core_volume=float(volume[core].sum()),

@@ -19,6 +19,9 @@ SHELL = 1
 
 _TOL = 1e-12
 
+# Largest node count that `build_mesh` builds, checked before any array is allocated.
+MAX_NODES = 10**6
+
 
 class GeometryError(ValueError):
     """Geometry specification or mesh violates an invariant."""
@@ -194,11 +197,20 @@ def _radial_from_nodes(nodes: np.ndarray, spec_like) -> CoreShellMesh:
     )
 
 
+def _cell_counts(spec: GeometrySpec):
+    """Cells in the core and in the shell, with spacing <= h in each."""
+    return (max(1, math.ceil(spec.r1 / spec.h - _TOL)),
+            max(1, math.ceil((spec.r2 - spec.r1) / spec.h - _TOL)))
+
+
+def _sector_count(spec: GeometrySpec):
+    return max(8, math.ceil(2.0 * math.pi * spec.r2 / spec.h))
+
+
 def _radii(spec: GeometrySpec):
     """Partition of [0, r2] with spacing <= h per region: (radii, n_core),
     where radii[n_core] is r1 exactly."""
-    n_core = max(1, math.ceil(spec.r1 / spec.h - _TOL))
-    n_shell = max(1, math.ceil((spec.r2 - spec.r1) / spec.h - _TOL))
+    n_core, n_shell = _cell_counts(spec)
     radii = np.concatenate([
         np.linspace(0.0, spec.r1, n_core + 1),
         np.linspace(spec.r1, spec.r2, n_shell + 1)[1:],
@@ -305,7 +317,7 @@ def build_annulus_mesh(spec: GeometrySpec) -> CoreShellMesh:
     """
     if spec.kind != "planar2d":
         raise GeometryError(f"build_annulus_mesh requires kind='planar2d', got {spec.kind!r}")
-    n_sectors = max(8, math.ceil(2.0 * math.pi * spec.r2 / spec.h))
+    n_sectors = _sector_count(spec)
     radii, n_ring_core = _radii(spec)
     ring_radii = radii[1:]
     n_rings = ring_radii.shape[0]
@@ -333,10 +345,17 @@ def build_annulus_mesh(spec: GeometrySpec) -> CoreShellMesh:
 
 def build_mesh(spec: GeometrySpec) -> CoreShellMesh:
     """Mesh of a geometry. Raises GeometryError when extreme radii make the
-    mesh arithmetic overflow or divide by zero, instead of warning."""
+    mesh arithmetic overflow or divide by zero, instead of warning, and when
+    the mesh would have more than MAX_NODES nodes."""
     builder = build_radial_mesh if spec.kind == "radial" else build_annulus_mesh
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
+            # the center, then one ring of nodes (one node when radial) per cell
+            n_nodes = 1 + sum(_cell_counts(spec)) * (
+                1 if spec.kind == "radial" else _sector_count(spec))
+            if n_nodes > MAX_NODES:
+                raise GeometryError(f"geometry r1={spec.r1:g}, r2={spec.r2:g}, h={spec.h:g} "
+                                    f"needs {n_nodes} mesh nodes, above the limit {MAX_NODES}")
             return builder(spec)
     except (FloatingPointError, OverflowError) as exc:
         raise GeometryError(f"geometry r1={spec.r1:g}, r2={spec.r2:g}, h={spec.h:g} is out "

@@ -19,7 +19,7 @@ sequential mode is deterministic.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,13 +47,7 @@ class LinearSolveError(RuntimeError):
 
 
 class NonlinearSolveError(RuntimeError):
-    """Newton on the convex energy failed; carries the failing step if any."""
-
-    def __init__(self, message: str, step: int | None = None):
-        if step is not None:
-            message = f"step {step}: {message}"
-        super().__init__(message)
-        self.step = step
+    """Newton on the convex energy failed."""
 
 
 # Largest number of implicit-Euler steps, round(t_end / dt), that `evolve` accepts.
@@ -62,26 +56,24 @@ MAX_STEPS = 10**6
 # Relative residual at which every conjugate-gradient solve stops.
 LINEAR_TOL = 1e-12
 
+# Newton stops once the dual norm of the gradient is below NEWTON_TOL times
+# max(1, its initial value), or after NEWTON_MAX_ITER iterations.
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 50
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton controls and time stepping.
+    """Time stepping.
 
-    newton_tol must be positive. dt and t_end are only required for
-    evolution runs and are validated there, with at most MAX_STEPS steps.
-    Each Newton system is solved to LINEAR_TOL.
+    dt and t_end are only required for evolution runs and are validated
+    there, with at most MAX_STEPS steps. Newton's stopping rule is
+    NEWTON_TOL and NEWTON_MAX_ITER; each Newton system is solved to
+    LINEAR_TOL.
     """
 
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 50
     dt: float | None = None
     t_end: float | None = None
-
-    def __post_init__(self):
-        if not self.newton_tol > 0.0:
-            raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
-        if self.newton_max_iter < 1:
-            raise ValueError(f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
 
     def require_timestep(self):
         if self.dt is None or not self.dt > 0.0:
@@ -116,8 +108,9 @@ class EvolutionTrace:
     """Per-step record of an implicit-Euler trajectory.
 
     Columns: times, energies, distances to the stationary state in the H and
-    V norms, and inner Newton iteration counts. `meta` echoes the solver
-    configuration and completion status.
+    V norms, and inner Newton iteration counts. `failure` is None for a
+    completed trajectory; otherwise it names why step len(trace) failed,
+    and the columns end at the last good step.
     """
 
     times: np.ndarray
@@ -125,7 +118,7 @@ class EvolutionTrace:
     err_H: np.ndarray
     err_V: np.ndarray
     newton_iters: np.ndarray
-    meta: dict = field(default_factory=dict)
+    failure: str | None = None
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -136,7 +129,7 @@ class EvolutionTrace:
 # ----------------------------------------------------------------------------
 
 
-def solve_spd(matrix: SparseOperator, rhs: np.ndarray, tol: float, max_iter: int | None = None,
+def solve_spd(matrix: SparseOperator, rhs: np.ndarray, tol: float,
               precondition=None) -> np.ndarray:
     """Preconditioned conjugate gradients for SPD systems.
 
@@ -145,14 +138,13 @@ def solve_spd(matrix: SparseOperator, rhs: np.ndarray, tol: float, max_iter: int
     zero and stops when the true residual norm drops below tol * ||rhs||;
     deterministic for fixed inputs. Uses `matrix` only through `matrix @ p`
     and `matrix.diagonal()`. Raises LinearSolveError with the iteration
-    count on breakdown or non-convergence.
+    count on breakdown or on reaching max(200, 20 n) iterations.
     """
     n = rhs.shape[0]
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return np.zeros(n)
-    if max_iter is None:
-        max_iter = max(200, 20 * n)
+    max_iter = max(200, 20 * n)
     diag = matrix.diagonal()
     if np.any(diag <= 0.0):
         raise LinearSolveError("matrix has a non-positive diagonal entry", 0)
@@ -313,8 +305,9 @@ _ARMIJO_MIN_STEP = 2.0**-40
 def _newton_minimize(
     system: AssembledSystem,
     params: ModelParams,
-    cfg: SolverConfig,
     start: np.ndarray,
+    tol: float,
+    max_iter: int,
     prox_center: np.ndarray | None = None,
     dt: float | None = None,
     constant=None,
@@ -322,11 +315,11 @@ def _newton_minimize(
     """Minimize the energy, optionally plus the proximal term, by damped Newton.
 
     Stops when the lumped-mass dual norm of the objective gradient falls
-    below newton_tol * max(1, initial dual norm); a start that already
-    satisfies this is returned unchanged (zero iterations), so fully
-    converged trajectories freeze exactly. `constant` is the
-    `_constant_part` of the Hessian (K, or K + M/dt with a proximal term),
-    built here when None. Returns
+    below tol * max(1, initial dual norm), or after max_iter iterations; a
+    start that already satisfies this is returned unchanged (zero
+    iterations), so fully converged trajectories freeze exactly. `constant`
+    is the `_constant_part` of the Hessian (K, or K + M/dt with a proximal
+    term), built here when None. Returns
     (values, iterations, dual-residual history, converged).
     """
     mask = system.mask
@@ -349,8 +342,8 @@ def _newton_minimize(
             system, system.K if prox_center is None else system.K + system.M / dt)
     base, precondition = constant
 
-    for iteration in range(1, cfg.newton_max_iter + 1):
-        if res <= cfg.newton_tol * scale:
+    for iteration in range(1, max_iter + 1):
+        if res <= tol * scale:
             return u, iteration - 1, history, True
         hessian = base.plus_diagonal(reaction_jacobian_diagonal(system, u, params))
         direction = solve_spd(hessian, -g, LINEAR_TOL, precondition=precondition)
@@ -387,14 +380,13 @@ def _newton_minimize(
         res = dual_norm(system, g)
         history.append(res)
 
-    converged = res <= cfg.newton_tol * scale
-    return u, cfg.newton_max_iter, history, converged
+    converged = res <= tol * scale
+    return u, max_iter, history, converged
 
 
 def stationary_solve(
     system: AssembledSystem,
     params: ModelParams,
-    cfg: SolverConfig,
     u_init: np.ndarray,
 ) -> StationarySolution:
     """Compute the unique discrete stationary state from a given start.
@@ -404,7 +396,8 @@ def stationary_solve(
     cap the best iterate is returned with converged=False.
     """
     system.check_field(u_init)
-    values, iters, history, converged = _newton_minimize(system, params, cfg, u_init)
+    values, iters, history, converged = _newton_minimize(system, params, u_init, NEWTON_TOL,
+                                                         NEWTON_MAX_ITER)
     return StationarySolution(
         field=values,
         converged=converged,
@@ -437,7 +430,8 @@ def _step_implicit_euler_counted(system, params, cfg, u_n, constant=None):
         raise ValueError(f"time step dt must be positive, got {cfg.dt}")
     system.check_field(u_n)
     values, iters, history, converged = _newton_minimize(
-        system, params, cfg, u_n, prox_center=u_n, dt=cfg.dt, constant=constant)
+        system, params, u_n, NEWTON_TOL, NEWTON_MAX_ITER, prox_center=u_n, dt=cfg.dt,
+        constant=constant)
     if not converged:
         raise NonlinearSolveError(
             f"implicit-Euler inner solve stopped at residual {history[-1]:.3e} "
@@ -456,13 +450,13 @@ def evolve(
 
     The stationary reference is computed once (from zero) before stepping,
     and the constant part K + M/dt of every step's Hessian is eliminated
-    and preconditioned once for all steps. On a step failure the partial trace is returned with
-    meta["completed"] = False and the failing step recorded.
+    and preconditioned once for all steps. On a step failure the partial
+    trace is returned with the failure's message in `failure`.
     """
     cfg.require_timestep()
     system.check_field(u0)
 
-    reference = stationary_solve(system, params, cfg, zero_field(system.mesh))
+    reference = stationary_solve(system, params, zero_field(system.mesh))
     if not reference.converged:
         raise NonlinearSolveError(
             "stationary reference solve did not converge; cannot measure decay"
@@ -474,13 +468,7 @@ def evolve(
     err_h = [h_norm(system, u0 - u_star)]
     err_v = [v_norm(system, u0 - u_star)]
     iters = [0]
-    meta = {
-        **asdict(cfg),
-        "stationary_iterations": reference.iterations,
-        "stationary_residual": reference.residual_norm,
-        "completed": True,
-        "failed_at_step": None,
-    }
+    failure = None
 
     step_constant = _constant_part(system, system.K + system.M / cfg.dt)
     u = u0
@@ -488,9 +476,7 @@ def evolve(
         try:
             u, k = _step_implicit_euler_counted(system, params, cfg, u, step_constant)
         except (NonlinearSolveError, LinearSolveError) as exc:
-            meta["completed"] = False
-            meta["failed_at_step"] = n
-            meta["failure"] = str(exc)
+            failure = str(exc)
             break
         times.append(n * cfg.dt)
         energies.append(energy(system, u, params))
@@ -504,5 +490,5 @@ def evolve(
         err_H=np.asarray(err_h),
         err_V=np.asarray(err_v),
         newton_iters=np.asarray(iters, dtype=np.int64),
-        meta=meta,
+        failure=failure,
     )

@@ -24,7 +24,6 @@ from .fem import (
     dual_norm,
     energy,
     energy_gradient,
-    field_from_values,
     reaction_vector,
     residual,
 )
@@ -32,11 +31,12 @@ from .mesh import build_mesh
 from .model import (
     consumption_potential,
     consumption_rate,
+    dimensional_consumption,
     from_working_variable,
     to_working_variable,
 )
 from .reporting import fmt
-from .solvers import SolverConfig, _constant_part, _newton_minimize
+from .solvers import _constant_part, _newton_minimize
 from .solvers import solve_spd  # noqa: F401  (the benchmark tracer wraps it by this name)
 
 
@@ -48,11 +48,8 @@ class PropertyResult:
     sample: dict | None = None
 
 
-# Fixed here, not read from [solver], so the report does not depend on it.
-_RESOLVENT_SOLVER = SolverConfig(newton_tol=1e-8, newton_max_iter=60)
-
-# Sample counts and tolerances, fixed here for the same reason: the verdict
-# is a property of the operator, and no setting can make a check vacuous.
+# Sample counts and tolerances, fixed here: the verdict is a property of the
+# operator, and no setting can make a check vacuous.
 RATE_SAMPLES = 200000
 MONOTONICITY_PAIRS = 500
 STRONG_MONOTONICITY_PAIRS = 100
@@ -64,6 +61,9 @@ HEMICONTINUITY_SAMPLES = 20
 PAIRING_SLACK = 1e-12
 # largest relative error of the gradient against its central difference
 GRADIENT_RTOL = 1e-6
+# Newton's stopping rule in `solve_resolvent`
+RESOLVENT_TOL = 1e-8
+RESOLVENT_MAX_ITER = 60
 
 
 def solve_resolvent(system, params, g, constant=None):
@@ -73,8 +73,8 @@ def solve_resolvent(system, params, g, constant=None):
     so this is one implicit-Euler step with dt = 1 from g, started at zero.
     `constant` is the `_constant_part` of M + K, built here when None.
     """
-    u, _, _, converged = _newton_minimize(system, params, _RESOLVENT_SOLVER,
-                                          np.zeros(system.n_nodes), prox_center=g,
+    u, _, _, converged = _newton_minimize(system, params, np.zeros(system.n_nodes),
+                                          RESOLVENT_TOL, RESOLVENT_MAX_ITER, prox_center=g,
                                           dt=1.0, constant=constant)
     return u, converged
 
@@ -83,10 +83,6 @@ def solve_resolvent(system, params, g, constant=None):
 # small against the work, small enough that a block's sparse products (about
 # 7 slots per value on planar meshes) stay within 2 MB.
 BLOCK_VALUES = 2**15
-
-
-def _random_field(rng, system, amplitude):
-    return field_from_values(system.mesh, rng.uniform(-amplitude, amplitude, system.n_nodes))
 
 
 def sample_blocks(rng, system, count, *bounds):
@@ -128,7 +124,7 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
     params = config.model
     mesh = build_mesh(config.geometry)
     b_override = (params.b1, -params.b2) if corrupt_b else None
-    system = assemble(mesh, params, reaction=config.reaction, b_override=b_override)
+    system = assemble(mesh, params, b_override=b_override)
     mk = system.M + system.K
     rng = np.random.default_rng(config.verify.seed)
     results = []
@@ -199,7 +195,7 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         back = from_working_variable(to_working_variable(conc, params), params)
         round_err = np.abs(back - conc).max()
         u = to_working_variable(conc, params)
-        dim = conc / (conc + params.c_hat)
+        dim = dimensional_consumption(conc, params)
         ident_err = np.abs(dim - consumption_rate(u, params)).max()
         ok = round_err <= 1e-15 * 3.0 * params.c0 and ident_err <= 1e-14
         return PropertyResult(name, ok,
@@ -223,16 +219,19 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
 
     def check_reaction_bounds(name):
         worst = 0.0
-        for _ in range(20):
-            u = _random_field(rng, system, 2.0 * params.c0)
+        amp = 2.0 * params.c0
+        active = system.M1 > 0.0
+        for block, stop in sample_blocks(rng, system, 20, (-amp, amp)):
+            u = block[:, 0]
             r = reaction_vector(system, u, params)
-            active = system.M1 > 0.0
-            if np.any(r[~active] != 0.0) or np.any(r[active] < 0.0) \
-                    or np.any(r[active] >= system.M1[active]):
+            j = _first(np.any(r[:, ~active] != 0.0, axis=1) | np.any(r[:, active] < 0.0, axis=1)
+                       | np.any(r[:, active] >= system.M1[active], axis=1))
+            if j is not None:
+                stop(j)
                 return PropertyResult(name, False, "reaction entry out of [0, M1_i)",
-                                      {"u": u})
+                                      {"u": u[j]})
             if np.any(active):
-                worst = max(worst, float((r[active] / system.M1[active]).max()))
+                worst = max(worst, float((r[:, active] / system.M1[active]).max()))
         return PropertyResult(name, True, f"max rate={fmt(worst)}")
 
     # --- operator structure --------------------------------------------------
@@ -323,28 +322,38 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         return PropertyResult(name, True, f"max rel err={fmt(worst)}")
 
     def check_gradient_is_residual(name):
-        u = _random_field(rng, system, 2.0 * params.c0)
-        same = np.array_equal(energy_gradient(system, u, params),
-                              residual(system, u, params))
-        return PropertyResult(name, bool(same), "bitwise identical" if same else "mismatch",
-                              None if same else {"u": u})
+        amp = 2.0 * params.c0
+        for block, stop in sample_blocks(rng, system, 1, (-amp, amp)):
+            u = block[:, 0]
+            j = _first(np.any(energy_gradient(system, u, params) != residual(system, u, params),
+                              axis=1))
+            if j is not None:
+                stop(j)
+                return PropertyResult(name, False, "mismatch", {"u": u[j]})
+        return PropertyResult(name, True, "bitwise identical")
 
     def check_resolvent(name):
         # Discrete counterpart of full range for (identity + operator):
         # mass + stiffness - reaction = mass * g is solvable for any g.
         constant = _constant_part(system, mk)
         worst = 0.0
-        for _ in range(RESOLVENT_SOLVES):
-            g = _random_field(rng, system, 2.0 * params.c0)
-            u, converged = solve_resolvent(system, params, g, constant)
-            res = mk @ u - reaction_vector(system, u, params) - system.M @ g
-            res[system.mask] = 0.0
-            res_norm = dual_norm(system, res)
-            if not (converged and res_norm <= 1e-8):
-                return PropertyResult(name, False,
-                                      f"resolvent solve stalled at {fmt(res_norm)}",
-                                      {"g": g})
-            worst = max(worst, res_norm)
+        amp = 2.0 * params.c0
+        for block, stop in sample_blocks(rng, system, RESOLVENT_SOLVES, (-amp, amp)):
+            for j, g in enumerate(block[:, 0]):
+                try:
+                    u, converged = solve_resolvent(system, params, g, constant)
+                except Exception:  # the check ends at this sample, as on a violation
+                    stop(j)
+                    raise
+                res = mk @ u - reaction_vector(system, u, params) - system.M @ g
+                res[system.mask] = 0.0
+                res_norm = dual_norm(system, res)
+                if not (converged and res_norm <= 1e-8):
+                    stop(j)
+                    return PropertyResult(name, False,
+                                          f"resolvent solve stalled at {fmt(res_norm)}",
+                                          {"g": g})
+                worst = max(worst, res_norm)
         return PropertyResult(name, True, f"max residual={fmt(worst)}")
 
     def check_hemicontinuity(name):

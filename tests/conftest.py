@@ -5,7 +5,6 @@ import pytest
 from coreshell import (
     GeometrySpec,
     ModelParams,
-    SolverConfig,
     assemble,
     build_annulus_mesh,
     build_radial_mesh,
@@ -52,11 +51,6 @@ def annulus_desk_system(annulus_desk_mesh, desk_params):
 @pytest.fixture(scope="session")
 def coarse_radial_mesh():
     return build_radial_mesh(GeometrySpec(kind="radial", dimension=3, r1=0.5, r2=1.0, h=0.25))
-
-
-@pytest.fixture(scope="session")
-def solver_cfg():
-    return SolverConfig()
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,6 @@ import pytest
 from coreshell import (
     GeometrySpec,
     ModelParams,
-    SolverConfig,
     assemble,
     build_annulus_mesh,
     build_radial_mesh,
@@ -238,12 +237,11 @@ class TestFluxJump:
         assert jumps[1] < jumps[0]
 
     def test_stationary_jump_decreases_radially(self, params):
-        cfg = SolverConfig()
         mesh = build_radial_mesh(GeometrySpec(kind="radial", dimension=3, r1=0.5, r2=1.0, h=1.0 / 16))
         jumps = []
         for _ in range(3):
             system = assemble(mesh, params)
-            res = stationary_solve(system, params, cfg, zero_field(mesh))
+            res = stationary_solve(system, params, zero_field(mesh))
             jumps.append(interface_flux_jump(system, mesh, res.field, params))
             mesh = refine(mesh)
         assert jumps[0] > jumps[1] > jumps[2]
@@ -287,8 +285,7 @@ class TestShootingReference:
             radial_stationary_reference(params, spec, alpha_bracket=(0.9, 0.99))
 
     def test_fem_agreement(self, radial_desk_mesh, radial_desk_system, params, radial_desk_spec):
-        cfg = SolverConfig()
-        res = stationary_solve(radial_desk_system, params, cfg, zero_field(radial_desk_mesh))
+        res = stationary_solve(radial_desk_system, params, zero_field(radial_desk_mesh))
         profile = radial_stationary_reference(params, radial_desk_spec)
         err = np.max(np.abs(res.field - profile(radial_desk_mesh.nodes)))
         assert err <= 1e-3

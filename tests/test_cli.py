@@ -372,6 +372,17 @@ class TestCmdEvolve:
         report = (out / "decay_report.txt").read_text()
         assert "converged-at-start" in report
 
+    def test_one_sample_fit_window_is_flagged(self, quick_cfg):
+        # One huge step reaches the stationary state, so a single trace sample
+        # lies above the noise cutoff: too few to fit, a flag and not a failure.
+        path, out = quick_cfg
+        rc = main(["evolve", str(path), "--set", "solver.dt=1e10",
+                   "--set", "solver.t_end=1e11"])
+        assert rc == 0
+        decay = [line for line in (out / "decay_report.csv").read_text().splitlines()
+                 if not line.startswith("#")]
+        assert decay[1].split(",")[3:] == ["0", "1", "converged-too-fast"]
+
     def test_failed_step_exits_3_naming_it(self, quick_cfg, capsys, monkeypatch):
         path, out = quick_cfg
         assert main(["stationary", str(path)]) == 0

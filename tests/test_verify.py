@@ -90,58 +90,78 @@ def test_sample_blocks_draw_the_per_sample_stream(request, system_name):
     expected = [[field_from_values(system.mesh, reference.uniform(low, high, system.n_nodes))
                  for low, high in bounds] for _ in range(count)]
     rng = np.random.default_rng(17)
-    blocks = [block for block, _ in sample_blocks(rng, system, count, *bounds)]
+    blocks = list(sample_blocks(rng, system, count, *bounds))
     assert [len(block) for block in blocks] == [per_block, per_block, 3]
     assert np.array_equal(np.concatenate(blocks), np.array(expected))
     assert rng.bit_generator.state == reference.bit_generator.state
 
-    # stopping at sample 5 of the second block leaves the generator where a
-    # per-sample loop that stopped there would
-    rng = np.random.default_rng(17)
-    blocks = sample_blocks(rng, system, count, *bounds)
-    next(blocks)
-    _, stop = next(blocks)
-    stop(5)
-    reference = np.random.default_rng(17)
-    reference.uniform(size=(per_block + 6) * len(bounds) * system.n_nodes)
-    assert rng.bit_generator.state == reference.bit_generator.state
 
-
-# Details of runs whose first violation lies inside a sample block, as the
-# per-sample loop of earlier versions reported them. The properties after the
-# violation draw from where that loop stopped.
+# Runs whose operator-monotonicity fails inside a sample block, not at its
+# first sample: (config, PAIRING_SLACK, corrupt_b, slope of an added linear
+# reaction term). The radial case fails at pair 149, the 22nd of the second
+# block; the planar one at pair 3 of the first block.
 MID_BLOCK_VIOLATIONS = {
-    # operator-monotonicity fails at its 18th pair, inside the first block
-    "radial": ("radial_desk.cfg", 3e5, True, 0.0, {
-        "operator-monotonicity":
-            "pairing -171076.24340291641 below floor -169356.13423555065",
-        "operator-coercivity": "coercivity gap -149078.10240647229",
-        "gradient-strong-monotonicity":
-            "gamma_disc=0.90800086800799495 violated by 121249.32048212325",
-        "gradient-finite-difference": "max rel err=3.6174568365353616e-10",
-    }),
-    # a reaction term of slope 1e4 makes operator-monotonicity fail at its
-    # 58th pair, inside the third block
-    "planar": ("annulus_desk.cfg", verify.PAIRING_SLACK, False, 1e4, {
-        "operator-monotonicity":
-            "pairing -1213.3233895967585 below floor -3.6009592463634616e-12",
-        "operator-coercivity": "coercivity gap -9813.4292383145912",
-        "gradient-strong-monotonicity":
-            "gamma_disc=0.85299744052448145 violated by 5888.7757731264956",
-        "gradient-finite-difference": "rel err=0.31994596411975285",
-        "weak-operator-hemicontinuity":
-            "pairing jump 32.314232169700148 exceeds Lipschitz bound 7.498113399334386",
-    }),
+    "radial": ("radial_desk.cfg", 3e5, True, 0.0),
+    "planar": ("annulus_desk.cfg", verify.PAIRING_SLACK, False, 1e4),
 }
 
 
 @pytest.mark.parametrize("case", MID_BLOCK_VIOLATIONS)
-def test_violation_inside_a_block_rewinds_the_generator(repo_root, monkeypatch, case):
-    config_name, slack, corrupt_b, slope, details = MID_BLOCK_VIOLATIONS[case]
+def test_violation_inside_a_block_reports_the_first_failing_pair(repo_root, monkeypatch,
+                                                                 case):
+    config_name, slack, corrupt_b, slope = MID_BLOCK_VIOLATIONS[case]
     monkeypatch.setattr(verify, "PAIRING_SLACK", slack)
     if slope:
         rate = fem.consumption_rate
         monkeypatch.setattr(fem, "consumption_rate", lambda u, p: rate(u, p) + slope * u)
+    drawn = []
+
+    def recording(rng, system, count, *bounds):
+        for block in sample_blocks(rng, system, count, *bounds):
+            if count == verify.MONOTONICITY_PAIRS:
+                drawn.append((system, block.copy()))
+            yield block
+
+    monkeypatch.setattr(verify, "sample_blocks", recording)
     config = load_config(repo_root / "configs" / config_name)
-    results = run_verification(config, corrupt_b=corrupt_b)
-    assert {name: _result(results, name).detail for name in details} == details
+    result = _result(run_verification(config, corrupt_b=corrupt_b), "operator-monotonicity")
+    assert not result.passed
+
+    # the same pairing, one pair at a time in draw order
+    def below_floor(system, u, v):
+        d = u - v
+        lhs = (fem.residual(system, u, config.model) - fem.residual(system, v, config.model)) @ d
+        return lhs < -slack * (d @ (system.M @ d))
+
+    index, u, v = next((index, u, v) for system, block in drawn
+                       for index, (u, v) in enumerate(block) if below_floor(system, u, v))
+    assert index > 0
+    assert np.array_equal(result.sample["u"], u)
+    assert np.array_equal(result.sample["v"], v)
+
+
+# One defect of the scalar law per consumption-law property: (function of
+# `verify` to replace, the defective version of it).
+LAW_DEFECTS = {
+    "consumption-rate-range":
+        ("consumption_rate", lambda law: lambda z, p: 1.1 * law(z, p)),
+    "consumption-rate-monotone":
+        ("consumption_rate", lambda law: lambda z, p: law(z, p) + 1e-9 * np.maximum(z, 0.0)),
+    "consumption-rate-lipschitz":
+        ("consumption_rate", lambda law: lambda z, p: 2.0 * law(z, p)),
+    "consumption-rate-product-bound":
+        ("consumption_rate", lambda law: lambda z, p: law(z, p) + 0.1),
+    "consumption-potential-bound":
+        ("consumption_potential", lambda law: lambda s, p: law(s, p) + 1e-3),
+}
+
+
+@pytest.mark.parametrize("name", LAW_DEFECTS)
+def test_consumption_law_defect_fails_its_property(repo_root, monkeypatch, name):
+    config = load_config(repo_root / "configs" / "radial_desk.cfg")
+    assert _result(run_verification(config), name).passed
+    function, defect = LAW_DEFECTS[name]
+    monkeypatch.setattr(verify, function, defect(getattr(verify, function)))
+    result = _result(run_verification(config), name)
+    assert not result.passed
+    assert result.sample is not None and len(next(iter(result.sample.values()))) > 0

@@ -1,10 +1,12 @@
 """Pinned artifact bytes: the CLI writers reproduce stored files exactly.
 
-`tests/data/artifacts/<kind>/` holds the mesh VTK, the stationary field as
-CSV and VTK, the evolution trace, the `verify --corrupt-b` report and
-violation sample, and (under `passing/`) the report of a plain `verify`
+`tests/data/artifacts/<kind>/` holds the mesh VTK and summary, the
+stationary field as CSV and VTK and its report, the evolution trace, its
+report and its decay report (text and CSV), the `verify --corrupt-b` report
+and violation sample, and (under `passing/`) the report of a plain `verify`
 run, of a coarse radial (h=0.25) and planar (h=0.35) run of the shipped
-desk configs. VTK files are compared byte for byte. CSV and text files are
+desk configs. The reports carry the numbers that move most with solver
+rounding: energy, dual residual, flux jump, `beta_fit` and `gamma_disc`. VTK files are compared byte for byte. CSV and text files are
 compared without their leading '#' comment lines, because the configuration
 echo in them names the output directory; the stored files carry no comment
 lines.
@@ -32,8 +34,10 @@ RUNS = {
 COMMANDS = (("", ["mesh"]), ("", ["stationary"]), ("", ["evolve"]),
             ("", ["verify", "--corrupt-b"]), ("passing", ["verify"]))
 EXIT_CODES = (0, 0, 0, 1, 0)
-FILES = ("mesh.vtk", "stationary_field.csv", "stationary_field.vtk", "trace.csv",
-         "violation_sample.csv", "verify_report.txt", "passing/verify_report.txt")
+FILES = ("mesh.vtk", "mesh_summary.txt", "stationary_field.csv", "stationary_field.vtk",
+         "stationary_report.txt", "trace.csv", "evolve_report.txt", "decay_report.txt",
+         "decay_report.csv", "violation_sample.csv", "verify_report.txt",
+         "passing/verify_report.txt")
 
 
 def produce(kind, out_dir):

@@ -18,7 +18,6 @@ share meshes and assembled systems freely. Given a configuration, the
 sequential mode is deterministic.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,10 +186,12 @@ def sector_inverse(system: AssembledSystem, matrix: SparseOperator):
     block-tridiagonal over the rings: a real FFT along each ring splits it
     into one tridiagonal system per Fourier mode, and the center couples to
     mode 0 only (Swarztrauber & Sweet, SIAM J. Numer. Anal. 10, 1973). The
-    ring-to-ring couplings are read from the rows of sector 0 and the
-    tridiagonal systems are factored here, once; `apply(r)` then costs two
-    FFTs and one forward and one backward sweep over the rings, and passes
-    the masked entries of r through unchanged.
+    ring-to-ring couplings are read from the rows of sector 0, and one
+    factor loop, run here once, factors every mode's system on a list with
+    one entry per ring: a float on a chain (one sector), the ring's row of
+    mode values otherwise. `apply(r)` then costs one forward and one
+    backward sweep over that list, two FFTs on rings, and passes the masked
+    entries of r through unchanged.
 
     Returns None ("use Jacobi") when the layout does not apply or when
     ||matrix @ apply(b) - b|| > 1e-8 ||b|| on a probe vector, so a wrong
@@ -227,57 +228,44 @@ def sector_inverse(system: AssembledSystem, matrix: SparseOperator):
     diag[1:] = symbol[0]
     upper[1:] = symbol[1]
 
+    # Row 0 of each list is the center. On a chain, numpy scalar overhead
+    # would dominate, so its entries are floats.
     if sectors == 1:
-        # A chain: numpy scalar overhead would dominate, so factor and sweep
-        # in floats. f[i] = lower[i] * (1 / pivot[i - 1]) is what the
-        # complex `lower / pivot` below computes for a real pivot.
-        lo, di, u = (c.real[:, 0].tolist() for c in (lower, diag, upper))
-        f = [0.0] * (n_rings + 1)
-        w = [0.0] * (n_rings + 1)
-        try:
-            w[0] = 1.0 / di[0]
-            for i in range(1, n_rings + 1):
-                f[i] = lo[i] * w[i - 1]
-                w[i] = 1.0 / (di[i] - f[i] * u[i - 1])
-        except ZeroDivisionError:
-            return None
-        if not all(map(math.isfinite, f + w)):
-            return None
-
-        def apply(r):
-            y = r.tolist()  # entries past n_rings are the masked ring
-            for i in range(1, n_rings + 1):
-                y[i] -= f[i] * y[i - 1]
-            y[n_rings] *= w[n_rings]
-            for i in range(n_rings - 1, -1, -1):
-                y[i] = (y[i] - u[i] * y[i + 1]) * w[i]
-            return np.array(y)
+        lower, diag, upper = (c.real[:, 0].tolist() for c in (lower, diag, upper))
     else:
-        # Forward elimination factors: factor[i] = lower[i] / pivot[i - 1].
-        factor = np.zeros_like(lower)
-        pivot = diag.copy()
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for i in range(1, n_rings + 1):
-                factor[i] = lower[i] / pivot[i - 1]
-                pivot[i] = diag[i] - factor[i] * upper[i - 1]
-            inv_pivot = 1.0 / pivot
-        if not (np.all(np.isfinite(factor)) and np.all(np.isfinite(inv_pivot))):
-            return None
+        lower, diag, upper = list(lower), list(diag), list(upper)
 
-        def apply(r):
-            y = np.empty_like(lower)
-            y[0] = 0.0
-            y[0, 0] = r[0]
-            y[1:] = np.fft.rfft(r[1:-sectors].reshape(n_rings, sectors), axis=1)
+    # Forward elimination factors f[i] = lower[i] * w[i - 1] and inverse
+    # pivots w[i] = 1 / (diag[i] - f[i] * upper[i - 1]).
+    f, w = [0.0] * (n_rings + 1), [0.0] * (n_rings + 1)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            w[0] = 1.0 / diag[0]
             for i in range(1, n_rings + 1):
-                y[i] -= factor[i] * y[i - 1]
-            y[n_rings] *= inv_pivot[n_rings]
-            for i in range(n_rings - 1, -1, -1):
-                y[i] = (y[i] - upper[i] * y[i + 1]) * inv_pivot[i]
-            x = r.copy()
-            x[0] = y[0, 0].real
-            x[1:-sectors] = np.fft.irfft(y[1:], n=sectors, axis=1).ravel()
-            return x
+                f[i] = lower[i] * w[i - 1]
+                w[i] = 1.0 / (diag[i] - f[i] * upper[i - 1])
+            if not np.all(np.isfinite(f[1:] + w)):
+                return None
+    except ZeroDivisionError:
+        return None
+
+    def apply(r):
+        if sectors == 1:
+            y = r.tolist()  # entries past n_rings are the masked ring
+        else:
+            y = [np.where(modes == 0, r[0], 0j),
+                 *np.fft.rfft(r[1:-sectors].reshape(n_rings, sectors), axis=1)]
+        for i in range(1, n_rings + 1):
+            y[i] -= f[i] * y[i - 1]
+        y[n_rings] *= w[n_rings]
+        for i in range(n_rings - 1, -1, -1):
+            y[i] = (y[i] - upper[i] * y[i + 1]) * w[i]
+        if sectors == 1:
+            return np.array(y)
+        x = r.copy()
+        x[0] = y[0][0].real
+        x[1:-sectors] = np.fft.irfft(y[1:], n=sectors, axis=1).ravel()
+        return x
 
     probe = np.cos(np.arange(n, dtype=float))
     with np.errstate(invalid="ignore", over="ignore"):

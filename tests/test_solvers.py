@@ -105,10 +105,21 @@ def _counted(precondition):
 
 
 class TestSectorInverse:
-    @pytest.mark.parametrize("name", ["annulus_desk.cfg", "radial_desk.cfg"])
-    def test_exact_on_shipped_configs(self, repo_root, name):
-        config = load_config(repo_root / "configs" / name)
+    # The desk configs, and the sizes the benchmark runs: the planar ring
+    # path at h=0.025 and the radial chain at h=2^-11, plus a 2-D radial chain.
+    @pytest.mark.parametrize("name, overrides, nodes, sectors", [
+        pytest.param("annulus_desk.cfg", [], 631, 63, id="annulus_desk.cfg"),
+        pytest.param("radial_desk.cfg", [], 129, 1, id="radial_desk.cfg"),
+        pytest.param("annulus_desk.cfg", ["geometry.h=0.025"], 10081, 252, id="planar-h0.025"),
+        pytest.param("radial_desk.cfg", [f"geometry.h={2.0**-11}"], 2049, 1,
+                     id="radial-h2^-11"),
+        pytest.param("radial_desk.cfg", ["geometry.dimension=2"], 129, 1,
+                     id="radial-dimension-2"),
+    ])
+    def test_exact_on_shipped_configs(self, repo_root, name, overrides, nodes, sectors):
+        config = load_config(repo_root / "configs" / name, overrides)
         mesh = build_mesh(config.geometry)
+        assert (mesh.n_nodes, mesh.sectors) == (nodes, sectors)
         system = assemble(mesh, config.model)
         rng = np.random.default_rng(23)
         for label, base in _constant_parts(system, config.solver.dt).items():

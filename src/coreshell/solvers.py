@@ -305,7 +305,9 @@ def _newton_minimize(
     Stops when the lumped-mass dual norm of the objective gradient falls
     below tol * max(1, initial dual norm), or after max_iter iterations; a
     start that already satisfies this is returned unchanged (zero
-    iterations), so fully converged trajectories freeze exactly. `constant`
+    iterations), so fully converged trajectories freeze exactly. A
+    non-finite residual never counts as converged: at the start it raises
+    NonlinearSolveError. `constant`
     is the `_constant_part` of the Hessian (K, or K + M/dt with a proximal
     term), built here when None. Returns
     (values, iterations, dual-residual history, converged).
@@ -323,6 +325,8 @@ def _newton_minimize(
 
     g = gradient(u)
     res = dual_norm(system, g)
+    if not np.isfinite(res):
+        raise NonlinearSolveError(f"initial dual residual is not finite ({res})")
     scale = max(1.0, res)
     history = [res]
     if constant is None:
@@ -438,8 +442,10 @@ def evolve(
 
     The stationary reference is computed once (from zero) before stepping,
     and the constant part K + M/dt of every step's Hessian is eliminated
-    and preconditioned once for all steps. On a step failure the partial
-    trace is returned with the failure's message in `failure`.
+    and preconditioned once for all steps. Raises ValueError when u0's
+    energy, err_H, err_V or initial dual residual is not finite. On a step
+    failure the partial trace is returned with the failure's message in
+    `failure`.
     """
     cfg.require_timestep()
     system.check_field(u0)
@@ -451,10 +457,19 @@ def evolve(
         )
     u_star = reference.field
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = {"energy": energy(system, u0, params),
+                 "err_H": h_norm(system, u0 - u_star),
+                 "err_V": v_norm(system, u0 - u_star),
+                 "dual residual": dual_norm(system, energy_gradient(system, u0, params))}
+    for name, value in start.items():
+        if not np.isfinite(value):
+            raise ValueError(f"u0's initial {name} is not finite ({value})")
+
     times = [0.0]
-    energies = [energy(system, u0, params)]
-    err_h = [h_norm(system, u0 - u_star)]
-    err_v = [v_norm(system, u0 - u_star)]
+    energies = [start["energy"]]
+    err_h = [start["err_H"]]
+    err_v = [start["err_V"]]
     iters = [0]
     failure = None
 

@@ -413,6 +413,20 @@ class TestCmdEvolve:
         assert main(["evolve", str(path), "--u0-file", str(field)]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1e152", "1e153", "-1e153"])
+    def test_overflowing_u0_exit_2(self, quick_cfg, capsys, value):
+        # Finite entries whose initial dual residual or energy overflows.
+        path, out = quick_cfg
+        assert main(["stationary", str(path)]) == 0
+        field = out / "stationary_field.csv"
+        lines = field.read_text().splitlines()
+        first = lines.index("r,u") + 1
+        lines[first:] = [f"{line.split(',')[0]},{value}" for line in lines[first:]]
+        field.write_text("\n".join(lines) + "\n")
+        assert main(["evolve", str(path), "--u0-file", str(field)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "not finite" in err
+
     @pytest.mark.parametrize("token", ["nan", "inf"])
     def test_non_finite_first_column_exit_2(self, quick_cfg, capsys, token):
         # A data row that starts with nan or inf is a data row, not a header.

@@ -415,7 +415,7 @@ class TestCmdEvolve:
 
     @pytest.mark.parametrize("value", ["1e152", "1e153", "-1e153"])
     def test_overflowing_u0_exit_2(self, quick_cfg, capsys, value):
-        # Finite entries whose initial dual residual or energy overflows.
+        # Finite entries whose initial dual residual overflows.
         path, out = quick_cfg
         assert main(["stationary", str(path)]) == 0
         field = out / "stationary_field.csv"
@@ -425,7 +425,7 @@ class TestCmdEvolve:
         field.write_text("\n".join(lines) + "\n")
         assert main(["evolve", str(path), "--u0-file", str(field)]) == 2
         err = capsys.readouterr().err
-        assert "invalid input" in err and "not finite" in err
+        assert "invalid input: u0's initial dual residual is not finite" in err
 
     @pytest.mark.parametrize("token", ["nan", "inf"])
     def test_non_finite_first_column_exit_2(self, quick_cfg, capsys, token):

@@ -294,7 +294,8 @@ class TestStationary:
         assert result.iterations == 1
 
     def test_overflowing_start_is_not_converged(self, desk, params):
-        # tol * max(1, inf) is inf, so an overflowed residual met the old test.
+        # inf <= tol * max(1, inf) holds, so the stopping test alone would
+        # accept an overflowed start.
         mesh, system = desk
         start = field_from_values(mesh, np.full(mesh.n_nodes, 1e152))
         with np.errstate(over="ignore"), pytest.raises(NonlinearSolveError, match="not finite"):
@@ -462,13 +463,6 @@ class TestEvolve:
         mesh, system = desk
         with pytest.raises(ValueError):
             evolve(system, params, SolverConfig(dt=0.1), zero_field(mesh))
-
-    @pytest.mark.parametrize("value, name", [(1e152, "dual residual"), (-1e153, "energy")])
-    def test_overflowing_u0_rejected(self, desk, params, value, name):
-        mesh, system = desk
-        u0 = field_from_values(mesh, np.full(mesh.n_nodes, value))
-        with pytest.raises(ValueError, match=f"initial {name} is not finite"):
-            evolve(system, params, SolverConfig(dt=0.05, t_end=1.0), u0)
 
 
 class TestSolverConfig:

@@ -98,7 +98,7 @@ def cmd_stationary(config: RunConfig, init: str = "zero") -> int:
         f"  initial field    = {init}",
         f"  converged        = {result.converged}",
         f"  newton iterations = {result.iterations}",
-        f"  residual (dual)  = {fmt(result.residual_norm)}",
+        f"  residual (dual)  = {fmt(result.residual_history[-1])}",
         f"  energy           = {fmt(result.energy)}",
         f"  max interface flux jump = {fmt(jump)}",
     ]

@@ -92,12 +92,15 @@ class SolverConfig:
 
 @dataclass
 class StationarySolution:
-    """Best iterate of the stationary solve plus convergence diagnostics."""
+    """Best iterate of the stationary solve plus convergence diagnostics.
+
+    `residual_history` holds the dual residual of every iterate, the start's
+    first and the returned field's last.
+    """
 
     field: np.ndarray
     converged: bool
     iterations: int
-    residual_norm: float
     residual_history: list
     energy: float
 
@@ -294,22 +297,20 @@ def _newton_minimize(
     system: AssembledSystem,
     params: ModelParams,
     start: np.ndarray,
-    tol: float,
-    max_iter: int,
     prox_center: np.ndarray | None = None,
     dt: float | None = None,
     constant=None,
 ):
     """Minimize the energy, optionally plus the proximal term, by damped Newton.
 
-    Stops when the lumped-mass dual norm of the objective gradient falls
-    below tol * max(1, initial dual norm), or after max_iter iterations; a
-    start that already satisfies this is returned unchanged (zero
-    iterations), so fully converged trajectories freeze exactly. A
-    non-finite residual never counts as converged: at the start it raises
-    NonlinearSolveError. `constant`
-    is the `_constant_part` of the Hessian (K, or K + M/dt with a proximal
-    term), built here when None. Returns
+    Every caller stops by the same rule: the lumped-mass dual norm of the
+    objective gradient falls below NEWTON_TOL * max(1, initial dual norm),
+    or NEWTON_MAX_ITER iterations have run. A start that already satisfies
+    it is returned unchanged (zero iterations), so fully converged
+    trajectories freeze exactly. A non-finite residual never counts as
+    converged: at the start it raises NonlinearSolveError. `constant` is the
+    `_constant_part` of the Hessian (K, or K + M/dt with a proximal term),
+    built here when None. Returns
     (values, iterations, dual-residual history, converged).
     """
     mask = system.mask
@@ -334,6 +335,7 @@ def _newton_minimize(
             system, system.K if prox_center is None else system.K + system.M / dt)
     base, precondition = constant
 
+    tol, max_iter = NEWTON_TOL, NEWTON_MAX_ITER
     for iteration in range(1, max_iter + 1):
         if res <= tol * scale:
             return u, iteration - 1, history, True
@@ -388,13 +390,11 @@ def stationary_solve(
     cap the best iterate is returned with converged=False.
     """
     system.check_field(u_init)
-    values, iters, history, converged = _newton_minimize(system, params, u_init, NEWTON_TOL,
-                                                         NEWTON_MAX_ITER)
+    values, iters, history, converged = _newton_minimize(system, params, u_init)
     return StationarySolution(
         field=values,
         converged=converged,
         iterations=iters,
-        residual_norm=history[-1],
         residual_history=history,
         energy=energy(system, values, params),
     )
@@ -422,8 +422,7 @@ def _step_implicit_euler_counted(system, params, cfg, u_n, constant=None):
         raise ValueError(f"time step dt must be positive, got {cfg.dt}")
     system.check_field(u_n)
     values, iters, history, converged = _newton_minimize(
-        system, params, u_n, NEWTON_TOL, NEWTON_MAX_ITER, prox_center=u_n, dt=cfg.dt,
-        constant=constant)
+        system, params, u_n, prox_center=u_n, dt=cfg.dt, constant=constant)
     if not converged:
         raise NonlinearSolveError(
             f"implicit-Euler inner solve stopped at residual {history[-1]:.3e} "
@@ -438,14 +437,14 @@ def evolve(
     cfg: SolverConfig,
     u0: np.ndarray,
 ) -> EvolutionTrace:
-    """Implicit-Euler trajectory with per-step energy and error records.
+    """Implicit-Euler trajectory with one (energy, err_H, err_V) record per state.
 
     The stationary reference is computed once (from zero) before stepping,
     and the constant part K + M/dt of every step's Hessian is eliminated
-    and preconditioned once for all steps. Raises ValueError when u0's
-    energy, err_H, err_V or initial dual residual is not finite. On a step
-    failure the partial trace is returned with the failure's message in
-    `failure`.
+    and preconditioned once for all steps. u0 and every accepted step are
+    recorded by the same function. Raises ValueError when u0's record or
+    initial dual residual is not finite. On a step failure the partial trace
+    is returned with the failure's message in `failure`.
     """
     cfg.require_timestep()
     system.check_field(u0)
@@ -457,20 +456,20 @@ def evolve(
         )
     u_star = reference.field
 
+    def record(u):
+        """(energy, err_H, err_V) of one state of the trajectory."""
+        return energy(system, u, params), h_norm(system, u - u_star), v_norm(system, u - u_star)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        start = {"energy": energy(system, u0, params),
-                 "err_H": h_norm(system, u0 - u_star),
-                 "err_V": v_norm(system, u0 - u_star),
-                 "dual residual": dual_norm(system, energy_gradient(system, u0, params))}
-    for name, value in start.items():
+        start = record(u0)
+        start_residual = dual_norm(system, energy_gradient(system, u0, params))
+    for name, value in zip(("energy", "err_H", "err_V", "dual residual"),
+                           (*start, start_residual)):
         if not np.isfinite(value):
             raise ValueError(f"u0's initial {name} is not finite ({value})")
 
-    times = [0.0]
-    energies = [start["energy"]]
-    err_h = [start["err_H"]]
-    err_v = [start["err_V"]]
-    iters = [0]
+    # one row (time, energy, err_H, err_V, Newton iterations) per state
+    rows = [(0.0, *start, 0)]
     failure = None
 
     step_constant = _constant_part(system, system.K + system.M / cfg.dt)
@@ -481,17 +480,7 @@ def evolve(
         except (NonlinearSolveError, LinearSolveError) as exc:
             failure = str(exc)
             break
-        times.append(n * cfg.dt)
-        energies.append(energy(system, u, params))
-        err_h.append(h_norm(system, u - u_star))
-        err_v.append(v_norm(system, u - u_star))
-        iters.append(k)
+        rows.append((n * cfg.dt, *record(u), k))
 
-    return EvolutionTrace(
-        times=np.asarray(times),
-        energies=np.asarray(energies),
-        err_H=np.asarray(err_h),
-        err_V=np.asarray(err_v),
-        newton_iters=np.asarray(iters, dtype=np.int64),
-        failure=failure,
-    )
+    times, energies, err_h, err_v, iters = map(np.asarray, zip(*rows))
+    return EvolutionTrace(times, energies, err_h, err_v, iters.astype(np.int64), failure)

@@ -64,21 +64,18 @@ HEMICONTINUITY_SAMPLES = 20
 PAIRING_SLACK = 1e-12
 # largest relative error of the gradient against its central difference
 GRADIENT_RTOL = 1e-6
-# Newton's stopping rule in `solve_resolvent`
-RESOLVENT_TOL = 1e-8
-RESOLVENT_MAX_ITER = 60
 
 
 def solve_resolvent(system, params, g, constant=None):
     """Solve (M + K) u - r(u) = M g for u, returning (u, converged).
 
     The equation is the optimality condition of min E(u) + ||u - g||_M^2 / 2,
-    so this is one implicit-Euler step with dt = 1 from g, started at zero.
-    `constant` is the `_constant_part` of M + K, built here when None.
+    so this is one implicit-Euler step with dt = 1 from g, started at zero,
+    and Newton stops by the rule of every time step. `constant` is the
+    `_constant_part` of M + K, built here when None.
     """
     u, _, _, converged = _newton_minimize(system, params, np.zeros(system.n_nodes),
-                                          RESOLVENT_TOL, RESOLVENT_MAX_ITER, prox_center=g,
-                                          dt=1.0, constant=constant)
+                                          prox_center=g, dt=1.0, constant=constant)
     return u, converged
 
 

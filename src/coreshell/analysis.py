@@ -124,7 +124,7 @@ def smallest_generalized_eigenvalue(system: AssembledSystem) -> float:
     Inverse power iteration from the all-ones vector on the free nodes; each
     inverse apply is a preconditioned conjugate-gradient solve. Deterministic.
     """
-    kt, precondition = _constant_part(system, system.Kt)
+    kt, precondition, _ = _constant_part(system, system.Kt)
     m = system.eliminate(system.M)
     x = (~system.mask).astype(float)
     x /= math.sqrt(float(x @ (m @ x)))

@@ -288,7 +288,8 @@ def assemble(
     the mask is the mesh's `s_nodes`. `b_override` bypasses parameter
     validation for harness sanity checks. Raises GeometryError naming the
     first unmasked node whose lumped mass is not positive (the radial
-    weight underflows at high dimension).
+    weight underflows at high dimension), or an operator with a non-finite
+    entry (finite element terms can sum to infinity).
 
     Each entry of K, Kt and M sums its `element_matrices` terms in element
     order. An off-diagonal entry sums at most two element terms (an edge has
@@ -311,11 +312,13 @@ def assemble(
         return SparseOperator(pattern, np.bincount(pattern.element_slots, weights=local.ravel(),
                                                    minlength=pattern.size))
 
+    operators = {"K": operator(k_local), "Kt": operator(kt_local), "M": operator(m_local)}
+    for name, op in operators.items():
+        if not np.all(np.isfinite(op.data)):
+            raise GeometryError(f"assembled {name} has a non-finite entry")
     return AssembledSystem(
         mesh=mesh,
-        K=operator(k_local),
-        Kt=operator(kt_local),
-        M=operator(m_local),
+        **operators,
         M1=np.bincount(mesh.elements[core].ravel(), weights=lumped_local[core].ravel(),
                        minlength=n),
         lumped_mass=lumped,

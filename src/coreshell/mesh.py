@@ -21,6 +21,9 @@ _TOL = 1e-12
 
 # Largest node count that `build_mesh` builds, checked before any array is allocated.
 MAX_NODES = 10**6
+# Largest spatial dimension N. The radial mass rule takes N // 2 + 2 Gauss
+# points, whose construction costs memory quadratic and time cubic in N.
+MAX_DIMENSION = 1024
 
 
 class GeometryError(ValueError):
@@ -32,7 +35,8 @@ class GeometrySpec:
     """Core-shell geometry request.
 
     kind      : "radial" (any dimension >= 2) or "planar2d" (dimension == 2)
-    dimension : spatial dimension N; sets the r^(N-1) weight of radial meshes
+    dimension : spatial dimension N, at most MAX_DIMENSION; sets the r^(N-1)
+                weight of radial meshes
     r1, r2    : core and outer radii, 0 < r1 < r2
     h         : target mesh size, > 0
     """
@@ -48,6 +52,8 @@ class GeometrySpec:
             raise GeometryError(f"unknown geometry kind {self.kind!r}")
         if self.dimension < 2:
             raise GeometryError(f"dimension must be >= 2, got {self.dimension}")
+        if self.dimension > MAX_DIMENSION:
+            raise GeometryError(f"dimension {self.dimension} is above the limit {MAX_DIMENSION}")
         if self.kind == "planar2d" and self.dimension != 2:
             raise GeometryError("planar2d geometry fixes dimension = 2")
         if not 0.0 < self.r1:

@@ -56,7 +56,8 @@ MAX_STEPS = 10**6
 LINEAR_TOL = 1e-12
 
 # Newton stops once the dual norm of the gradient is below NEWTON_TOL times
-# max(1, its initial value), or after NEWTON_MAX_ITER iterations.
+# max(1, its initial value) or below its rounding floor, or after
+# NEWTON_MAX_ITER iterations.
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 
@@ -140,7 +141,8 @@ def solve_spd(matrix: SparseOperator, rhs: np.ndarray, tol: float,
     zero and stops when the true residual norm drops below tol * ||rhs||;
     deterministic for fixed inputs. Uses `matrix` only through `matrix @ p`
     and `matrix.diagonal()`. Raises LinearSolveError with the iteration
-    count on breakdown or on reaching max(200, 20 n) iterations.
+    count on breakdown (a non-positive or non-finite curvature, a
+    non-finite residual) or on reaching max(200, 20 n) iterations.
     """
     n = rhs.shape[0]
     rhs_norm = float(np.linalg.norm(rhs))
@@ -161,14 +163,21 @@ def solve_spd(matrix: SparseOperator, rhs: np.ndarray, tol: float,
     rho = float(r @ z)
     for k in range(1, max_iter + 1):
         q = matrix @ p
-        curvature = float(p @ q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            curvature = float(p @ q)
         if curvature <= 0.0:
             raise LinearSolveError("non-positive curvature: matrix is not SPD", k)
+        if not np.isfinite(curvature):
+            raise LinearSolveError(f"curvature is not finite ({curvature})", k)
         alpha = rho / curvature
         x += alpha * p
         r -= alpha * q
-        if float(np.linalg.norm(r)) <= tol * rhs_norm:
+        with np.errstate(over="ignore", invalid="ignore"):
+            r_norm = float(np.linalg.norm(r))
+        if r_norm <= tol * rhs_norm:
             return x
+        if not np.isfinite(r_norm):
+            raise LinearSolveError(f"residual is not finite ({r_norm})", k)
         z = precondition(r)
         rho_new = float(r @ z)
         p = z + (rho_new / rho) * p
@@ -279,9 +288,12 @@ def sector_inverse(system: AssembledSystem, matrix: SparseOperator):
 
 
 def _constant_part(system: AssembledSystem, base: SparseOperator):
-    """A constant Hessian part, masked nodes eliminated, and its preconditioner (None: Jacobi)."""
+    """A constant Hessian part with masked nodes eliminated, its preconditioner
+    (None: Jacobi) and the row sums of its absolute values (for Newton's
+    rounding floor)."""
     eliminated = system.eliminate(base)
-    return eliminated, sector_inverse(system, eliminated)
+    row_abs = SparseOperator(eliminated.pattern, np.abs(eliminated.data)) @ np.ones(system.n_nodes)
+    return eliminated, sector_inverse(system, eliminated), row_abs
 
 
 # ----------------------------------------------------------------------------
@@ -304,8 +316,13 @@ def _newton_minimize(
     """Minimize the energy, optionally plus the proximal term, by damped Newton.
 
     Every caller stops by the same rule: the lumped-mass dual norm of the
-    objective gradient falls below NEWTON_TOL * max(1, initial dual norm),
-    or NEWTON_MAX_ITER iterations have run. A start that already satisfies
+    objective gradient falls below NEWTON_TOL * max(1, initial dual norm)
+    or below the gradient's rounding floor, or NEWTON_MAX_ITER iterations
+    have run. The floor is eps times the dual norm of the magnitudes of the
+    gradient's terms: |base| |u|, estimated by the row sums of |base| times
+    |u|, the reaction r(u) and, with a proximal term, |M| |c| / dt,
+    estimated by the lumped mass times |c| / dt. On stiff input (large
+    diffusion coefficients) it lies above NEWTON_TOL. A start that already satisfies
     it is returned unchanged (zero iterations), so fully converged
     trajectories freeze exactly. A non-finite residual never counts as
     converged: at the start it raises NonlinearSolveError. `constant` is the
@@ -333,11 +350,18 @@ def _newton_minimize(
     if constant is None:
         constant = _constant_part(
             system, system.K if prox_center is None else system.K + system.M / dt)
-    base, precondition = constant
+    base, precondition, row_abs = constant
+    prox_size = 0.0 if prox_center is None else system.lumped_mass * np.abs(prox_center) / dt
 
     tol, max_iter = NEWTON_TOL, NEWTON_MAX_ITER
+
+    def settled(res, vals, react):
+        floor = np.finfo(float).eps * dual_norm(system, row_abs * np.abs(vals) + react + prox_size)
+        return res <= max(tol * scale, floor)
+
     for iteration in range(1, max_iter + 1):
-        if res <= tol * scale:
+        react = reaction_vector(system, u, params)
+        if settled(res, u, react):
             return u, iteration - 1, history, True
         hessian = base.plus_diagonal(reaction_jacobian_diagonal(system, u, params))
         direction = solve_spd(hessian, -g, LINEAR_TOL, precondition=precondition)
@@ -353,7 +377,7 @@ def _newton_minimize(
         # near the minimizer two objective values differ by less than their
         # rounding (Hager & Zhang, SIAM J. Optim. 16, 2005). The slack covers
         # the rounding of the potential difference.
-        linear = slope + float(direction @ reaction_vector(system, u, params))
+        linear = slope + float(direction @ react)
         curvature = float(direction @ (base @ direction))
         potential = consumption_potential(u, params)
         fp_slack = 32.0 * np.finfo(float).eps * max(1.0, float(system.M1 @ np.abs(potential)))
@@ -374,8 +398,7 @@ def _newton_minimize(
         res = dual_norm(system, g)
         history.append(res)
 
-    converged = res <= tol * scale
-    return u, max_iter, history, converged
+    return u, max_iter, history, settled(res, u, reaction_vector(system, u, params))
 
 
 def stationary_solve(

@@ -10,7 +10,7 @@ import pytest
 from coreshell import solvers
 from coreshell.cli import main
 from coreshell.config import ConfigError, load_config
-from coreshell.mesh import MAX_NODES, build_mesh
+from coreshell.mesh import MAX_DIMENSION, MAX_NODES, build_mesh
 from coreshell.reporting import read_field_csv, write_field_csv
 from coreshell.solvers import MAX_STEPS
 
@@ -234,6 +234,15 @@ class TestCmdMesh:
         assert main(["evolve", str(path), "--set", "solver.t_end=1e400"]) == 2
         assert "[solver] t_end" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dimension", ["100000000000000000000", "16000"])
+    def test_dimension_above_limit_exit_2(self, repo_root, tmp_path, capsys, dimension):
+        # The radial mass rule's Gauss points cannot be built for 10**20 (an
+        # OverflowError) and take about 1 GB and 43 s for 16000.
+        argv = ["mesh", str(repo_root / "configs" / "radial_desk.cfg"),
+                "--set", f"geometry.dimension={dimension}", "--output-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert f"above the limit {MAX_DIMENSION}" in capsys.readouterr().err
+
     def test_invalid_geometry_exit_2(self, quick_cfg, capsys):
         path, _ = quick_cfg
         rc = main(["mesh", str(path), "--set", "geometry.r1=1.5"])
@@ -311,6 +320,32 @@ class TestCmdStationary:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(argv) == 2
         assert "node 0 has non-positive lumped mass" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", ["radial_desk.cfg", "annulus_desk.cfg"])
+    def test_stiff_core_converges(self, repo_root, tmp_path, capsys, config):
+        # With b1 = 1e6 the gradient's rounding floor (1e-8 to 2e-8) lies
+        # above NEWTON_TOL, and Newton stops there instead of at its cap.
+        argv = [str(repo_root / "configs" / config), "--set", "model.b1=1e6"]
+        assert main(["stationary", *argv, "--output-dir", str(tmp_path / "s")]) == 0
+        assert "converged        = True" in capsys.readouterr().out
+        assert main(["evolve", *argv, "--output-dir", str(tmp_path / "e")]) == 0
+
+    @pytest.mark.parametrize("config", ["radial_desk.cfg", "annulus_desk.cfg"])
+    def test_overflowing_conjugate_gradients_exit_3(self, repo_root, tmp_path, capsys, config):
+        # With b1 = 1e-300 the first CG curvature overflows: a breakdown,
+        # raised at once instead of thousands of iterations later, and no
+        # numpy RuntimeWarning escapes.
+        argv = ["stationary", str(repo_root / "configs" / config),
+                "--set", "model.b1=1e-300", "--output-dir", str(tmp_path)]
+        assert main(argv) == 3
+        assert "curvature is not finite (inf) (after 1 iterations)" in capsys.readouterr().err
+
+    def test_overflowing_assembled_stiffness_exit_2(self, repo_root, tmp_path, capsys):
+        # Every local matrix is finite, but their sums in K overflow.
+        argv = ["stationary", str(repo_root / "configs" / "annulus_desk.cfg"),
+                "--set", "model.b2=1e308", "--output-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert "assembled K has a non-finite entry" in capsys.readouterr().err
 
     def test_init_choices_agree(self, quick_cfg, tmp_path):
         path, out = quick_cfg

@@ -320,11 +320,11 @@ def _newton_minimize(
     or below the gradient's rounding floor, or NEWTON_MAX_ITER iterations
     have run. The floor is eps times the dual norm of the magnitudes of the
     gradient's terms: |base| |u|, estimated by the row sums of |base| times
-    |u|, the reaction r(u) and, with a proximal term, |M| |c| / dt,
-    estimated by the lumped mass times |c| / dt. On stiff input (large
-    diffusion coefficients) it lies above NEWTON_TOL. A start that already satisfies
-    it is returned unchanged (zero iterations), so fully converged
-    trajectories freeze exactly. A non-finite residual never counts as
+    |u| (no product per iteration), the reaction r(u) and, with a proximal
+    term, |M| |c| / dt, estimated by the lumped mass times |c| / dt. It lies
+    above NEWTON_TOL only on stiff input (large diffusion coefficients). A
+    start that already satisfies the rule is returned unchanged (zero
+    iterations), so fully converged trajectories freeze exactly. A non-finite residual never counts as
     converged: at the start it raises NonlinearSolveError. `constant` is the
     `_constant_part` of the Hessian (K, or K + M/dt with a proximal term),
     built here when None. Returns

@@ -353,13 +353,11 @@ def _newton_minimize(
     base, precondition, row_abs = constant
     prox_size = 0.0 if prox_center is None else system.lumped_mass * np.abs(prox_center) / dt
 
-    tol, max_iter = NEWTON_TOL, NEWTON_MAX_ITER
-
     def settled(res, vals, react):
         floor = np.finfo(float).eps * dual_norm(system, row_abs * np.abs(vals) + react + prox_size)
-        return res <= max(tol * scale, floor)
+        return res <= max(NEWTON_TOL * scale, floor)
 
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, NEWTON_MAX_ITER + 1):
         react = reaction_vector(system, u, params)
         if settled(res, u, react):
             return u, iteration - 1, history, True
@@ -398,7 +396,7 @@ def _newton_minimize(
         res = dual_norm(system, g)
         history.append(res)
 
-    return u, max_iter, history, settled(res, u, reaction_vector(system, u, params))
+    return u, NEWTON_MAX_ITER, history, settled(res, u, reaction_vector(system, u, params))
 
 
 def stationary_solve(

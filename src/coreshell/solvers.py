@@ -55,9 +55,8 @@ MAX_STEPS = 10**6
 # Relative residual at which every conjugate-gradient solve stops.
 LINEAR_TOL = 1e-12
 
-# Newton stops once the dual norm of the gradient is below NEWTON_TOL times
-# max(1, its initial value) or below its rounding floor, or after
-# NEWTON_MAX_ITER iterations.
+# Newton stops once the dual norm of the gradient is below NEWTON_TOL or
+# below its rounding floor, or after NEWTON_MAX_ITER iterations.
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 
@@ -67,9 +66,9 @@ class SolverConfig:
     """Time stepping.
 
     dt and t_end are only required for evolution runs and are validated
-    there, with at most MAX_STEPS steps. Newton's stopping rule is
-    NEWTON_TOL and NEWTON_MAX_ITER; each Newton system is solved to
-    LINEAR_TOL.
+    there, with at most MAX_STEPS steps. Each step's Newton solve stops by
+    the absolute rule of `_newton_minimize` (NEWTON_TOL, NEWTON_MAX_ITER);
+    each Newton system is solved to LINEAR_TOL.
     """
 
     dt: float | None = None
@@ -315,19 +314,19 @@ def _newton_minimize(
 ):
     """Minimize the energy, optionally plus the proximal term, by damped Newton.
 
-    Every caller stops by the same rule: the lumped-mass dual norm of the
-    objective gradient falls below NEWTON_TOL * max(1, initial dual norm)
-    or below the gradient's rounding floor, or NEWTON_MAX_ITER iterations
-    have run. The floor is eps times the dual norm of the magnitudes of the
-    gradient's terms: |base| |u|, estimated by the row sums of |base| times
-    |u| (no product per iteration), the reaction r(u) and, with a proximal
-    term, |M| |c| / dt, estimated by the lumped mass times |c| / dt. It lies
-    above NEWTON_TOL only on stiff input (large diffusion coefficients). A
-    start that already satisfies the rule is returned unchanged (zero
-    iterations), so fully converged trajectories freeze exactly. A non-finite residual never counts as
-    converged: at the start it raises NonlinearSolveError. `constant` is the
-    `_constant_part` of the Hessian (K, or K + M/dt with a proximal term),
-    built here when None. Returns
+    Every caller stops by the same absolute rule: the lumped-mass dual norm
+    of the objective gradient is at most NEWTON_TOL or (computed only then)
+    its rounding floor, or NEWTON_MAX_ITER iterations have run. The floor
+    is eps times the dual norm of the magnitudes of the gradient's terms:
+    |base| |u|, estimated by the row sums of |base| times |u| (no product
+    per iteration), the reaction r(u) and, with a proximal term, |M| |c| /
+    dt, estimated by the lumped mass times |c| / dt. It lies above
+    NEWTON_TOL only on stiff input (large diffusion coefficients). A start
+    that already satisfies the rule is returned unchanged (zero
+    iterations), so fully converged trajectories freeze exactly. A
+    non-finite residual never counts as converged: at the start it raises
+    NonlinearSolveError. `constant` is the `_constant_part` of the Hessian
+    (K, or K + M/dt with a proximal term), built here when None. Returns
     (values, iterations, dual-residual history, converged).
     """
     mask = system.mask
@@ -345,7 +344,6 @@ def _newton_minimize(
     res = dual_norm(system, g)
     if not np.isfinite(res):
         raise NonlinearSolveError(f"initial dual residual is not finite ({res})")
-    scale = max(1.0, res)
     history = [res]
     if constant is None:
         constant = _constant_part(
@@ -354,8 +352,8 @@ def _newton_minimize(
     prox_size = 0.0 if prox_center is None else system.lumped_mass * np.abs(prox_center) / dt
 
     def settled(res, vals, react):
-        floor = np.finfo(float).eps * dual_norm(system, row_abs * np.abs(vals) + react + prox_size)
-        return res <= max(NEWTON_TOL * scale, floor)
+        return res <= NEWTON_TOL or res <= np.finfo(float).eps * dual_norm(
+            system, row_abs * np.abs(vals) + react + prox_size)
 
     for iteration in range(1, NEWTON_MAX_ITER + 1):
         react = reaction_vector(system, u, params)

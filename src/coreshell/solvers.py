@@ -372,11 +372,14 @@ def _newton_minimize(
         # t d.(K u + M(u - c)/dt) + t^2/2 d.(base d) - M1.(F(u + t d) - F(u)):
         # near the minimizer two objective values differ by less than their
         # rounding (Hager & Zhang, SIAM J. Optim. 16, 2005). The slack covers
-        # the rounding of the potential difference.
+        # the rounding of the potential difference: the log's argument in
+        # F(s) = s + (c1 - c0) log((c1 - s) / c1) is rounded to relative eps,
+        # so F(s) rounds to about eps (|F(s)| + c1 - c0) at each node.
         linear = slope + float(direction @ react)
         curvature = float(direction @ (base @ direction))
         potential = consumption_potential(u, params)
-        fp_slack = 32.0 * np.finfo(float).eps * max(1.0, float(system.M1 @ np.abs(potential)))
+        fp_slack = 32.0 * np.finfo(float).eps * max(
+            1.0, float(system.M1 @ (np.abs(potential) + (params.c1 - params.c0))))
         step = 1.0
         while True:
             candidate = u + step * direction

@@ -331,6 +331,23 @@ class TestCmdStationary:
         assert main(["evolve", *argv, "--output-dir", str(tmp_path / "e")]) == 0
 
     @pytest.mark.parametrize("config", ["radial_desk.cfg", "annulus_desk.cfg"])
+    def test_large_shift_converges(self, repo_root, tmp_path, capsys, config):
+        # The potential F(s) = s + (c1 - c0) log((c1 - s) / c1) rounds to
+        # about eps (c1 - c0) per core node. With a line-search slack blind
+        # to that rounding, Newton crawled through halved steps and exited 3.
+        argv = ["stationary", str(repo_root / "configs" / config),
+                "--set", "model.c1=1e6", "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert "converged        = True" in capsys.readouterr().out
+
+    def test_large_shift_evolves(self, repo_root, tmp_path):
+        # At the same slack this run stalled at step 12 after 50 iterations.
+        argv = ["evolve", str(repo_root / "configs" / "annulus_desk.cfg"),
+                "--set", "model.c1=1e3", "--set", "solver.t_end=1", "--set", "solver.dt=0.05",
+                "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("config", ["radial_desk.cfg", "annulus_desk.cfg"])
     def test_overflowing_conjugate_gradients_exit_3(self, repo_root, tmp_path, capsys, config):
         # With b1 = 1e-300 the first CG curvature overflows: a breakdown,
         # raised at once instead of thousands of iterations later, and no

@@ -19,7 +19,6 @@ from .fem import (
     field_from_values,
     ramp_field,
     reaction_vector,
-    residual,
     zero_field,
 )
 from .mesh import (

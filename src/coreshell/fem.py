@@ -17,8 +17,8 @@ All operators of one system share one sparsity pattern (`SparsityPattern`,
 padded ELL layout), so sums, eliminations and diagonal shifts of them are
 arithmetic on their value arrays.
 
-Operators and the field functions (`reaction_vector`, `energy_gradient` /
-`residual`, `energy`) also take a stack of fields, an array of shape
+Operators and the field functions (`reaction_vector`, `energy_gradient`,
+`energy`) also take a stack of fields, an array of shape
 (..., n), and treat each field as they treat a single one: field j of a
 stacked result equals the single-field result bit for bit. `verify` uses
 this to evaluate its random samples in blocks of about 2^15 nodal values
@@ -352,18 +352,13 @@ def energy_gradient(system: AssembledSystem, u: np.ndarray, params: ModelParams)
     """Gradient of the discrete energy: K u - reaction, zeroed at masked nodes.
 
     By the gradient-flow identity this is also the discrete
-    diffusion-reaction operator applied to u; `residual` is the same
-    function under that name.
+    diffusion-reaction operator applied to u, the stationary problem's
+    residual.
     """
     system.check_field(u)
     g = system.K @ u - reaction_vector(system, u, params)
     np.copyto(g, 0.0, where=system.mask)
     return g
-
-
-def residual(system: AssembledSystem, u: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Unmasked-subspace residual of the stationary problem (zero at the solution)."""
-    return energy_gradient(system, u, params)
 
 
 def energy(system: AssembledSystem, u: np.ndarray, params: ModelParams):

@@ -20,7 +20,6 @@ from coreshell import (
     field_from_values,
     reaction_vector,
     refine,
-    residual,
     zero_field,
 )
 from coreshell.fem import dot_fields, dual_norm, element_matrices, h_norm, v_norm
@@ -282,7 +281,7 @@ class TestFieldStacks:
     def test_field_functions(self, request, desk_params, name):
         system = request.getfixturevalue(name)
         fields = self.stack(system)
-        for fn in (reaction_vector, residual, energy_gradient):
+        for fn in (reaction_vector, energy_gradient):
             stacked = fn(system, fields, desk_params)
             for j in np.ndindex(fields.shape[:-1]):
                 assert np.array_equal(stacked[j], fn(system, fields[j], desk_params))
@@ -402,11 +401,6 @@ class TestEnergyAndGradient:
             gu = energy_gradient(system, u, params)
             d = u - zero
             assert float((gu - g0) @ d) >= -1e-12 * float(d @ (system.M @ d))
-
-    def test_residual_is_gradient_bitwise(self, sys4, mesh4, params):
-        rng = np.random.default_rng(8)
-        u = field_from_values(mesh4, rng.uniform(-1, 1, mesh4.n_nodes))
-        assert np.array_equal(residual(sys4, u, params), energy_gradient(sys4, u, params))
 
     def test_dimension_mismatch_raises(self, sys4, params):
         bad = np.zeros(3)

@@ -66,6 +66,26 @@ def test_matrix_symmetry_fails_on_one_perturbed_entry(repo_root, monkeypatch, na
     assert result.detail == "K asym entries=2 M asym entries=0"
 
 
+@pytest.mark.parametrize("name", ["annulus_desk.cfg", "radial_desk.cfg"])
+def test_gradient_operator_check_sees_one_scaled_pair(repo_root, monkeypatch, name):
+    # K stays symmetric, so only the element-wise operator can tell.
+    def perturbed(*args, **kwargs):
+        system = assemble(*args, **kwargs)
+        pattern = system.K.pattern
+        rows, cols = np.divmod(pattern.keys, system.n_nodes)
+        at = np.flatnonzero((rows != cols) & ~system.mask[rows] & ~system.mask[cols])[0]
+        data = system.K.data.copy()
+        data[[pattern.slots[at], pattern.transpose[at]]] *= 1.0 + 1e-6
+        return dataclasses.replace(system, K=SparseOperator(pattern, data))
+
+    config = load_config(repo_root / "configs" / name)
+    assert _result(run_verification(config), "gradient-equals-operator").passed
+    monkeypatch.setattr(verify, "assemble", perturbed)
+    results = run_verification(config)
+    assert _result(results, "matrix-symmetry").passed
+    assert not _result(results, "gradient-equals-operator").passed
+
+
 def test_resolvent_solution_meets_residual_bound(radial_desk_system, desk_params):
     system = radial_desk_system
     rng = np.random.default_rng(7)
@@ -130,7 +150,8 @@ def test_violation_inside_a_block_reports_the_first_failing_pair(repo_root, monk
     # the same pairing, one pair at a time in draw order
     def below_floor(system, u, v):
         d = u - v
-        lhs = (fem.residual(system, u, config.model) - fem.residual(system, v, config.model)) @ d
+        lhs = (fem.energy_gradient(system, u, config.model)
+               - fem.energy_gradient(system, v, config.model)) @ d
         return lhs < -slack * (d @ (system.M @ d))
 
     index, u, v = next((index, u, v) for system, block in drawn

@@ -36,6 +36,7 @@ import numpy as np
 from .mesh import CORE, CoreShellMesh, GeometryError
 from .model import (
     ModelParams,
+    ParameterError,
     consumption_potential,
     consumption_rate,
     consumption_rate_slope,
@@ -289,7 +290,9 @@ def assemble(
     validation for harness sanity checks. Raises GeometryError naming the
     first unmasked node whose lumped mass is not positive (the radial
     weight underflows at high dimension), or an operator with a non-finite
-    entry (finite element terms can sum to infinity).
+    entry (finite element terms can sum to infinity), and ParameterError
+    naming the first unmasked node whose K diagonal is zero (its diffusion
+    coefficient underflows in the element stiffness).
 
     Each entry of K, Kt and M sums its `element_matrices` terms in element
     order. An off-diagonal entry sums at most two element terms (an edge has
@@ -316,6 +319,12 @@ def assemble(
     for name, op in operators.items():
         if not np.all(np.isfinite(op.data)):
             raise GeometryError(f"assembled {name} has a non-finite entry")
+    flat = np.flatnonzero(~mask & (operators["K"].diagonal() == 0.0))
+    if flat.size:
+        element = np.flatnonzero(np.any(mesh.elements == flat[0], axis=1))[0]
+        coefficient = f"b1={b1}" if core[element] else f"b2={b2}"
+        raise ParameterError(f"node {flat[0]} has a zero stiffness diagonal: diffusion "
+                             f"coefficient {coefficient} underflows")
     return AssembledSystem(
         mesh=mesh,
         **operators,

@@ -348,6 +348,16 @@ class TestCmdStationary:
         assert main(argv) == 0
 
     @pytest.mark.parametrize("config", ["radial_desk.cfg", "annulus_desk.cfg"])
+    def test_underflowing_stiffness_exit_2(self, repo_root, tmp_path, capsys, config):
+        # b1 = 5e-324 rounds the core's element stiffness to zero: invalid
+        # input, not a CG breakdown (annulus) or a silent run (radial).
+        argv = ["stationary", str(repo_root / "configs" / config),
+                "--set", "model.b1=5e-324", "--output-dir", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "has a zero stiffness diagonal: diffusion coefficient b1=5e-324 underflows" in err
+
+    @pytest.mark.parametrize("config", ["radial_desk.cfg", "annulus_desk.cfg"])
     def test_overflowing_conjugate_gradients_exit_3(self, repo_root, tmp_path, capsys, config):
         # With b1 = 1e-300 the first CG curvature overflows: a breakdown,
         # raised at once instead of thousands of iterations later, and no

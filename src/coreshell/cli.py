@@ -136,7 +136,11 @@ def cmd_evolve(config: RunConfig, u0_file: str | None = None) -> int:
 
     slack_energy = 1e-12 * max(1.0, abs(trace.energies[0]))
     energy_ok = bool(np.all(np.diff(trace.energies) <= slack_energy))
-    # Per-step inexactness of the proximal solve in the M-norm.
+    # Per-step inexactness of the proximal solve in the M-norm: each step's
+    # Newton solve ends at a dual residual of at most NEWTON_TOL (the
+    # absolute rule of `_newton_minimize`; only on stiff input does its
+    # rounding floor lie above that), which moves the step by about
+    # dt * NEWTON_TOL in the H-norm.
     slack_h = (2.0 * config.solver.dt * NEWTON_TOL
                + 1e-12 * max(1.0, trace.err_H[0]))
     contraction_ok = bool(np.all(np.diff(trace.err_H) <= slack_h))

@@ -4,8 +4,9 @@ Each property mirrors a structural guarantee of the continuous problem at
 the discrete level: bounds and monotonicity of the consumption law,
 monotonicity and coercivity of the assembled operator, strong monotonicity
 of the energy gradient with the computed constant, gradient correctness
-against finite differences, solvability of the regularized
-(mass + stiffness) systems, and a sampled hemicontinuity bound.
+against finite differences and against the operator built element by
+element, solvability of the regularized (mass + stiffness) systems by the
+implicit-Euler step of size 1, and a sampled hemicontinuity bound.
 
 The suite runs sequentially under a fixed seed; identical configuration and
 seed produce byte-identical reports. Every random sample is drawn once: the

@@ -319,11 +319,11 @@ def assemble(
     for name, op in operators.items():
         if not np.all(np.isfinite(op.data)):
             raise GeometryError(f"assembled {name} has a non-finite entry")
-    flat = np.flatnonzero(~mask & (operators["K"].diagonal() == 0.0))
-    if flat.size:
-        element = np.flatnonzero(np.any(mesh.elements == flat[0], axis=1))[0]
+    unstiff = np.flatnonzero(~mask & (operators["K"].diagonal() == 0.0))
+    if unstiff.size:
+        element = np.flatnonzero(np.any(mesh.elements == unstiff[0], axis=1))[0]
         coefficient = f"b1={b1}" if core[element] else f"b2={b2}"
-        raise ParameterError(f"node {flat[0]} has a zero stiffness diagonal: diffusion "
+        raise ParameterError(f"node {unstiff[0]} has a zero stiffness diagonal: diffusion "
                              f"coefficient {coefficient} underflows")
     return AssembledSystem(
         mesh=mesh,

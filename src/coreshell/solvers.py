@@ -315,18 +315,19 @@ def _newton_minimize(
     """Minimize the energy, optionally plus the proximal term, by damped Newton.
 
     Every caller stops by the same absolute rule: the lumped-mass dual norm
-    of the objective gradient is at most NEWTON_TOL or (computed only then)
-    its rounding floor, or NEWTON_MAX_ITER iterations have run. The floor
-    is eps times the dual norm of the magnitudes of the gradient's terms:
-    |base| |u|, estimated by the row sums of |base| times |u| (no product
-    per iteration), the reaction r(u) and, with a proximal term, |M| |c| /
-    dt, estimated by the lumped mass times |c| / dt. It lies above
-    NEWTON_TOL only on stiff input (large diffusion coefficients). A start
-    that already satisfies the rule is returned unchanged (zero
-    iterations), so fully converged trajectories freeze exactly. A
-    non-finite residual never counts as converged: at the start it raises
-    NonlinearSolveError. `constant` is the `_constant_part` of the Hessian
-    (K, or K + M/dt with a proximal term), built here when None. Returns
+    of the objective gradient is at most NEWTON_TOL or, failing that, its
+    rounding floor, or NEWTON_MAX_ITER iterations have run. The floor,
+    computed only when NEWTON_TOL is not met, is eps times the dual norm
+    of the magnitudes of the gradient's terms: |base| |u|, estimated by the
+    row sums of |base| times |u| (no product per iteration), the reaction
+    r(u) and, with a proximal term, |M| |c| / dt, estimated by the lumped
+    mass times |c| / dt. It lies above NEWTON_TOL only on stiff input
+    (large diffusion coefficients). A start that already satisfies the
+    rule is returned unchanged (zero iterations), so fully converged
+    trajectories freeze exactly. A non-finite residual never counts as
+    converged: at the start it raises NonlinearSolveError. `constant` is
+    the `_constant_part` of the Hessian (K, or K + M/dt with a proximal
+    term), built here when None. Returns
     (values, iterations, dual-residual history, converged).
     """
     mask = system.mask

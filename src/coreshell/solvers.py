@@ -11,7 +11,11 @@ Each Newton system is the constant part of its Hessian (K, or K + M/dt for a
 time step) with the Dirichlet nodes eliminated, plus the nonnegative reaction
 diagonal, solved by preconditioned conjugate gradients on full-length vectors:
 Jacobi by default, and on the built-in rotation-invariant meshes the exact
-inverse of the constant part (`sector_inverse`), built once per operator.
+inverse of the rotation-averaged Hessian, the constant part plus the ring
+means of the reaction diagonal (`sector_inverse`, built once per operator
+and refactored with the new means on every Newton iteration). On a radial
+chain each ring is one node, so that inverse is exact and CG takes one
+iteration.
 
 A single evolution is sequential in the step index; independent runs may
 share meshes and assembled systems freely. Given a configuration, the
@@ -187,6 +191,85 @@ def solve_spd(matrix: SparseOperator, rhs: np.ndarray, tol: float,
 _SECTOR_INVERSE_RTOL = 1e-8
 
 
+def _factor(lower, diag, upper):
+    """Forward elimination factors f[i] = lower[i] * w[i - 1] and inverse
+    pivots w[i] = 1 / (diag[i] - f[i] * upper[i - 1]) of the ring systems,
+    or None when one of them is not finite."""
+    f, w = [0.0] * len(diag), [0.0] * len(diag)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            w[0] = 1.0 / diag[0]
+            for i in range(1, len(diag)):
+                f[i] = lower[i] * w[i - 1]
+                w[i] = 1.0 / (diag[i] - f[i] * upper[i - 1])
+            if not np.all(np.isfinite(f[1:] + w)):
+                return None
+    except ZeroDivisionError:
+        return None
+    return f, w
+
+
+class SectorInverse:
+    """The factored ring systems of `sector_inverse`; calling it applies the inverse.
+
+    `lower`, `diag` and `upper` hold, per ring (the center first), the
+    coupling to the ring before, the ring's own block and the coupling to
+    the ring after, as `_factor` reads them: floats on a chain (one
+    sector), the ring's row of Fourier-mode values otherwise.
+    """
+
+    def __init__(self, sectors, lower, diag, upper, factors):
+        self.sectors = sectors
+        self.lower, self.diag, self.upper = lower, diag, upper
+        self.f, self.w = factors
+        self.modes = np.arange(sectors // 2 + 1)
+
+    def __call__(self, r):
+        sectors, f, w, upper = self.sectors, self.f, self.w, self.upper
+        n_rings = len(w) - 1
+        if sectors == 1:
+            y = r.tolist()  # entries past n_rings are the masked ring
+        else:
+            y = [np.where(self.modes == 0, r[0], 0j),
+                 *np.fft.rfft(r[1:-sectors].reshape(n_rings, sectors), axis=1)]
+        for i in range(1, n_rings + 1):
+            y[i] -= f[i] * y[i - 1]
+        y[n_rings] *= w[n_rings]
+        for i in range(n_rings - 1, -1, -1):
+            y[i] = (y[i] - upper[i] * y[i + 1]) * w[i]
+        if sectors == 1:
+            return np.array(y)
+        x = r.copy()
+        x[0] = y[0][0].real
+        x[1:-sectors] = np.fft.irfft(y[1:], n=sectors, axis=1).ravel()
+        return x
+
+    def shifted(self, values):
+        """The inverse of the operator plus the ring means of the diagonal `values`.
+
+        A diagonal that is constant on each ring commutes with rotation: it
+        adds its ring's value to every mode of that ring, and the center's
+        value to the center's mode 0. So the sum is inverted exactly when
+        `values` is constant on each ring, and otherwise approximately. On a
+        chain every ring is one node. The masked ring's values are not read.
+        Returns self when `values` or the new factors are not finite.
+        """
+        if not np.all(np.isfinite(values)):
+            return self
+        sectors = self.sectors
+        if sectors == 1:
+            means = values[:-1].tolist()
+        else:
+            means = [values[0], *values[1:-sectors].reshape(-1, sectors).mean(axis=1).tolist()]
+        diag = [d + m for d, m in zip(self.diag, means)]
+        if sectors > 1:  # the center's other modes are decoupled identity rows
+            diag[0] = self.diag[0] + np.where(self.modes == 0, means[0], 0.0)
+        factors = _factor(self.lower, diag, self.upper)
+        if factors is None:
+            return self
+        return SectorInverse(sectors, self.lower, diag, self.upper, factors)
+
+
 def sector_inverse(system: AssembledSystem, matrix: SparseOperator):
     """Exact inverse of an eliminated constant operator on a rotation-invariant mesh, or None.
 
@@ -197,12 +280,13 @@ def sector_inverse(system: AssembledSystem, matrix: SparseOperator):
     block-tridiagonal over the rings: a real FFT along each ring splits it
     into one tridiagonal system per Fourier mode, and the center couples to
     mode 0 only (Swarztrauber & Sweet, SIAM J. Numer. Anal. 10, 1973). The
-    ring-to-ring couplings are read from the rows of sector 0, and one
-    factor loop, run here once, factors every mode's system on a list with
-    one entry per ring: a float on a chain (one sector), the ring's row of
-    mode values otherwise. `apply(r)` then costs one forward and one
-    backward sweep over that list, two FFTs on rings, and passes the masked
-    entries of r through unchanged.
+    ring-to-ring couplings are read from the rows of sector 0 once, and one
+    factor loop (`_factor`) factors every mode's system on a list with one
+    entry per ring: a float on a chain (one sector), the ring's row of
+    mode values otherwise. Calling the returned `SectorInverse` costs one
+    forward and one backward sweep over that list, two FFTs on rings, and
+    passes the masked entries of r through unchanged. Its `shifted(d)`
+    reruns only the factor loop, with the ring means of a diagonal d added.
 
     Returns None ("use Jacobi") when the layout does not apply or when
     ||matrix @ apply(b) - b|| > 1e-8 ||b|| on a probe vector, so a wrong
@@ -245,38 +329,10 @@ def sector_inverse(system: AssembledSystem, matrix: SparseOperator):
         lower, diag, upper = (c.real[:, 0].tolist() for c in (lower, diag, upper))
     else:
         lower, diag, upper = list(lower), list(diag), list(upper)
-
-    # Forward elimination factors f[i] = lower[i] * w[i - 1] and inverse
-    # pivots w[i] = 1 / (diag[i] - f[i] * upper[i - 1]).
-    f, w = [0.0] * (n_rings + 1), [0.0] * (n_rings + 1)
-    try:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            w[0] = 1.0 / diag[0]
-            for i in range(1, n_rings + 1):
-                f[i] = lower[i] * w[i - 1]
-                w[i] = 1.0 / (diag[i] - f[i] * upper[i - 1])
-            if not np.all(np.isfinite(f[1:] + w)):
-                return None
-    except ZeroDivisionError:
+    factors = _factor(lower, diag, upper)
+    if factors is None:
         return None
-
-    def apply(r):
-        if sectors == 1:
-            y = r.tolist()  # entries past n_rings are the masked ring
-        else:
-            y = [np.where(modes == 0, r[0], 0j),
-                 *np.fft.rfft(r[1:-sectors].reshape(n_rings, sectors), axis=1)]
-        for i in range(1, n_rings + 1):
-            y[i] -= f[i] * y[i - 1]
-        y[n_rings] *= w[n_rings]
-        for i in range(n_rings - 1, -1, -1):
-            y[i] = (y[i] - upper[i] * y[i + 1]) * w[i]
-        if sectors == 1:
-            return np.array(y)
-        x = r.copy()
-        x[0] = y[0][0].real
-        x[1:-sectors] = np.fft.irfft(y[1:], n=sectors, axis=1).ravel()
-        return x
+    apply = SectorInverse(sectors, lower, diag, upper, factors)
 
     probe = np.cos(np.arange(n, dtype=float))
     with np.errstate(invalid="ignore", over="ignore"):
@@ -327,7 +383,9 @@ def _newton_minimize(
     trajectories freeze exactly. A non-finite residual never counts as
     converged: at the start it raises NonlinearSolveError. `constant` is
     the `_constant_part` of the Hessian (K, or K + M/dt with a proximal
-    term), built here when None. Returns
+    term), built here when None. When it has a `SectorInverse`, each
+    iteration preconditions CG with its `shifted` copy for that
+    iteration's reaction diagonal. Returns
     (values, iterations, dual-residual history, converged).
     """
     mask = system.mask
@@ -360,8 +418,10 @@ def _newton_minimize(
         react = reaction_vector(system, u, params)
         if settled(res, u, react):
             return u, iteration - 1, history, True
-        hessian = base.plus_diagonal(reaction_jacobian_diagonal(system, u, params))
-        direction = solve_spd(hessian, -g, LINEAR_TOL, precondition=precondition)
+        reaction_diagonal = reaction_jacobian_diagonal(system, u, params)
+        hessian = base.plus_diagonal(reaction_diagonal)
+        direction = solve_spd(hessian, -g, LINEAR_TOL, precondition=None if precondition is None
+                              else precondition.shifted(reaction_diagonal))
 
         slope = float(g @ direction)
         if slope >= 0.0:

@@ -10,9 +10,25 @@ import pytest
 from coreshell import solvers
 from coreshell.cli import main
 from coreshell.config import ConfigError, load_config
+from coreshell.fem import (
+    assemble,
+    dual_norm,
+    energy,
+    energy_gradient,
+    reaction_jacobian_diagonal,
+    zero_field,
+)
 from coreshell.mesh import MAX_DIMENSION, MAX_NODES, build_mesh
 from coreshell.reporting import read_field_csv, write_field_csv
-from coreshell.solvers import MAX_STEPS
+from coreshell.solvers import (
+    LINEAR_TOL,
+    MAX_STEPS,
+    NEWTON_TOL,
+    LinearSolveError,
+    _constant_part,
+    solve_spd,
+    stationary_solve,
+)
 
 QUICK_RADIAL = """
 [model]
@@ -358,14 +374,41 @@ class TestCmdStationary:
         assert "has a zero stiffness diagonal: diffusion coefficient b1=5e-324 underflows" in err
 
     @pytest.mark.parametrize("config", ["radial_desk.cfg", "annulus_desk.cfg"])
-    def test_overflowing_conjugate_gradients_exit_3(self, repo_root, tmp_path, capsys, config):
-        # With b1 = 1e-300 the first CG curvature overflows: a breakdown,
-        # raised at once instead of thousands of iterations later, and no
-        # numpy RuntimeWarning escapes.
+    def test_near_zero_core_stiffness_converges(self, repo_root, tmp_path, config):
+        # With b1 = 1e-300 the inverse of K alone overflows, but Newton's
+        # preconditioner inverts K plus the reaction diagonal, which stays
+        # well scaled. The result is a real solve: its dual residual meets
+        # NEWTON_TOL and its energy lies below the start's.
+        loaded = load_config(repo_root / "configs" / config, ["model.b1=1e-300"])
+        mesh = build_mesh(loaded.geometry)
+        system = assemble(mesh, loaded.model)
+        result = stationary_solve(system, loaded.model, zero_field(mesh))
+        assert dual_norm(system, energy_gradient(system, result.field, loaded.model)) <= NEWTON_TOL
+        assert result.energy <= energy(system, zero_field(mesh), loaded.model)
+
         argv = ["stationary", str(repo_root / "configs" / config),
                 "--set", "model.b1=1e-300", "--output-dir", str(tmp_path)]
-        assert main(argv) == 3
-        assert "curvature is not finite (inf) (after 1 iterations)" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert "converged        = True" in (tmp_path / "stationary_report.txt").read_text()
+
+    @pytest.mark.parametrize("config", ["radial_desk.cfg", "annulus_desk.cfg"])
+    def test_overflowing_conjugate_gradients_break_down(self, repo_root, config):
+        # Preconditioned by the inverse of the constant part alone, the first
+        # CG curvature on that input overflows: a breakdown, raised at once
+        # instead of thousands of iterations later, and no numpy
+        # RuntimeWarning escapes.
+        loaded = load_config(repo_root / "configs" / config, ["model.b1=1e-300"])
+        mesh = build_mesh(loaded.geometry)
+        system = assemble(mesh, loaded.model)
+        base, constant_inverse, _ = _constant_part(system, system.K)
+        start = zero_field(mesh)
+        hessian = base.plus_diagonal(reaction_jacobian_diagonal(system, start, loaded.model))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LinearSolveError,
+                               match=r"curvature is not finite \(inf\) \(after 1 iterations\)"):
+                solve_spd(hessian, -energy_gradient(system, start, loaded.model), LINEAR_TOL,
+                          precondition=constant_inverse)
 
     def test_overflowing_assembled_stiffness_exit_2(self, repo_root, tmp_path, capsys):
         # Every local matrix is finite, but their sums in K overflow.

@@ -182,6 +182,93 @@ class TestSectorInverse:
             assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
 
 
+def _ring_constant(system, rng):
+    """A nonnegative diagonal that is constant on each ring and zero on the masked ring."""
+    sectors = system.mesh.sectors
+    n_rings = (system.n_nodes - 1) // sectors - 1
+    return np.concatenate([rng.uniform(0.0, 1.0, 1),
+                           np.repeat(rng.uniform(0.0, 1.0, n_rings), sectors), np.zeros(sectors)])
+
+
+class TestShiftedSectorInverse:
+    # The ring means of a ring-constant diagonal are its values, so the
+    # shifted factor inverts the constant part plus that diagonal exactly.
+    @pytest.mark.parametrize("name, overrides", [
+        pytest.param("annulus_desk.cfg", [], id="annulus_desk.cfg"),
+        pytest.param("annulus_desk.cfg", ["geometry.h=0.025"], id="planar-h0.025"),
+        pytest.param("radial_desk.cfg", [], id="radial_desk.cfg"),
+    ])
+    def test_exact_with_ring_constant_diagonal(self, repo_root, name, overrides):
+        config = load_config(repo_root / "configs" / name, overrides)
+        system = assemble(build_mesh(config.geometry), config.model)
+        eliminated = system.eliminate(system.K + system.M / config.solver.dt)
+        inverse = sector_inverse(system, eliminated)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            shift = _ring_constant(system, rng)
+            r = rng.standard_normal(system.n_nodes)
+            miss = np.linalg.norm(eliminated.plus_diagonal(shift) @ inverse.shifted(shift)(r) - r)
+            assert miss <= 1e-10 * np.linalg.norm(r)
+
+    @pytest.mark.parametrize("system_name", ["annulus_desk_system", "radial_desk_system"])
+    def test_unusable_shift_falls_back_to_unshifted(self, request, system_name):
+        system = request.getfixturevalue(system_name)
+        eliminated = system.eliminate(system.K)
+        inverse = sector_inverse(system, eliminated)
+        for bad in (np.nan, np.inf):
+            shift = np.zeros(system.n_nodes)
+            shift[3] = bad
+            assert inverse.shifted(shift) is inverse
+        # a shift that zeroes the center's pivot leaves no finite factor
+        shift = np.zeros(system.n_nodes)
+        shift[0] = -eliminated[0, 0]
+        assert inverse.shifted(shift) is inverse
+
+
+def _preconditioner_applies(monkeypatch):
+    """Per Newton solve, the list `_counted` fills with one entry per preconditioner apply."""
+    counts = []
+    solve = solvers.solve_spd
+
+    def counting(matrix, rhs, tol, precondition=None):
+        assert precondition is not None
+        apply, calls = _counted(precondition)
+        counts.append(calls)
+        return solve(matrix, rhs, tol, precondition=apply)
+
+    monkeypatch.setattr(solvers, "solve_spd", counting)
+    return counts
+
+
+class TestNewtonPreconditioner:
+    # On a chain each ring is one node, so the shifted factor is the exact
+    # inverse of every Newton Hessian and PCG stops after its first step. At
+    # h=2^-11 the residual after that step is the rounding of the product,
+    # about 5e-11 relative (the condition number grows as h^-2), above
+    # LINEAR_TOL, so every solve takes one more step. A stationary solve
+    # from zero stays rotation-invariant, so planar rings get an exact
+    # inverse too.
+    @pytest.mark.parametrize("name, overrides, applies", [
+        pytest.param("radial_desk.cfg", [], 1, id="radial_desk.cfg"),
+        pytest.param("radial_desk.cfg", [f"geometry.h={2.0**-11}"], 2, id="radial-h2^-11"),
+        pytest.param("annulus_desk.cfg", [], 1, id="annulus_desk.cfg"),
+    ])
+    def test_exact_solves(self, repo_root, monkeypatch, name, overrides, applies):
+        monkeypatch.syspath_prepend(str(repo_root / "perfbench"))
+        from inputs import low_mode_field
+
+        config = load_config(repo_root / "configs" / name, overrides)
+        mesh = build_mesh(config.geometry)
+        system = assemble(mesh, config.model)
+        counts = _preconditioner_applies(monkeypatch)
+        assert stationary_solve(system, config.model, zero_field(mesh)).converged
+        if mesh.sectors == 1:
+            trace = evolve(system, config.model, config.solver,
+                           low_mode_field(mesh, config.model.c0, 1))
+            assert trace.failure is None and trace.newton_iters.sum() > 0
+        assert {len(calls) for calls in counts} == {applies}
+
+
 @pytest.fixture(scope="module")
 def refined_planar(params):
     """A refined planar system: `refine` appends the new outer-boundary nodes,

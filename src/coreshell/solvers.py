@@ -32,10 +32,8 @@ from .fem import (
     dual_norm,
     energy,
     energy_gradient,
-    h_norm,
     reaction_jacobian_diagonal,
     reaction_vector,
-    v_norm,
     zero_field,
 )
 from .model import ModelParams, consumption_potential
@@ -525,7 +523,10 @@ def evolve(
     The stationary reference is computed once (from zero) before stepping,
     and the constant part K + M/dt of every step's Hessian is eliminated
     and preconditioned once for all steps. u0 and every accepted step are
-    recorded by the same function. Raises ValueError when u0's record or
+    recorded by the same function. Once a step returns its input unchanged
+    (zero Newton iterations), the trajectory is frozen: the remaining steps
+    are not run, and their rows copy that state's record with zero
+    iterations. Raises ValueError when u0's record or
     initial dual residual is not finite. On a step failure the partial trace
     is returned with the failure's message in `failure`.
     """
@@ -540,8 +541,12 @@ def evolve(
     u_star = reference.field
 
     def record(u):
-        """(energy, err_H, err_V) of one state of the trajectory."""
-        return energy(system, u, params), h_norm(system, u - u_star), v_norm(system, u - u_star)
+        """(energy, err_H, err_V) of one state of the trajectory; the norms are
+        `fem.h_norm` and `fem.v_norm`, sharing the product M e."""
+        e = u - u_star
+        mass = e @ (system.M @ e)
+        return (energy(system, u, params), float(np.sqrt(mass)),
+                float(np.sqrt(mass + e @ (system.Kt @ e))))
 
     with np.errstate(over="ignore", invalid="ignore"):
         start = record(u0)
@@ -559,10 +564,16 @@ def evolve(
     u = u0
     for n in range(1, cfg.n_steps + 1):
         try:
-            u, k = _step_implicit_euler_counted(system, params, cfg, u, step_constant)
+            stepped, k = _step_implicit_euler_counted(system, params, cfg, u, step_constant)
         except (NonlinearSolveError, LinearSolveError) as exc:
             failure = str(exc)
             break
+        if k == 0 and np.array_equal(stepped, u):
+            # A step that returns its input gives the next step the same
+            # input and proximal center, so every later step returns it too.
+            rows += [(m * cfg.dt, *rows[-1][1:4], 0) for m in range(n, cfg.n_steps + 1)]
+            break
+        u = stepped
         rows.append((n * cfg.dt, *record(u), k))
 
     times, energies, err_h, err_v, iters = map(np.asarray, zip(*rows))

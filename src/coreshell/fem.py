@@ -70,14 +70,15 @@ def ramp_field(mesh: CoreShellMesh, params: ModelParams) -> np.ndarray:
 class SparsityPattern:
     """The node pairs that share an element, plus the diagonal, in padded ELL layout.
 
-    The entries of row i, in increasing column order, fill slots 0, 1, ...
-    of column i of the (w, n) table `cols`; a slot left over holds column i
-    and the value 0, so it adds nothing. w is the longest row apart from hub
-    rows, those longer than twice the median (the center of a planar mesh,
-    joined to every node of the first ring), whose entries are stored apart
-    in `long` as (row, data slice, columns). An operator's values are one
-    flat array of `size` entries: the slot table `data[:w * n]` row by row
-    of `cols`, then the hub rows.
+    Built from the mesh's edge table: the entries are the diagonal and both
+    directions of each edge. The entries of row i, in increasing column
+    order, fill slots 0, 1, ... of column i of the (w, n) table `cols`; a
+    slot left over holds column i and the value 0, so it adds nothing. w is
+    the longest row apart from hub rows, those longer than twice the median
+    (the center of a planar mesh, joined to every node of the first ring),
+    whose entries are stored apart in `long` as (row, data slice, columns).
+    An operator's values are one flat array of `size` entries: the slot
+    table `data[:w * n]` row by row of `cols`, then the hub rows.
 
     Per stored entry, in row-major order: `keys` (row * n + column, sorted),
     `slots` (its index in the data) and `transpose` (the data index of the
@@ -86,11 +87,13 @@ class SparsityPattern:
     (m, k, k) table of element matrices, flattened.
     """
 
-    def __init__(self, elements: np.ndarray, n: int):
-        k = elements.shape[1]
-        pairs = (np.repeat(elements, k, axis=1) * n + np.tile(elements, (1, k))).ravel()
-        keys, inverse = np.unique(np.concatenate([pairs, np.arange(n) * (n + 1)]),
-                                  return_inverse=True)
+    def __init__(self, mesh: CoreShellMesh):
+        n, elements, edges = mesh.n_nodes, mesh.elements, mesh.edges
+        low, high = edges.T
+        # the diagonal, then each edge (low, high), then each edge (high, low)
+        entries = np.concatenate([np.arange(n) * (n + 1), low * n + high, high * n + low])
+        order = np.argsort(entries)
+        keys = entries[order]
         rows, cols = np.divmod(keys, n)
         lengths = np.bincount(rows, minlength=n)
         hub = lengths > 2.0 * np.median(lengths)
@@ -110,7 +113,25 @@ class SparsityPattern:
         self.keys = keys
         self.slots = slots
         self.diag = slots[rows == cols]
-        self.element_slots = slots[inverse[:pairs.shape[0]]]
+
+        # Entry (e, a, b) is the diagonal of node elements[e, a] when a == b,
+        # otherwise one direction of the local edge j joining vertices j and
+        # j + 1 (mod k).
+        entry_slot = np.empty_like(slots)
+        entry_slot[order] = slots
+        diag_slot, up_slot, down_slot = np.split(entry_slot, [n, n + edges.shape[0]])
+        k = elements.shape[1]
+        a, b = np.divmod(np.arange(k * k), k)
+        off = a != b
+        local = np.zeros((k, k), dtype=np.int64)
+        for j in range(mesh.element_edges.shape[1]):
+            local[j, (j + 1) % k] = local[(j + 1) % k, j] = j
+        edge = mesh.element_edges[:, local[a[off], b[off]]]
+        element_slots = np.empty((elements.shape[0], k * k), dtype=slots.dtype)
+        element_slots[:, ~off] = diag_slot[elements]
+        element_slots[:, off] = np.where(elements[:, a[off]] < elements[:, b[off]],
+                                         up_slot[edge], down_slot[edge])
+        self.element_slots = element_slots.ravel()
 
     @cached_property
     def transpose(self) -> np.ndarray:
@@ -309,7 +330,7 @@ def assemble(
     thin = np.flatnonzero(~mask & ~(lumped > 0.0))
     if thin.size:
         raise GeometryError(f"node {thin[0]} has non-positive lumped mass {lumped[thin[0]]}")
-    pattern = SparsityPattern(mesh.elements, n)
+    pattern = SparsityPattern(mesh)
 
     def operator(local):
         return SparseOperator(pattern, np.bincount(pattern.element_slots, weights=local.ravel(),

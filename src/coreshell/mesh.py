@@ -78,6 +78,11 @@ class CoreShellMesh:
     facet_elements : (F, 2) core and shell element of each facet
     facet_normals  : (F, d) unit normal of each facet, pointing from the core
                      element toward the shell element
+    edges          : (E, 2) node pairs (low, high) of the element edges, each
+                     once in lexicographic order; on radial meshes the
+                     segments themselves
+    element_edges  : (m, k(k-1)/2) edge index of each element's local edges,
+                     (v0 v1), (v1 v2), (v2 v0) on triangles, (v0 v1) on segments
     sectors  : rotation-invariant layout marker set by the builders: n > 0 means
                node 0 is the center and then rings of n nodes follow in
                ring-major order, every ring with the same element pattern
@@ -105,6 +110,8 @@ class CoreShellMesh:
     gamma_facets: np.ndarray
     facet_elements: np.ndarray
     facet_normals: np.ndarray
+    edges: np.ndarray
+    element_edges: np.ndarray
     sectors: int = 0
     measures: np.ndarray = field(init=False)
     gradients: np.ndarray = field(init=False)
@@ -127,7 +134,7 @@ class CoreShellMesh:
         self.gradients = scaled / measures[:, None, None]
         for arr in (self.nodes, self.elements, self.region, self.s_nodes, self.gamma_nodes,
                     self.gamma_facets, self.facet_elements, self.facet_normals,
-                    self.measures, self.gradients):
+                    self.edges, self.element_edges, self.measures, self.gradients):
             arr.setflags(write=False)
 
     @property
@@ -199,6 +206,8 @@ def _radial_from_nodes(nodes: np.ndarray, spec_like) -> CoreShellMesh:
         gamma_facets=np.array([[i_gamma]], dtype=np.int64),
         facet_elements=np.array([[i_gamma - 1, i_gamma]], dtype=np.int64),
         facet_normals=np.array([[1.0]]),
+        edges=elements,
+        element_edges=np.arange(n - 1)[:, None],
         sectors=1,
     )
 
@@ -263,12 +272,11 @@ def _edge_table(elements: np.ndarray):
             np.column_stack([by_edge[first], second]))
 
 
-def _extract_gamma_facets(nodes, elements, region, gamma_ids):
+def _extract_gamma_facets(nodes, elements, region, gamma_ids, edges, edge_elements):
     """Interface facets are the edges whose endpoints are both interface nodes.
 
     Returns the mesh's (gamma_facets, facet_elements, facet_normals).
     """
-    edges, _, edge_elements = _edge_table(elements)
     facet = np.flatnonzero(np.isin(edges, gamma_ids).all(axis=1))
     ends, pair = edges[facet], edge_elements[facet]
     tags = region[pair]
@@ -292,7 +300,9 @@ def _extract_gamma_facets(nodes, elements, region, gamma_ids):
 
 def _planar_from_arrays(nodes, elements, region, gamma_ids, s_ids, spec_like, sectors=0):
     """Validated planar mesh; gamma_ids and s_ids are sorted node indices."""
-    facets, facet_elements, normals = _extract_gamma_facets(nodes, elements, region, gamma_ids)
+    edges, element_edges, edge_elements = _edge_table(elements)
+    facets, facet_elements, normals = _extract_gamma_facets(nodes, elements, region, gamma_ids,
+                                                            edges, edge_elements)
     mesh = CoreShellMesh(
         kind="planar2d",
         dimension=2,
@@ -306,6 +316,8 @@ def _planar_from_arrays(nodes, elements, region, gamma_ids, s_ids, spec_like, se
         gamma_facets=facets,
         facet_elements=facet_elements,
         facet_normals=normals,
+        edges=edges,
+        element_edges=element_edges,
         sectors=sectors,
     )
     mesh.validate()
@@ -387,10 +399,11 @@ def refine(mesh: CoreShellMesh) -> CoreShellMesh:
         return _radial_from_nodes(nodes, mesh)
 
     n_old = mesh.n_nodes
-    ends, element_edges, edge_elements = _edge_table(mesh.elements)
+    ends, element_edges = mesh.edges, mesh.element_edges
     mids = 0.5 * (mesh.nodes[ends[:, 0]] + mesh.nodes[ends[:, 1]])
     gamma_edge = np.isin(ends, mesh.gamma_nodes).all(axis=1)
-    s_edge = (edge_elements[:, 1] < 0) & mesh.dirichlet_mask()[ends].all(axis=1)
+    boundary = np.bincount(element_edges.ravel(), minlength=ends.shape[0]) == 1
+    s_edge = boundary & mesh.dirichlet_mask()[ends].all(axis=1)
     # New interface / outer-boundary midpoints move onto their circles.
     for edge, radius in ((gamma_edge, mesh.r1), (s_edge, mesh.r2)):
         mids[edge] *= (radius / np.linalg.norm(mids[edge], axis=1))[:, None]

@@ -251,6 +251,24 @@ def radial_chain_system(desk_params):
 STACK_SYSTEMS = DESK_SYSTEMS + ["planar_fine_system", "radial_chain_system"]
 
 
+@pytest.mark.parametrize("name", STACK_SYSTEMS + ["refined"])
+def test_pattern_from_edges_is_the_element_pairs(request, desk_params, name):
+    # The pattern is built from the mesh's edge table; the reference finds
+    # the same entries among all element node pairs.
+    if name == "refined":
+        system = assemble(refine(request.getfixturevalue("annulus_desk_mesh")), desk_params)
+    else:
+        system = request.getfixturevalue(name)
+    elements, n = system.mesh.elements, system.n_nodes
+    k = elements.shape[1]
+    pairs = (np.repeat(elements, k, axis=1) * n + np.tile(elements, (1, k))).ravel()
+    keys, inverse = np.unique(np.concatenate([pairs, np.arange(n) * (n + 1)]),
+                              return_inverse=True)
+    pattern = system.K.pattern
+    assert np.array_equal(pattern.keys, keys)
+    assert np.array_equal(pattern.element_slots, pattern.slots[inverse[:pairs.shape[0]]])
+
+
 class TestFieldStacks:
     """A stack of fields, shape (..., n), gives field by field the single-field
     results bit for bit; `verify` evaluates its samples in such blocks and

@@ -64,7 +64,7 @@ class GeometrySpec:
             raise GeometryError(f"target mesh size h must be positive, got {self.h}")
 
 
-@dataclass
+@dataclass(eq=False)
 class CoreShellMesh:
     """Conforming mesh with per-element region tags and marked boundaries.
 

@@ -6,6 +6,8 @@ embeds the resolved configuration as leading '#' comment lines for
 provenance.
 """
 
+import weakref
+
 import numpy as np
 
 from .analysis import DecayReport
@@ -17,18 +19,38 @@ def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def table_lines(columns, sep=","):
-    """One line per row of equal-length numeric columns, values as `fmt` prints them.
+def column_text(values) -> list:
+    """Each value of a numeric column as `fmt` prints it.
 
     Integer columns print with %d, which gives the same text for them.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        return list(map(str, values.tolist()))
+    return list(map("%.17g".__mod__, values.astype(float).tolist()))
+
+
+def table_lines(columns, sep=","):
+    """One line per row of equal-length numeric columns, values as `column_text` prints them.
+
     Raises ValueError if the columns differ in length.
     """
-    columns = [np.asarray(c) for c in columns]
-    integer = [c.dtype.kind in "iu" for c in columns]
-    row = sep.join("%d" if i else "%.17g" for i in integer)
-    return [row % values for values in
-            zip(*(c.tolist() if i else c.astype(float).tolist()
-                  for c, i in zip(columns, integer)), strict=True)]
+    return list(map(sep.join, zip(*map(column_text, columns), strict=True)))
+
+
+# Both field writers print the node coordinates. A mesh is immutable, so
+# their text is made once per mesh, and it goes when the mesh goes.
+_COORDINATE_TEXT = weakref.WeakKeyDictionary()
+
+
+def coordinate_text(mesh: CoreShellMesh) -> tuple:
+    """The node coordinates as `column_text` prints them: one tuple of
+    strings per axis (r on radial meshes, x and y on planar ones)."""
+    text = _COORDINATE_TEXT.get(mesh)
+    if text is None:
+        text = _COORDINATE_TEXT[mesh] = tuple(
+            tuple(column_text(axis)) for axis in mesh.nodes.reshape(mesh.n_nodes, -1).T)
+    return text
 
 
 def write_lines(path, lines):
@@ -44,8 +66,8 @@ def comment_block(echo_lines) -> list:
 def write_field_csv(path, mesh: CoreShellMesh, values, echo_lines=()):
     """Nodal field as CSV: columns (r, u) for radial meshes, (x, y, u) planar."""
     header = "r,u" if mesh.kind == "radial" else "x,y,u"
-    coords = mesh.nodes.reshape(mesh.n_nodes, -1).T
-    write_lines(path, comment_block(echo_lines) + [header] + table_lines([*coords, values]))
+    rows = map(",".join, zip(*coordinate_text(mesh), column_text(values), strict=True))
+    write_lines(path, comment_block(echo_lines) + [header, *rows])
 
 
 def read_field_csv(path, mesh: CoreShellMesh) -> np.ndarray:

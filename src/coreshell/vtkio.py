@@ -10,10 +10,8 @@ The legacy format has no comment syntax; the 256-character title record
 carries a compact configuration echo when the caller provides one.
 """
 
-import numpy as np
-
 from .mesh import CoreShellMesh
-from .reporting import table_lines, write_lines
+from .reporting import column_text, coordinate_text, write_lines
 
 _VTK_LINE = 3
 _VTK_TRIANGLE = 5
@@ -25,23 +23,24 @@ def write_vtk(path, mesh: CoreShellMesh, point_data: dict | None = None,
     lines = ["# vtk DataFile Version 2.0", title[:255], "ASCII",
              "DATASET UNSTRUCTURED_GRID"]
 
-    coords = mesh.nodes.reshape(mesh.n_nodes, -1).T
+    coords = coordinate_text(mesh)
+    zeros = " 0" * (3 - len(coords))
     lines.append(f"POINTS {mesh.n_nodes} double")
-    lines += table_lines([*coords] + [np.zeros(mesh.n_nodes)] * (3 - len(coords)), " ")
+    lines.append((zeros + "\n").join(map(" ".join, zip(*coords))) + zeros)
 
     m, k = mesh.elements.shape
     lines.append(f"CELLS {m} {m * (k + 1)}")
-    lines += table_lines([np.full(m, k), *mesh.elements.T], " ")
+    lines.append("\n".join([str(k) + " %d" * k] * m) % tuple(mesh.elements.ravel().tolist()))
     lines.append(f"CELL_TYPES {m}")
     lines += [str(_VTK_LINE if k == 2 else _VTK_TRIANGLE)] * m
 
     lines += [f"CELL_DATA {m}", "SCALARS region int 1", "LOOKUP_TABLE default"]
-    lines += table_lines([mesh.region])
+    lines += column_text(mesh.region)
 
     if point_data:
         lines.append(f"POINT_DATA {mesh.n_nodes}")
         for name, values in point_data.items():
             lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
-            lines += table_lines([values])
+            lines += column_text(values)
 
     write_lines(path, lines)

@@ -14,8 +14,8 @@ Jacobi by default, and on the built-in rotation-invariant meshes the exact
 inverse of the rotation-averaged Hessian, the constant part plus the ring
 means of the reaction diagonal (`sector_inverse`, built once per operator
 and refactored with the new means on every Newton iteration). On a radial
-chain each ring is one node, so that inverse is exact and CG takes one
-iteration.
+chain each ring is one node, so that inverse is the exact inverse of the
+Newton Hessian, and CG stops as soon as the product's rounding allows.
 
 A single evolution is sequential in the step index; independent runs may
 share meshes and assembled systems freely. Given a configuration, the

@@ -95,7 +95,8 @@ class CoreShellMesh:
                 (-1/h, 1/h) on segments, (by, cx) / (2 area) on triangles
                 with by_a = y_(a+1) - y_(a+2), cx_a = x_(a+2) - x_(a+1)
 
-    Raises GeometryError if an element has a non-positive measure.
+    Raises GeometryError if an element has a non-positive measure. Meshes
+    compare and hash by identity, so derived data can be kept per mesh.
     """
 
     kind: str

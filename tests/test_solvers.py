@@ -225,21 +225,6 @@ class TestShiftedSectorInverse:
         assert inverse.shifted(shift) is inverse
 
 
-def _preconditioner_applies(monkeypatch):
-    """Per Newton solve, the list `_counted` fills with one entry per preconditioner apply."""
-    counts = []
-    solve = solvers.solve_spd
-
-    def counting(matrix, rhs, tol, precondition=None):
-        assert precondition is not None
-        apply, calls = _counted(precondition)
-        counts.append(calls)
-        return solve(matrix, rhs, tol, precondition=apply)
-
-    monkeypatch.setattr(solvers, "solve_spd", counting)
-    return counts
-
-
 class TestNewtonPreconditioner:
     # On a chain each ring is one node, so the shifted factor is the exact
     # inverse of every Newton Hessian and PCG stops after its first step. At
@@ -260,7 +245,15 @@ class TestNewtonPreconditioner:
         config = load_config(repo_root / "configs" / name, overrides)
         mesh = build_mesh(config.geometry)
         system = assemble(mesh, config.model)
-        counts = _preconditioner_applies(monkeypatch)
+        counts = []  # per Newton solve, one entry per preconditioner apply
+        solve = solvers.solve_spd
+
+        def counting(matrix, rhs, tol, precondition=None):
+            apply, calls = _counted(precondition)
+            counts.append(calls)
+            return solve(matrix, rhs, tol, precondition=apply)
+
+        monkeypatch.setattr(solvers, "solve_spd", counting)
         assert stationary_solve(system, config.model, zero_field(mesh)).converged
         if mesh.sectors == 1:
             trace = evolve(system, config.model, config.solver,

@@ -13,6 +13,13 @@ class ParameterError(ValueError):
     """Model parameters violate an invariant."""
 
 
+# Largest core/shell contrast b1/b2 accepted. At larger contrasts the assembled
+# product cannot resolve the O(b2) interface terms next to O(b1) core entries:
+# CG breaks down from b1/b2 = 5.9e10 at radial h=2^-11, and erratically above.
+# A stiff shell (small b1/b2) solves at every contrast tried.
+MAX_CONTRAST = 1e9
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Dimensionless transport parameters.
@@ -32,6 +39,9 @@ class ModelParams:
             raise ParameterError(f"core diffusion b1 must be positive, got {self.b1}")
         if not self.b2 > 0.0:
             raise ParameterError(f"shell diffusion b2 must be positive, got {self.b2}")
+        if self.b1 / self.b2 > MAX_CONTRAST:
+            raise ParameterError(f"core/shell contrast b1/b2 = {self.b1 / self.b2:.17g} is "
+                                 f"above the limit {MAX_CONTRAST:g}")
         if not 0.0 < self.c0:
             raise ParameterError(f"boundary level c0 must be positive, got {self.c0}")
         if not self.c0 < self.c1:

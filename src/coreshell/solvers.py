@@ -162,27 +162,26 @@ def solve_spd(matrix: SparseOperator, rhs: np.ndarray, tol: float,
     z = precondition(r)
     p = z.copy()
     rho = float(r @ z)
-    for k in range(1, max_iter + 1):
-        q = matrix @ p
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, max_iter + 1):
+            q = matrix @ p
             curvature = float(p @ q)
-        if curvature <= 0.0:
-            raise LinearSolveError("non-positive curvature: matrix is not SPD", k)
-        if not np.isfinite(curvature):
-            raise LinearSolveError(f"curvature is not finite ({curvature})", k)
-        alpha = rho / curvature
-        x += alpha * p
-        r -= alpha * q
-        with np.errstate(over="ignore", invalid="ignore"):
+            if curvature <= 0.0:
+                raise LinearSolveError("non-positive curvature: matrix is not SPD", k)
+            if not np.isfinite(curvature):
+                raise LinearSolveError(f"curvature is not finite ({curvature})", k)
+            alpha = rho / curvature
+            x += alpha * p
+            r -= alpha * q
             r_norm = float(np.linalg.norm(r))
-        if r_norm <= tol * rhs_norm:
-            return x
-        if not np.isfinite(r_norm):
-            raise LinearSolveError(f"residual is not finite ({r_norm})", k)
-        z = precondition(r)
-        rho_new = float(r @ z)
-        p = z + (rho_new / rho) * p
-        rho = rho_new
+            if r_norm <= tol * rhs_norm:
+                return x
+            if not np.isfinite(r_norm):
+                raise LinearSolveError(f"residual is not finite ({r_norm})", k)
+            z = precondition(r)
+            rho_new = float(r @ z)
+            p = z + (rho_new / rho) * p
+            rho = rho_new
     raise LinearSolveError("conjugate gradients did not converge", max_iter)
 
 
@@ -362,60 +361,52 @@ def _newton_minimize(
     system: AssembledSystem,
     params: ModelParams,
     start: np.ndarray,
-    prox_center: np.ndarray | None = None,
+    constant,
     dt: float | None = None,
-    constant=None,
 ):
-    """Minimize the energy, optionally plus the proximal term, by damped Newton.
+    """Minimize the energy, plus ||w - c||_M^2 / (2 dt) when dt is given, by damped Newton.
+
+    Newton starts at the masked `start`, which is also the proximal center
+    c, so its first gradient is the energy's. `constant` is the caller's
+    `_constant_part` of the Hessian (K, or K + M/dt); when it has a
+    `SectorInverse`, each iteration preconditions CG with its `shifted` copy
+    for that iteration's reaction diagonal. Each iterate is evaluated once:
+    the accepted trial's potential opens the next line search.
 
     Every caller stops by the same absolute rule: the lumped-mass dual norm
     of the objective gradient is at most NEWTON_TOL or, failing that, its
-    rounding floor, or NEWTON_MAX_ITER iterations have run. The floor,
-    computed only when NEWTON_TOL is not met, is eps times the dual norm
-    of the magnitudes of the gradient's terms: |base| |u|, estimated by the
-    row sums of |base| times |u| (no product per iteration), the reaction
-    r(u) and, with a proximal term, |M| |c| / dt, estimated by the lumped
-    mass times |c| / dt. It lies above NEWTON_TOL only on stiff input
-    (large diffusion coefficients). A start that already satisfies the
-    rule is returned unchanged (zero iterations), so fully converged
-    trajectories freeze exactly. A non-finite residual never counts as
-    converged: at the start it raises NonlinearSolveError. `constant` is
-    the `_constant_part` of the Hessian (K, or K + M/dt with a proximal
-    term), built here when None. When it has a `SectorInverse`, each
-    iteration preconditions CG with its `shifted` copy for that
-    iteration's reaction diagonal. Returns
-    (values, iterations, dual-residual history, converged).
+    rounding floor, or NEWTON_MAX_ITER iterations have run. The floor and
+    the reaction vector are computed only when NEWTON_TOL is not met. The
+    floor is eps times the dual norm of the magnitudes of the gradient's
+    terms: |base| |u|, estimated by the row sums of |base| times |u| (no
+    product per iteration), the reaction r(u) and, with a proximal term,
+    |M| |c| / dt, estimated by the lumped mass times |c| / dt. It lies above
+    NEWTON_TOL only on stiff input (large diffusion coefficients). A start
+    that already satisfies the rule is returned unchanged (zero
+    iterations), so fully converged trajectories freeze exactly. A
+    non-finite residual never counts as converged: at the start it raises
+    NonlinearSolveError. Returns (values, iterations, dual-residual
+    history, converged).
     """
     mask = system.mask
-    u = start.copy()
-    u[mask] = 0.0
-
-    def gradient(vals: np.ndarray) -> np.ndarray:
-        g = energy_gradient(system, vals, params)
-        if prox_center is not None:
-            g = g + (system.M @ (vals - prox_center)) / dt
-            g[mask] = 0.0
-        return g
-
-    g = gradient(u)
+    u = center = np.where(mask, 0.0, start)
+    g = energy_gradient(system, u, params)
     res = dual_norm(system, g)
     if not np.isfinite(res):
         raise NonlinearSolveError(f"initial dual residual is not finite ({res})")
     history = [res]
-    if constant is None:
-        constant = _constant_part(
-            system, system.K if prox_center is None else system.K + system.M / dt)
     base, precondition, row_abs = constant
-    prox_size = 0.0 if prox_center is None else system.lumped_mass * np.abs(prox_center) / dt
 
-    def settled(res, vals, react):
-        return res <= NEWTON_TOL or res <= np.finfo(float).eps * dual_norm(
-            system, row_abs * np.abs(vals) + react + prox_size)
-
-    for iteration in range(1, NEWTON_MAX_ITER + 1):
+    for iteration in range(NEWTON_MAX_ITER + 1):
+        if res <= NEWTON_TOL:
+            return u, iteration, history, True
         react = reaction_vector(system, u, params)
-        if settled(res, u, react):
-            return u, iteration - 1, history, True
+        size = row_abs * np.abs(u) + react + (
+            0.0 if dt is None else system.lumped_mass * np.abs(center) / dt)
+        if res <= np.finfo(float).eps * dual_norm(system, size):
+            return u, iteration, history, True
+        if iteration == NEWTON_MAX_ITER:
+            return u, iteration, history, False
         reaction_diagonal = reaction_jacobian_diagonal(system, u, params)
         hessian = base.plus_diagonal(reaction_diagonal)
         direction = solve_spd(hessian, -g, LINEAR_TOL, precondition=None if precondition is None
@@ -436,14 +427,16 @@ def _newton_minimize(
         # so F(s) rounds to about eps (|F(s)| + c1 - c0) at each node.
         linear = slope + float(direction @ react)
         curvature = float(direction @ (base @ direction))
-        potential = consumption_potential(u, params)
+        if iteration == 0:
+            potential = consumption_potential(u, params)
         fp_slack = 32.0 * np.finfo(float).eps * max(
             1.0, float(system.M1 @ (np.abs(potential) + (params.c1 - params.c0))))
         step = 1.0
         while True:
             candidate = u + step * direction
-            change = (step * linear + 0.5 * step**2 * curvature - float(
-                system.M1 @ (consumption_potential(candidate, params) - potential)))
+            trial = consumption_potential(candidate, params)
+            change = (step * linear + 0.5 * step**2 * curvature
+                      - float(system.M1 @ (trial - potential)))
             if change <= _ARMIJO_SLOPE * step * slope + fp_slack:
                 break
             step *= _ARMIJO_FACTOR
@@ -451,12 +444,13 @@ def _newton_minimize(
                 raise NonlinearSolveError(
                     "backtracking line search failed to find descent"
                 )
-        u = candidate
-        g = gradient(u)
+        u, potential = candidate, trial
+        g = energy_gradient(system, u, params)
+        if dt is not None:
+            g = g + (system.M @ (u - center)) / dt
+            g[mask] = 0.0
         res = dual_norm(system, g)
         history.append(res)
-
-    return u, NEWTON_MAX_ITER, history, settled(res, u, reaction_vector(system, u, params))
 
 
 def stationary_solve(
@@ -471,7 +465,8 @@ def stationary_solve(
     cap the best iterate is returned with converged=False.
     """
     system.check_field(u_init)
-    values, iters, history, converged = _newton_minimize(system, params, u_init)
+    values, iters, history, converged = _newton_minimize(
+        system, params, u_init, _constant_part(system, system.K))
     return StationarySolution(
         field=values,
         converged=converged,
@@ -489,21 +484,24 @@ def step_implicit_euler(
 ) -> np.ndarray:
     """One backward-Euler step: the proximal minimization of the energy.
 
-    The accepted state satisfies the proximal inequality
-    E(u+) + ||u+ - u_n||_M^2/(2 dt) <= E(u_n) by construction, because the
-    line search starts at u_n where the proximal term vanishes.
+    Checks dt and u_n's shape and builds K + M/dt. The accepted state
+    satisfies the proximal inequality E(u+) + ||u+ - u_n||_M^2/(2 dt) <=
+    E(u_n) by construction, because the line search starts at the masked
+    u_n, the proximal center, where the proximal term vanishes.
     """
-    fld, _ = _step_implicit_euler_counted(system, params, cfg, u_n)
-    return fld
-
-
-def _step_implicit_euler_counted(system, params, cfg, u_n, constant=None):
-    """One step and its Newton count; `constant` as in `_newton_minimize`."""
     if cfg.dt is None or not cfg.dt > 0.0:
         raise ValueError(f"time step dt must be positive, got {cfg.dt}")
     system.check_field(u_n)
+    constant = _constant_part(system, system.K + system.M / cfg.dt)
+    fld, _ = _step_implicit_euler_counted(system, params, cfg, u_n, constant)
+    return fld
+
+
+def _step_implicit_euler_counted(system, params, cfg, u_n, constant):
+    """One step from the masked u_n and its Newton count, given the `_constant_part`
+    of K + M/cfg.dt; the callers check dt and u_n's shape once."""
     values, iters, history, converged = _newton_minimize(
-        system, params, u_n, prox_center=u_n, dt=cfg.dt, constant=constant)
+        system, params, u_n, constant, dt=cfg.dt)
     if not converged:
         raise NonlinearSolveError(
             f"implicit-Euler inner solve stopped at residual {history[-1]:.3e} "

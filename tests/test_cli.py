@@ -19,6 +19,7 @@ from coreshell.fem import (
     zero_field,
 )
 from coreshell.mesh import MAX_DIMENSION, MAX_NODES, build_mesh
+from coreshell.model import MAX_CONTRAST
 from coreshell.reporting import read_field_csv, write_field_csv
 from coreshell.solvers import (
     LINEAR_TOL,
@@ -345,6 +346,30 @@ class TestCmdStationary:
         assert main(["stationary", *argv, "--output-dir", str(tmp_path / "s")]) == 0
         assert "converged        = True" in capsys.readouterr().out
         assert main(["evolve", *argv, "--output-dir", str(tmp_path / "e")]) == 0
+
+    @pytest.mark.parametrize("config", ["radial_desk.cfg", "annulus_desk.cfg"])
+    @pytest.mark.parametrize("b1", ["5000000000.000001", "3e13"])
+    def test_contrast_above_limit_exit_2(self, repo_root, tmp_path, capsys, config, b1):
+        # Above the limit the product cannot resolve the shell's interface
+        # terms next to the core's: radial desk b1=3e13 broke CG down (exit
+        # 3), and other contrasts converged or failed by chance.
+        argv = ["stationary", str(repo_root / "configs" / config),
+                "--set", f"model.b1={b1}", "--output-dir", str(tmp_path)]
+        assert main(argv) == 2
+        ratio = f"{float(b1) / 5.0:.17g}"
+        assert f"contrast b1/b2 = {ratio} is above the limit {MAX_CONTRAST:g}" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("config", ["radial_desk.cfg", "annulus_desk.cfg"])
+    @pytest.mark.parametrize("override", ["model.b1=5e9", "model.b2=1e15"])
+    def test_contrast_at_limit_and_stiff_shell_converge(self, repo_root, tmp_path, config,
+                                                        override):
+        # The limit is one-sided: b1/b2 = MAX_CONTRAST solves, and so does a
+        # shell 1e15 times stiffer than the core.
+        argv = ["stationary", str(repo_root / "configs" / config),
+                "--set", override, "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert "converged        = True" in (tmp_path / "stationary_report.txt").read_text()
 
     @pytest.mark.parametrize("config", ["radial_desk.cfg", "annulus_desk.cfg"])
     def test_large_shift_converges(self, repo_root, tmp_path, capsys, config):

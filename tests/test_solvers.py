@@ -27,7 +27,7 @@ from coreshell import (
     zero_field,
 )
 from coreshell.config import load_config
-from coreshell.fem import h_norm, dual_norm, reaction_jacobian_diagonal
+from coreshell.fem import SparseOperator, h_norm, dual_norm, reaction_jacobian_diagonal
 from coreshell.model import consumption_rate, consumption_rate_slope
 from coreshell import solvers
 from coreshell.solvers import (
@@ -260,6 +260,66 @@ class TestNewtonPreconditioner:
                            low_mode_field(mesh, config.model.c0, 1))
             assert trace.failure is None and trace.newton_iters.sum() > 0
         assert {len(calls) for calls in counts} == {applies}
+
+
+class TestNewtonEvaluations:
+    # Newton starts at its proximal center, so the proximal term vanishes
+    # there and M (u - c) is first formed after an accepted step. A step
+    # from the zero field still needs its gradient K 0 - r(0), which is the
+    # only all-zero operand left. Each iterate's potential is evaluated
+    # once: the start's, at most once per call, and every line-search trial's,
+    # the accepted one opening the next line search.
+    @pytest.mark.parametrize("name", ["radial_desk.cfg", "annulus_desk.cfg"])
+    @pytest.mark.parametrize("start", ["zero", "low-mode"])
+    def test_each_iterate_evaluated_once(self, repo_root, monkeypatch, name, start):
+        monkeypatch.syspath_prepend(str(repo_root / "perfbench"))
+        from inputs import low_mode_field
+
+        config = load_config(repo_root / "configs" / name)
+        mesh = build_mesh(config.geometry)
+        system = assemble(mesh, config.model)
+        u0 = (zero_field(mesh) if start == "zero"
+              else low_mode_field(mesh, config.model.c0, 1))
+
+        in_step, zero_starts, zero_products = [], [], []
+        product = SparseOperator.__matmul__
+
+        def counting_product(matrix, x):
+            if in_step and not np.any(x):
+                zero_products.append(1)
+            return product(matrix, x)
+
+        step = solvers._step_implicit_euler_counted
+
+        def counting_step(system, params, cfg, u_n, constant):
+            zero_starts.append(not np.any(u_n))
+            in_step.append(1)
+            try:
+                return step(system, params, cfg, u_n, constant)
+            finally:
+                in_step.pop()
+
+        evaluated = []  # per Newton call, the bytes of each potential argument
+        newton, potential = solvers._newton_minimize, solvers.consumption_potential
+
+        def counting_newton(*args, **kwargs):
+            evaluated.append([])
+            return newton(*args, **kwargs)
+
+        def counting_potential(s, params):
+            evaluated[-1].append(s.tobytes())
+            return potential(s, params)
+
+        monkeypatch.setattr(SparseOperator, "__matmul__", counting_product)
+        monkeypatch.setattr(solvers, "_step_implicit_euler_counted", counting_step)
+        monkeypatch.setattr(solvers, "_newton_minimize", counting_newton)
+        monkeypatch.setattr(solvers, "consumption_potential", counting_potential)
+        trace = evolve(system, config.model, config.solver, u0)
+
+        assert trace.failure is None and trace.newton_iters.sum() > 0
+        assert len(zero_starts) > 1
+        assert len(zero_products) == sum(zero_starts)
+        assert all(len(set(points)) == len(points) for points in evaluated)
 
 
 @pytest.fixture(scope="module")

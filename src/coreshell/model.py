@@ -1,7 +1,9 @@
 """Model parameters and the Michaelis-Menten consumption nonlinearity.
 
 Everything here is a pure function of its arguments and vectorized over
-numpy arrays, so concurrent use from any number of threads is safe.
+numpy arrays, so concurrent use from any number of threads is safe. A
+scalar argument gives numpy's result: a float64 scalar, or a 0-d array from
+`consumption_rate_slope`.
 """
 
 from dataclasses import dataclass
@@ -59,10 +61,6 @@ class ModelParams:
         return min(self.b1, self.b2)
 
 
-def _maybe_scalar(out: np.ndarray, scalar_in: bool):
-    return float(out) if scalar_in else out
-
-
 def consumption_rate(z, params: ModelParams):
     """Consumption rate (c0 - z)/(c1 - z) for z <= c0, and 0 above c0.
 
@@ -73,8 +71,7 @@ def consumption_rate(z, params: ModelParams):
     # Clamping at c0 makes the capped branch come out as an exact 0 and keeps
     # the denominator >= c1 - c0 > 0 for all inputs.
     zc = np.minimum(z, params.c0)
-    out = (params.c0 - zc) / (params.c1 - zc)
-    return _maybe_scalar(out, z.ndim == 0)
+    return (params.c0 - zc) / (params.c1 - zc)
 
 
 def consumption_rate_slope(z, params: ModelParams):
@@ -86,8 +83,7 @@ def consumption_rate_slope(z, params: ModelParams):
     z = np.asarray(z, dtype=float)
     zc = np.minimum(z, params.c0)
     left = -(params.c1 - params.c0) / (params.c1 - zc) ** 2
-    out = np.where(z <= params.c0, left, 0.0)
-    return _maybe_scalar(out, z.ndim == 0)
+    return np.where(z <= params.c0, left, 0.0)
 
 
 def consumption_potential(s, params: ModelParams):
@@ -99,20 +95,17 @@ def consumption_potential(s, params: ModelParams):
     """
     s = np.asarray(s, dtype=float)
     sc = np.minimum(s, params.c0)
-    out = sc + (params.c1 - params.c0) * np.log((params.c1 - sc) / params.c1)
-    return _maybe_scalar(out, s.ndim == 0)
+    return sc + (params.c1 - params.c0) * np.log((params.c1 - sc) / params.c1)
 
 
 def to_working_variable(v, params: ModelParams):
     """Map a dimensional concentration v to the working variable u = c0 - v."""
-    v = np.asarray(v, dtype=float)
-    return _maybe_scalar(params.c0 - v, v.ndim == 0)
+    return params.c0 - np.asarray(v, dtype=float)
 
 
 def from_working_variable(u, params: ModelParams):
     """Map the working variable back to the dimensional concentration v = c0 - u."""
-    u = np.asarray(u, dtype=float)
-    return _maybe_scalar(params.c0 - u, u.ndim == 0)
+    return params.c0 - np.asarray(u, dtype=float)
 
 
 def dimensional_consumption(v, params: ModelParams):
@@ -122,5 +115,4 @@ def dimensional_consumption(v, params: ModelParams):
     """
     v = np.asarray(v, dtype=float)
     vc = np.maximum(v, 0.0)
-    out = vc / (vc + params.c_hat)
-    return _maybe_scalar(out, v.ndim == 0)
+    return vc / (vc + params.c_hat)

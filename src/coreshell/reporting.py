@@ -1,9 +1,10 @@
-"""Deterministic CSV and text outputs.
+"""Deterministic CSV, text and legacy-VTK outputs.
 
 All floats are printed with 17 significant digits so that values round-trip
-exactly, CSV files use a header row and LF line endings, and every file
-embeds the resolved configuration as leading '#' comment lines for
-provenance.
+exactly, files have LF line endings, CSV files use a header row, and every
+CSV and text file embeds the resolved configuration as leading '#' comment
+lines for provenance. Legacy VTK has no comment syntax; its 256-character
+title record carries a compact configuration echo instead.
 """
 
 import weakref
@@ -15,8 +16,13 @@ from .mesh import CoreShellMesh
 from .solvers import EvolutionTrace
 
 
+_FLOAT = "%.17g"
+_VTK_LINE = 3
+_VTK_TRIANGLE = 5
+
+
 def fmt(x) -> str:
-    return f"{float(x):.17g}"
+    return _FLOAT % float(x)
 
 
 def column_text(values) -> list:
@@ -27,7 +33,7 @@ def column_text(values) -> list:
     values = np.asarray(values)
     if values.dtype.kind in "iu":
         return list(map(str, values.tolist()))
-    return list(map("%.17g".__mod__, values.astype(float).tolist()))
+    return list(map(_FLOAT.__mod__, values.astype(float).tolist()))
 
 
 def table_lines(columns, sep=","):
@@ -73,18 +79,23 @@ def write_field_csv(path, mesh: CoreShellMesh, values, echo_lines=()):
 def read_field_csv(path, mesh: CoreShellMesh) -> np.ndarray:
     """Load a nodal field written by write_field_csv, checking the mesh matches.
 
-    '#' comment lines and blank lines are skipped; the first line after them
-    is the header if it does not parse as numbers. Every other line is a
+    '#' comment lines and blank lines before the first data row are skipped;
+    the first other line is the header if it does not parse as numbers.
+    From the first data row on, one `np.loadtxt` call reads the file: '#'
+    starts a comment, empty lines are skipped, and every other line is a
     data row, so a row that starts with nan or inf is read as one.
     """
+    skip, header = 0, False
     with open(path) as handle:
-        rows = [line for line in handle if line.strip() and not line.lstrip().startswith("#")]
-    if rows:
-        try:
-            np.loadtxt(rows[:1], delimiter=",")
-        except ValueError:
-            rows = rows[1:]  # the header
-    data = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, 1))
+        for line in handle:
+            if line.strip() and not line.lstrip().startswith("#"):
+                if header or _parses_as_numbers(line):
+                    break
+                header = True
+            skip += 1
+        else:
+            raise ValueError(f"field file has 0 rows, mesh has {mesh.n_nodes} nodes")
+    data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     if not np.all(np.isfinite(data)):
         raise ValueError("field file has a non-finite entry")
     if data.shape[0] != mesh.n_nodes:
@@ -96,6 +107,14 @@ def read_field_csv(path, mesh: CoreShellMesh) -> np.ndarray:
     if not np.allclose(coords, own, rtol=0.0, atol=1e-12 * mesh.r2):
         raise ValueError("field file coordinates do not match the mesh")
     return data[:, -1]
+
+
+def _parses_as_numbers(line) -> bool:
+    try:
+        list(map(float, line.split("#", 1)[0].split(",")))
+    except ValueError:
+        return False
+    return True
 
 
 def write_trace_csv(path, trace: EvolutionTrace, echo_lines=()):
@@ -130,3 +149,34 @@ def write_decay_report(txt_path, csv_path, report: DecayReport, echo_lines=()):
 
 def write_text_report(path, body_lines, echo_lines=()):
     write_lines(path, comment_block(echo_lines) + list(body_lines))
+
+
+def write_vtk(path, mesh: CoreShellMesh, point_data: dict | None = None,
+              title: str = "core-shell mesh"):
+    """Write a mesh and optional nodal scalar fields as legacy ASCII VTK: POINTS
+    (radial meshes on the x-axis, planar at z = 0), CELLS, CELL_TYPES, the
+    region tag (core=0, shell=1) as CELL_DATA, then each field under POINT_DATA."""
+    lines = ["# vtk DataFile Version 2.0", title[:255], "ASCII",
+             "DATASET UNSTRUCTURED_GRID"]
+
+    coords = coordinate_text(mesh)
+    zeros = " 0" * (3 - len(coords))
+    lines.append(f"POINTS {mesh.n_nodes} double")
+    lines.append((zeros + "\n").join(map(" ".join, zip(*coords))) + zeros)
+
+    m, k = mesh.elements.shape
+    lines.append(f"CELLS {m} {m * (k + 1)}")
+    lines.append("\n".join([str(k) + " %d" * k] * m) % tuple(mesh.elements.ravel().tolist()))
+    lines.append(f"CELL_TYPES {m}")
+    lines += [str(_VTK_LINE if k == 2 else _VTK_TRIANGLE)] * m
+
+    lines += [f"CELL_DATA {m}", "SCALARS region int 1", "LOOKUP_TABLE default"]
+    lines += column_text(mesh.region)
+
+    if point_data:
+        lines.append(f"POINT_DATA {mesh.n_nodes}")
+        for name, values in point_data.items():
+            lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+            lines += column_text(values)
+
+    write_lines(path, lines)

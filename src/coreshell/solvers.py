@@ -112,9 +112,11 @@ class EvolutionTrace:
     """Per-step record of an implicit-Euler trajectory.
 
     Columns: times, energies, distances to the stationary state in the H and
-    V norms, and inner Newton iteration counts. `failure` is None for a
-    completed trajectory; otherwise it names why step len(trace) failed,
-    and the columns end at the last good step.
+    V norms, inner Newton iteration counts, and each state's energy rounding
+    eps * (|u|^T |K| |u| / 2 + M1 . (|u| + c1 - c0)), which bounds the
+    energy's rounding error up to a small factor (|F(u)| <= |u|). `failure`
+    is None for a completed trajectory; otherwise it names why step
+    len(trace) failed, and the columns end at the last good step.
     """
 
     times: np.ndarray
@@ -122,6 +124,7 @@ class EvolutionTrace:
     err_H: np.ndarray
     err_V: np.ndarray
     newton_iters: np.ndarray
+    energy_rounding: np.ndarray
     failure: str | None = None
 
     def __len__(self) -> int:
@@ -516,7 +519,7 @@ def evolve(
     cfg: SolverConfig,
     u0: np.ndarray,
 ) -> EvolutionTrace:
-    """Implicit-Euler trajectory with one (energy, err_H, err_V) record per state.
+    """Implicit-Euler trajectory with one (energy, err_H, err_V, energy rounding) record per state.
 
     The stationary reference is computed once (from zero) before stepping,
     and the constant part K + M/dt of every step's Hessian is eliminated
@@ -538,23 +541,30 @@ def evolve(
         )
     u_star = reference.field
 
+    eps = np.finfo(float).eps
+    k_row_abs = SparseOperator(system.K.pattern, np.abs(system.K.data)) @ np.ones(system.n_nodes)
+
     def record(u):
-        """(energy, err_H, err_V) of one state of the trajectory; the norms are
-        `fem.h_norm` and `fem.v_norm`, sharing the product M e."""
+        """(energy, err_H, err_V, energy rounding) of one state; the norms are
+        `fem.h_norm` and `fem.v_norm`, sharing the product M e. As in Newton's
+        floor, |K| |u| is estimated by the row sums of |K| times |u|; eps
+        scales each term before the sums, so the rounding is finite for any c1."""
         e = u - u_star
         mass = e @ (system.M @ e)
+        rounding = float(k_row_abs @ (0.5 * eps * u * u) + system.M1 @ (
+            eps * np.abs(u) + eps * (params.c1 - params.c0)))
         return (energy(system, u, params), float(np.sqrt(mass)),
-                float(np.sqrt(mass + e @ (system.Kt @ e))))
+                float(np.sqrt(mass + e @ (system.Kt @ e))), rounding)
 
     with np.errstate(over="ignore", invalid="ignore"):
         start = record(u0)
         start_residual = dual_norm(system, energy_gradient(system, u0, params))
     for name, value in zip(("energy", "err_H", "err_V", "dual residual"),
-                           (*start, start_residual)):
+                           (*start[:3], start_residual)):
         if not np.isfinite(value):
             raise ValueError(f"u0's initial {name} is not finite ({value})")
 
-    # one row (time, energy, err_H, err_V, Newton iterations) per state
+    # one row (time, energy, err_H, err_V, energy rounding, Newton iterations) per state
     rows = [(0.0, *start, 0)]
     failure = None
 
@@ -569,10 +579,11 @@ def evolve(
         if k == 0 and np.array_equal(stepped, u):
             # A step that returns its input gives the next step the same
             # input and proximal center, so every later step returns it too.
-            rows += [(m * cfg.dt, *rows[-1][1:4], 0) for m in range(n, cfg.n_steps + 1)]
+            rows += [(m * cfg.dt, *rows[-1][1:5], 0) for m in range(n, cfg.n_steps + 1)]
             break
         u = stepped
         rows.append((n * cfg.dt, *record(u), k))
 
-    times, energies, err_h, err_v, iters = map(np.asarray, zip(*rows))
-    return EvolutionTrace(times, energies, err_h, err_v, iters.astype(np.int64), failure)
+    times, energies, err_h, err_v, rounding, iters = map(np.asarray, zip(*rows))
+    return EvolutionTrace(times, energies, err_h, err_v, iters.astype(np.int64), rounding,
+                          failure)

@@ -38,6 +38,7 @@ def make_trace(times, err_h):
         err_H=np.asarray(err_h, dtype=float),
         err_V=np.asarray(err_h, dtype=float),
         newton_iters=np.zeros(n, dtype=np.int64),
+        energy_rounding=np.zeros(n),
     )
 
 

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from coreshell import solvers
+from coreshell import cli, solvers
 from coreshell.cli import main
 from coreshell.config import ConfigError, load_config
 from coreshell.fem import (
@@ -442,18 +442,16 @@ class TestCmdStationary:
         assert main(argv) == 2
         assert "assembled K has a non-finite entry" in capsys.readouterr().err
 
-    def test_init_choices_agree(self, quick_cfg, tmp_path):
+    def test_non_convergence_writes_report_and_exits_3(self, quick_cfg, capsys, monkeypatch):
+        # One Newton iteration from zero does not reach the stationary state.
         path, out = quick_cfg
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        assert main(["stationary", str(path), "--output-dir", str(out_a)]) == 0
-        assert main(["stationary", str(path), "--output-dir", str(out_b),
-                     "--init", "ramp"]) == 0
-        config = load_config(path)
-        mesh = build_mesh(config.geometry)
-        ua = read_field_csv(out_a / "stationary_field.csv", mesh)
-        ub = read_field_csv(out_b / "stationary_field.csv", mesh)
-        assert np.max(np.abs(ua - ub)) <= 1e-8
+        monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", 1)
+        assert main(["stationary", str(path)]) == 3
+        report = (out / "stationary_report.txt").read_text().splitlines()
+        assert "  converged        = False" in report
+        assert "  newton iterations = 1" in report
+        assert ("stationary solve did not converge; artifacts are partial"
+                in capsys.readouterr().err)
 
     def test_radial_csv_comparable_to_oracle(self, quick_cfg):
         from coreshell import radial_stationary_reference
@@ -528,6 +526,32 @@ class TestCmdEvolve:
         err = capsys.readouterr().err
         assert "evolution failed at step 1" in err
         assert "samples" not in err
+
+    @pytest.mark.parametrize("override", ["model.b1=1e7", "model.b1=5e9", "model.c1=1e6"])
+    def test_stiff_input_energy_monotone(self, repo_root, tmp_path, override):
+        # The energy rises by up to 1.2e-9 in a step here, within its rounding.
+        argv = ["evolve", str(repo_root / "configs" / "annulus_desk.cfg"), "--set", override,
+                "--set", "solver.t_end=1", "--set", "solver.dt=0.05",
+                "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
+        report = (tmp_path / "evolve_report.txt").read_text().splitlines()
+        assert "  energy monotone  = True" in report
+
+    def test_energy_increase_exits_1(self, quick_cfg, capsys, monkeypatch):
+        # A last step that raises the energy by 1e-13, far above its rounding.
+        def raising(*args):
+            trace = solvers.evolve(*args)
+            trace.energies[-1] = trace.energies[-2] + 1e-13
+            return trace
+
+        path, out = quick_cfg
+        monkeypatch.setattr(cli, "evolve", raising)
+        assert main(["evolve", str(path)]) == 1
+        report = (out / "evolve_report.txt").read_text().splitlines()
+        assert "  energy monotone  = False" in report
+        assert "  err_H monotone   = True" in report
+        assert ("energy-monotonicity or H-contraction violated along the trace"
+                in capsys.readouterr().err)
 
     def test_non_finite_u0_exit_2(self, quick_cfg, capsys):
         path, out = quick_cfg

@@ -12,14 +12,16 @@ and the limits that reject larger meshes and step counts.
 """
 
 import itertools
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coreshell.cli import main
 from coreshell.mesh import GeometrySpec, build_mesh
-from coreshell.reporting import read_field_csv
+from coreshell.reporting import read_field_csv, write_field_csv
 
 KEYS = ["model.b1", "model.b2", "model.c0", "model.c1", "geometry.kind",
         "geometry.dimension", "geometry.r1", "geometry.r2", "geometry.h",
@@ -27,11 +29,9 @@ KEYS = ["model.b1", "model.b2", "model.c0", "model.c1", "geometry.kind",
 EDGE_VALUES = ["0", "-0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e300", "-1e300",
                "1e308", "1.7976931348623157e308", "-1.7976931348623157e308", "nan", "inf",
                "-inf", "100000000000000000000", "-100000000000000000000", "abc", ""]
-# One ulp past the contrast limit b1/b2 = 1e9 from the desk configs' b2 = 5,
-# and b2 at and one ulp past it from their b1 = 1. b1 = 5e9, at the limit, is
-# left out: its annulus `evolve` exits 1, as annulus b1 = 1e7 does, because
-# `cmd_evolve`'s energy slack lies below the energy's rounding on stiff input.
-CONTRAST_EDGES = [("model.b1", "5000000000.000001"),
+# The contrast limit b1/b2 = 1e9 from the desk configs' b2 = 5: b1 at and one
+# ulp past it, and b2 at and one ulp past it from their b1 = 1.
+CONTRAST_EDGES = [("model.b1", "5e9"), ("model.b1", "5000000000.000001"),
                   ("model.b2", "1e-9"), ("model.b2", "9.999999999999999e-10")]
 SHORT_EVOLVE = ["solver.t_end=1.0", "solver.dt=0.05"]
 CONFIGS = ["radial_desk.cfg", "annulus_desk.cfg"]
@@ -45,7 +45,7 @@ def run(repo_root, out_dir, config, command, overrides):
 
 
 def test_every_single_edge_override_exits_cleanly(repo_root, tmp_path):
-    # All 804 single overrides; `mesh` builds what `stationary` builds first.
+    # All 808 single overrides; `mesh` builds what `stationary` builds first.
     failures = []
     overrides = [*itertools.product(KEYS, EDGE_VALUES), *CONTRAST_EDGES]
     for config, command, (key, value) in itertools.product(CONFIGS, ["stationary", "evolve"],
@@ -86,3 +86,30 @@ def test_field_file_reads_or_raises_value_error(tmp_path_factory, text):
         return
     assert field.shape == (mesh.n_nodes,) and np.all(np.isfinite(field))
 
+
+
+@pytest.mark.parametrize("text", ["", "# a comment\n", "r,u\n", "\n \t\n# c\nr,u\n\n# d\n"])
+def test_field_file_without_rows_raises_without_warning(tmp_path, text):
+    mesh = build_mesh(GeometrySpec(kind="radial", dimension=3, r1=0.5, r2=1.0, h=0.25))
+    path = tmp_path / "u0.csv"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="field file has 0 rows, mesh has 5 nodes"):
+            read_field_csv(path, mesh)
+
+
+def test_field_file_parsed_once(tmp_path, monkeypatch):
+    mesh = build_mesh(GeometrySpec(kind="planar2d", dimension=2, r1=0.5, r2=1.0, h=0.25))
+    values = np.linspace(-1.0, 1.0, mesh.n_nodes)
+    path = tmp_path / "u0.csv"
+    write_field_csv(path, mesh, values, ["config: run.cfg", "", "[model]"])
+    calls, loadtxt = [], np.loadtxt
+
+    def counting_loadtxt(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    assert np.array_equal(read_field_csv(path, mesh), values)
+    assert len(calls) == 1

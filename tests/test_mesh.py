@@ -14,7 +14,7 @@ from coreshell import (
     build_radial_mesh,
     refine,
 )
-from coreshell.vtkio import write_vtk
+from coreshell.reporting import write_vtk
 
 
 class TestGeometrySpec:
@@ -158,6 +158,41 @@ class TestAnnulusMesh:
         planar = build_mesh(GeometrySpec(kind="planar2d", dimension=2, r1=0.5, r2=1.0, h=0.35))
         assert radial.kind == "radial"
         assert planar.kind == "planar2d"
+
+
+def _with_entry(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+# (field, its corrupted copy, message): each breaks one invariant of `validate`.
+CORRUPTIONS = [
+    ("s_nodes", lambda m: _with_entry(m.s_nodes, 0, 0),
+     "an outer-boundary node is not at distance r2"),
+    ("gamma_nodes", lambda m: _with_entry(m.gamma_nodes, 0, 0),
+     "an interface node is not at distance r1"),
+    ("region", lambda m: _with_entry(m.region, -1, CORE),
+     r"core element \d+ has a vertex outside r1"),
+    ("region", lambda m: _with_entry(m.region, 0, SHELL),
+     "shell element 0 has a vertex inside r1"),
+    ("gamma_facets", lambda m: m.gamma_facets[:0], "mesh has no interface facets"),
+    ("facet_elements", lambda m: m.facet_elements[:, ::-1],
+     "interface facet is not shared by one core and one shell element"),
+]
+
+
+class TestValidate:
+    @pytest.mark.parametrize("mesh_name", ["radial_desk_mesh", "annulus_desk_mesh"])
+    @pytest.mark.parametrize("field, corrupt, message", CORRUPTIONS)
+    def test_each_check_fails(self, request, mesh_name, field, corrupt, message):
+        # Node 0 is the center, at distance 0; element 0 is a core element
+        # at the center and the last element a shell element at r2.
+        mesh = request.getfixturevalue(mesh_name)
+        mesh.validate()
+        broken = dataclasses.replace(mesh, **{field: corrupt(mesh)})
+        with pytest.raises(GeometryError, match=message):
+            broken.validate()
 
 
 class TestVtk:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import AssembledSystem
-from .mesh import CoreShellMesh, GeometrySpec
+from .mesh import GeometrySpec
 from .model import ModelParams, consumption_rate
 from .solvers import LINEAR_TOL, EvolutionTrace, _constant_part, solve_spd
 
@@ -113,7 +113,7 @@ def fit_decay_rate(trace: EvolutionTrace, *, gamma_disc: float = math.nan) -> De
 
 
 # Inverse power iteration stops once the eigenvalue estimate changes by at
-# most EIGEN_RTOL relative, and fails after EIGEN_MAX_ITER iterations.
+# most EIGEN_RTOL relative or its rounding; it fails after EIGEN_MAX_ITER iterations.
 EIGEN_RTOL = 1e-8
 EIGEN_MAX_ITER = 500
 
@@ -123,8 +123,10 @@ def smallest_generalized_eigenvalue(system: AssembledSystem) -> float:
 
     Inverse power iteration from the all-ones vector on the free nodes; each
     inverse apply is a preconditioned conjugate-gradient solve. Deterministic.
+    The quotient's rounding eps |y|.(|Kt| |y|) / y.(M y) is bounded by eps
+    (row sums of |Kt|).(y * y) / y.(M y), as |y_i| |y_j| <= (y_i^2 + y_j^2) / 2.
     """
-    kt, precondition, _ = _constant_part(system, system.Kt)
+    kt, precondition, row_abs = _constant_part(system, system.Kt)
     m = system.eliminate(system.M)
     x = (~system.mask).astype(float)
     x /= math.sqrt(float(x @ (m @ x)))
@@ -132,9 +134,11 @@ def smallest_generalized_eigenvalue(system: AssembledSystem) -> float:
     for _ in range(EIGEN_MAX_ITER):
         y = solve_spd(kt, m @ x, LINEAR_TOL, precondition=precondition)
         y /= math.sqrt(float(y @ (m @ y)))
-        lam_new = float(y @ (kt @ y)) / float(y @ (m @ y))
+        mass = float(y @ (m @ y))
+        lam_new = float(y @ (kt @ y)) / mass
         x = y
-        if abs(lam_new - lam) <= EIGEN_RTOL * abs(lam_new):
+        rounding = np.finfo(float).eps * float(row_abs @ (y * y)) / mass
+        if abs(lam_new - lam) <= max(EIGEN_RTOL * abs(lam_new), rounding):
             return lam_new
         lam = lam_new
     raise AnalysisError(f"inverse power iteration did not converge in {EIGEN_MAX_ITER} iterations")
@@ -157,15 +161,15 @@ def estimate_gamma(system: AssembledSystem, params: ModelParams) -> float:
 # ----------------------------------------------------------------------------
 
 
-def interface_flux_jump(system: AssembledSystem, mesh: CoreShellMesh,
-                        u: np.ndarray, params: ModelParams) -> float:
-    """Max over interface facets of the conormal-flux mismatch.
+def interface_flux_jump(system: AssembledSystem, u: np.ndarray, params: ModelParams) -> float:
+    """Max over interface facets of the conormal-flux mismatch on `system.mesh`.
 
     Per-element constant gradients give, for each facet,
     |b2 grad_shell . nu - b1 grad_core . nu|; the maximum measures how well
     a discrete field honors the diffraction condition.
     """
     system.check_field(u)
+    mesh = system.mesh
     sides = mesh.facet_elements  # (F, 2): core, shell
     side_grads = np.einsum("fskd,fsk->fsd", mesh.gradients[sides],
                            u[mesh.elements[sides]])
@@ -221,15 +225,14 @@ def radial_stationary_reference(
     alpha_bracket: tuple | None = None,
     *,
     reaction: bool = True,
-    defect_tol: float = 1e-10,
 ) -> RadialStationaryProfile:
     """Shooting solve of the stationary radial problem, independent of the FEM path.
 
     Integrates u'' + (N-1)/r u' = -rate(u)/b1 from the center (regular
     series start, u'(0) = 0, u(0) = alpha) through the core with DOP853,
     attaches the analytic harmonic shell matching value and conormal flux at
-    r1, and bisects alpha until the outer boundary defect is below
-    defect_tol. The default bracket (0, c0] always straddles the root.
+    r1, and bisects alpha until the outer boundary defect is below 1e-10.
+    The default bracket (0, c0] always straddles the root.
     """
     from scipy.integrate import solve_ivp  # test-side oracle; keeps the CLI import light
 
@@ -284,7 +287,7 @@ def radial_stationary_reference(
     alpha, defect, sol, shell, mism = hi, f_hi, sol_hi, shell_hi, mism_hi
     a, b = lo, hi
     for _ in range(200):
-        if abs(defect) < defect_tol:
+        if abs(defect) < 1e-10:
             break
         mid = 0.5 * (a + b)
         f_mid, sol_mid, shell_mid, mism_mid = shoot(mid)

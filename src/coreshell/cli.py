@@ -81,7 +81,7 @@ def cmd_mesh(config: RunConfig) -> int:
 def cmd_stationary(config: RunConfig) -> int:
     mesh, system, out_dir = _prepare(config)
     result = stationary_solve(system, config.model, zero_field(mesh))
-    jump = interface_flux_jump(system, mesh, result.field, config.model)
+    jump = interface_flux_jump(system, result.field, config.model)
     write_field_csv(out_dir / "stationary_field.csv", mesh, result.field, config.echo_lines())
     write_vtk(out_dir / "stationary_field.vtk", mesh, point_data={"u": result.field},
               title=_vtk_title(config))

@@ -36,12 +36,12 @@ def column_text(values) -> list:
     return list(map(_FLOAT.__mod__, values.astype(float).tolist()))
 
 
-def table_lines(columns, sep=","):
-    """One line per row of equal-length numeric columns, values as `column_text` prints them.
+def table_lines(columns):
+    """One line per row of equal-length numeric columns, `column_text` values joined by commas.
 
     Raises ValueError if the columns differ in length.
     """
-    return list(map(sep.join, zip(*map(column_text, columns), strict=True)))
+    return list(map(",".join, zip(*map(column_text, columns), strict=True)))
 
 
 # Both field writers print the node coordinates. A mesh is immutable, so

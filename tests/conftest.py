@@ -9,6 +9,7 @@ from coreshell import (
     build_annulus_mesh,
     build_radial_mesh,
 )
+from coreshell.fem import SparseOperator
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -56,3 +57,17 @@ def coarse_radial_mesh():
 @pytest.fixture(scope="session")
 def repo_root():
     return REPO_ROOT
+
+
+@pytest.fixture
+def sparse_products(monkeypatch):
+    """A list that gains one entry per `SparseOperator` product during the test."""
+    products = []
+    product = SparseOperator.__matmul__
+
+    def counting_product(matrix, x):
+        products.append(1)
+        return product(matrix, x)
+
+    monkeypatch.setattr(SparseOperator, "__matmul__", counting_product)
+    return products

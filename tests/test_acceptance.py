@@ -179,7 +179,7 @@ def test_criterion_7_interface_flux_jump_refinement():
             system = assemble(mesh, DESK_PARAMS)
             res = stationary_solve(system, DESK_PARAMS, zero_field(mesh))
             assert res.converged
-            jumps.append(interface_flux_jump(system, mesh, res.field, DESK_PARAMS))
+            jumps.append(interface_flux_jump(system, res.field, DESK_PARAMS))
             if level < 3:
                 mesh = refine(mesh)
         assert jumps[0] > jumps[1] > jumps[2] > jumps[3], f"jumps {jumps}"

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from coreshell import cli, solvers
+from coreshell import analysis, cli, solvers
 from coreshell.cli import main
 from coreshell.config import ConfigError, load_config
 from coreshell.fem import (
@@ -536,6 +536,23 @@ class TestCmdEvolve:
         assert main(argv) == 0
         report = (tmp_path / "evolve_report.txt").read_text().splitlines()
         assert "  energy monotone  = True" in report
+
+    @pytest.mark.parametrize("r1", ["1e-10", "9.999999999999999e-11"])
+    def test_tiny_core_evolves(self, repo_root, tmp_path, r1):
+        # The Rayleigh quotient's rounding lies above EIGEN_RTOL here, so
+        # the eigen-solve for gamma must stop at that rounding.
+        argv = ["evolve", str(repo_root / "configs" / "annulus_desk.cfg"),
+                "--set", f"geometry.r1={r1}", "--set", "solver.t_end=1",
+                "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
+
+    def test_eigen_solve_failure_exits_3(self, repo_root, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(analysis, "EIGEN_MAX_ITER", 1)
+        argv = ["evolve", str(repo_root / "configs" / "radial_desk.cfg"),
+                "--output-dir", str(tmp_path)]
+        assert main(argv) == 3
+        assert ("inverse power iteration did not converge in 1 iterations"
+                in capsys.readouterr().err)
 
     def test_energy_increase_exits_1(self, quick_cfg, capsys, monkeypatch):
         # A last step that raises the energy by 1e-13, far above its rounding.

@@ -66,7 +66,7 @@ def compute_golden() -> dict:
             f"{name}/stationary_field": sol.field,
             f"{name}/stationary_energy": np.array(sol.energy),
             f"{name}/stationary_newton": np.array(sol.iterations),
-            f"{name}/flux_jump": np.array(interface_flux_jump(system, mesh, sol.field, params)),
+            f"{name}/flux_jump": np.array(interface_flux_jump(system, sol.field, params)),
             f"{name}/gamma_disc": np.array(estimate_gamma(system, params)),
             f"{name}/trace_times": trace.times,
             f"{name}/trace_energies": trace.energies,

@@ -122,7 +122,10 @@ def smallest_generalized_eigenvalue(system: AssembledSystem) -> float:
     """Smallest eigenvalue of the pencil (unit stiffness, mass) on free nodes.
 
     Inverse power iteration from the all-ones vector on the free nodes; each
-    inverse apply is a preconditioned conjugate-gradient solve. Deterministic.
+    inverse apply is a preconditioned conjugate-gradient solve, which also
+    stops at its rounding, given the row sums of |Kt|, and whose right-hand
+    side is the mass product of the normalized iterate that the quotient
+    already formed. Deterministic.
     The quotient's rounding eps |y|.(|Kt| |y|) / y.(M y) is bounded by eps
     (row sums of |Kt|).(y * y) / y.(M y), as |y_i| |y_j| <= (y_i^2 + y_j^2) / 2.
     """
@@ -131,12 +134,13 @@ def smallest_generalized_eigenvalue(system: AssembledSystem) -> float:
     x = (~system.mask).astype(float)
     x /= math.sqrt(float(x @ (m @ x)))
     lam = float(x @ (kt @ x))
+    mx = m @ x
     for _ in range(EIGEN_MAX_ITER):
-        y = solve_spd(kt, m @ x, LINEAR_TOL, precondition=precondition)
+        y = solve_spd(kt, mx, LINEAR_TOL, precondition=precondition, row_abs=row_abs)
         y /= math.sqrt(float(y @ (m @ y)))
-        mass = float(y @ (m @ y))
+        mx = m @ y  # the next solve's right-hand side
+        mass = float(y @ mx)
         lam_new = float(y @ (kt @ y)) / mass
-        x = y
         rounding = np.finfo(float).eps * float(row_abs @ (y * y)) / mass
         if abs(lam_new - lam) <= max(EIGEN_RTOL * abs(lam_new), rounding):
             return lam_new

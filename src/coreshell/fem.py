@@ -241,6 +241,16 @@ class AssembledSystem:
     def n_nodes(self) -> int:
         return self.mesh.n_nodes
 
+    @cached_property
+    def free(self) -> np.ndarray:
+        """Indices of the free (unmasked) nodes, in increasing order."""
+        return np.flatnonzero(~self.mask)
+
+    @cached_property
+    def free_lumped_mass(self) -> np.ndarray:
+        """`lumped_mass` on the free nodes: the dual-norm metric."""
+        return self.lumped_mass[self.free]
+
     def eliminate(self, matrix: SparseOperator) -> SparseOperator:
         """Symmetric elimination: a copy, masked rows and columns zeroed, 1 on their diagonal."""
         pattern = self.K.pattern
@@ -386,7 +396,12 @@ def energy_gradient(system: AssembledSystem, u: np.ndarray, params: ModelParams)
     residual.
     """
     system.check_field(u)
-    g = system.K @ u - reaction_vector(system, u, params)
+    return evaluated_gradient(system, system.K @ u, reaction_vector(system, u, params))
+
+
+def evaluated_gradient(system: AssembledSystem, ku: np.ndarray, react: np.ndarray) -> np.ndarray:
+    """`energy_gradient` of u from its product K u and its reaction vector, bit for bit."""
+    g = ku - react
     np.copyto(g, 0.0, where=system.mask)
     return g
 
@@ -397,9 +412,13 @@ def energy(system: AssembledSystem, u: np.ndarray, params: ModelParams):
     A scalar for a field, an array of one energy per field for a stack.
     """
     system.check_field(u)
-    quad = 0.5 * dot_fields(u, system.K @ u)
-    pot = dot_fields(system.M1, consumption_potential(u, params))
-    return quad - pot
+    return evaluated_energy(system, u, system.K @ u, consumption_potential(u, params))
+
+
+def evaluated_energy(system: AssembledSystem, u: np.ndarray, ku: np.ndarray,
+                     potential: np.ndarray):
+    """`energy` of u from its product K u and its potential F(u), bit for bit."""
+    return 0.5 * dot_fields(u, ku) - dot_fields(system.M1, potential)
 
 
 def reaction_jacobian_diagonal(
@@ -423,5 +442,4 @@ def v_norm(system: AssembledSystem, values: np.ndarray) -> float:
 
 def dual_norm(system: AssembledSystem, values: np.ndarray) -> float:
     """Lumped-mass dual norm of a residual vector on the free subspace."""
-    f = ~system.mask
-    return float(np.sqrt(np.sum(values[f] ** 2 / system.lumped_mass[f])))
+    return float(np.sqrt(np.sum(values[system.free] ** 2 / system.free_lumped_mass)))

@@ -13,9 +13,17 @@ diagonal, solved by preconditioned conjugate gradients on full-length vectors:
 Jacobi by default, and on the built-in rotation-invariant meshes the exact
 inverse of the rotation-averaged Hessian, the constant part plus the ring
 means of the reaction diagonal (`sector_inverse`, built once per operator
-and refactored with the new means on every Newton iteration). On a radial
+and refactored with the new means on every Newton iteration). CG stops at
+the relative residual LINEAR_TOL or at its own rounding, a small multiple
+of eps times the size of the terms the residual is formed from. On a radial
 chain each ring is one node, so that inverse is the exact inverse of the
-Newton Hessian, and CG stops as soon as the product's rounding allows.
+Newton Hessian, and CG stops after its first step, at desk size and at
+h=2^-11 alike.
+
+Each state is evaluated once (K u, the reaction vector and the potential,
+`_evaluate`): Newton reads the evaluation for its gradient, rounding floor
+and line search, and returns its final iterate's, which `evolve` hands to
+the state's record and to the next step.
 
 A single evolution is sequential in the step index; independent runs may
 share meshes and assembled systems freely. Given a configuration, the
@@ -31,7 +39,8 @@ from .fem import (
     SparseOperator,
     dual_norm,
     energy,
-    energy_gradient,
+    evaluated_energy,
+    evaluated_gradient,
     reaction_jacobian_diagonal,
     reaction_vector,
     zero_field,
@@ -54,8 +63,15 @@ class NonlinearSolveError(RuntimeError):
 # Largest number of implicit-Euler steps, round(t_end / dt), that `evolve` accepts.
 MAX_STEPS = 10**6
 
-# Relative residual at which every conjugate-gradient solve stops.
+# Relative residual at which every conjugate-gradient solve stops, unless it
+# first reaches CG_ROUNDING times its rounding eps ||row_abs |x| + |b||| (see
+# `solve_spd`). On the desk meshes, planar h=0.025 and radial h=2^-11 the
+# residual after an exact-inverse step lies at 0.15-0.6 times that rounding
+# and the true residual of a converged solve at 0.2-1.5 times it, so 16
+# stops those solves with a margin and keeps the solution's normwise
+# backward error within 16 eps.
 LINEAR_TOL = 1e-12
+CG_ROUNDING = 16.0
 
 # Newton stops once the dual norm of the gradient is below NEWTON_TOL or
 # below its rounding floor, or after NEWTON_MAX_ITER iterations.
@@ -70,7 +86,7 @@ class SolverConfig:
     dt and t_end are only required for evolution runs and are validated
     there, with at most MAX_STEPS steps. Each step's Newton solve stops by
     the absolute rule of `_newton_minimize` (NEWTON_TOL, NEWTON_MAX_ITER);
-    each Newton system is solved to LINEAR_TOL.
+    each Newton system is solved to LINEAR_TOL or to its rounding.
     """
 
     dt: float | None = None
@@ -137,16 +153,20 @@ class EvolutionTrace:
 
 
 def solve_spd(matrix: SparseOperator, rhs: np.ndarray, tol: float,
-              precondition=None) -> np.ndarray:
+              precondition=None, row_abs=None) -> np.ndarray:
     """Preconditioned conjugate gradients for SPD systems.
 
     `precondition(r)` applies an SPD approximation of the inverse of
     `matrix`; None means Jacobi (division by the diagonal). Starts from
-    zero and stops when the true residual norm drops below tol * ||rhs||;
-    deterministic for fixed inputs. Uses `matrix` only through `matrix @ p`
-    and `matrix.diagonal()`. Raises LinearSolveError with the iteration
-    count on breakdown (a non-positive or non-finite curvature, a
-    non-finite residual) or on reaching max(200, 20 n) iterations.
+    zero and stops when the residual norm drops below tol * ||rhs|| or,
+    given the row sums `row_abs` of |matrix|, below its rounding
+    CG_ROUNDING * eps * ||row_abs * |x| + |rhs|||, the size of the terms
+    the residual is formed from (Arioli, Duff & Ruiz, SIAM J. Matrix Anal.
+    Appl. 13, 1992); deterministic for fixed inputs. Uses `matrix` only
+    through `matrix @ p` and `matrix.diagonal()`. Raises LinearSolveError
+    with the iteration count on breakdown (a non-positive or non-finite
+    curvature, a non-finite residual) or on reaching max(200, 20 n)
+    iterations.
     """
     n = rhs.shape[0]
     rhs_norm = float(np.linalg.norm(rhs))
@@ -159,6 +179,8 @@ def solve_spd(matrix: SparseOperator, rhs: np.ndarray, tol: float,
     if precondition is None:
         def precondition(vec):
             return vec / diag
+    if row_abs is not None:
+        rounding, rhs_abs = CG_ROUNDING * np.finfo(float).eps, np.abs(rhs)
 
     x = np.zeros(n)
     r = rhs.copy()
@@ -177,7 +199,8 @@ def solve_spd(matrix: SparseOperator, rhs: np.ndarray, tol: float,
             x += alpha * p
             r -= alpha * q
             r_norm = float(np.linalg.norm(r))
-            if r_norm <= tol * rhs_norm:
+            if r_norm <= tol * rhs_norm or (row_abs is not None and r_norm <= rounding * float(
+                    np.linalg.norm(row_abs * np.abs(x) + rhs_abs))):
                 return x
             if not np.isfinite(r_norm):
                 raise LinearSolveError(f"residual is not finite ({r_norm})", k)
@@ -351,12 +374,19 @@ _ARMIJO_FACTOR = 0.5
 _ARMIJO_MIN_STEP = 2.0**-40
 
 
+def _evaluate(system: AssembledSystem, params: ModelParams, u: np.ndarray):
+    """The evaluation of a field that Newton and `evolve`'s record read:
+    (K u, reaction vector r(u), consumption potential F(u))."""
+    return system.K @ u, reaction_vector(system, u, params), consumption_potential(u, params)
+
+
 def _newton_minimize(
     system: AssembledSystem,
     params: ModelParams,
     start: np.ndarray,
     constant,
     dt: float | None = None,
+    evaluation=None,
 ):
     """Minimize the energy, plus ||w - c||_M^2 / (2 dt) when dt is given, by damped Newton.
 
@@ -364,27 +394,30 @@ def _newton_minimize(
     c, so its first gradient is the energy's. `constant` is the caller's
     `_constant_part` of the Hessian (K, or K + M/dt); when it has a
     `SectorInverse`, each iteration preconditions CG with its `shifted` copy
-    for that iteration's reaction diagonal. Each iterate is evaluated once:
-    the accepted trial's potential opens the next line search.
+    for that iteration's reaction diagonal, and CG stops at LINEAR_TOL or at
+    its rounding, given the row sums of |Hessian|: those of the constant
+    part plus the nonnegative reaction diagonal. Each iterate is evaluated
+    once (`_evaluate`): the caller may pass the masked start's `evaluation`,
+    and the accepted trial's potential opens the next line search.
 
     Every caller stops by the same absolute rule: the lumped-mass dual norm
     of the objective gradient is at most NEWTON_TOL or, failing that, its
-    rounding floor, or NEWTON_MAX_ITER iterations have run. The floor and
-    the reaction vector are computed only when NEWTON_TOL is not met. The
-    floor is eps times the dual norm of the magnitudes of the gradient's
-    terms: |base| |u|, estimated by the row sums of |base| times |u| (no
-    product per iteration), the reaction r(u) and, with a proximal term,
-    |M| |c| / dt, estimated by the lumped mass times |c| / dt. It lies above
-    NEWTON_TOL only on stiff input (large diffusion coefficients). A start
-    that already satisfies the rule is returned unchanged (zero
-    iterations), so fully converged trajectories freeze exactly. A
-    non-finite residual never counts as converged: at the start it raises
-    NonlinearSolveError. Returns (values, iterations, dual-residual
-    history, converged).
+    rounding floor, or NEWTON_MAX_ITER iterations have run. The floor is
+    computed only when NEWTON_TOL is not met. It is eps times the dual norm
+    of the magnitudes of the gradient's terms: |base| |u|, estimated by the
+    row sums of |base| times |u| (no product per iteration), the reaction
+    r(u) and, with a proximal term, |M| |c| / dt, estimated by the lumped
+    mass times |c| / dt. It lies above NEWTON_TOL only on stiff input
+    (large diffusion coefficients). A start that already satisfies the
+    rule is returned unchanged (zero iterations), so fully converged
+    trajectories freeze exactly. A non-finite residual never counts as
+    converged: at the start it raises NonlinearSolveError. Returns (values,
+    iterations, dual-residual history, converged, evaluation of values).
     """
     mask = system.mask
     u = center = np.where(mask, 0.0, start)
-    g = energy_gradient(system, u, params)
+    ku, react, potential = _evaluate(system, params, u) if evaluation is None else evaluation
+    g = evaluated_gradient(system, ku, react)
     res = dual_norm(system, g)
     if not np.isfinite(res):
         raise NonlinearSolveError(f"initial dual residual is not finite ({res})")
@@ -393,18 +426,18 @@ def _newton_minimize(
 
     for iteration in range(NEWTON_MAX_ITER + 1):
         if res <= NEWTON_TOL:
-            return u, iteration, history, True
-        react = reaction_vector(system, u, params)
+            return u, iteration, history, True, (ku, react, potential)
         size = row_abs * np.abs(u) + react + (
             0.0 if dt is None else system.lumped_mass * np.abs(center) / dt)
         if res <= np.finfo(float).eps * dual_norm(system, size):
-            return u, iteration, history, True
+            return u, iteration, history, True, (ku, react, potential)
         if iteration == NEWTON_MAX_ITER:
-            return u, iteration, history, False
+            return u, iteration, history, False, (ku, react, potential)
         reaction_diagonal = reaction_jacobian_diagonal(system, u, params)
         hessian = base.plus_diagonal(reaction_diagonal)
         direction = solve_spd(hessian, -g, LINEAR_TOL, precondition=None if precondition is None
-                              else precondition.shifted(reaction_diagonal))
+                              else precondition.shifted(reaction_diagonal),
+                              row_abs=row_abs + reaction_diagonal)
 
         slope = float(g @ direction)
         if slope >= 0.0:
@@ -421,8 +454,6 @@ def _newton_minimize(
         # so F(s) rounds to about eps (|F(s)| + c1 - c0) at each node.
         linear = slope + float(direction @ react)
         curvature = float(direction @ (base @ direction))
-        if iteration == 0:
-            potential = consumption_potential(u, params)
         fp_slack = 32.0 * np.finfo(float).eps * max(
             1.0, float(system.M1 @ (np.abs(potential) + (params.c1 - params.c0))))
         step = 1.0
@@ -439,7 +470,8 @@ def _newton_minimize(
                     "backtracking line search failed to find descent"
                 )
         u, potential = candidate, trial
-        g = energy_gradient(system, u, params)
+        ku, react = system.K @ u, reaction_vector(system, u, params)
+        g = evaluated_gradient(system, ku, react)
         if dt is not None:
             g = g + (system.M @ (u - center)) / dt
             g[mask] = 0.0
@@ -459,7 +491,7 @@ def stationary_solve(
     cap the best iterate is returned with converged=False.
     """
     system.check_field(u_init)
-    values, iters, history, converged = _newton_minimize(
+    values, iters, history, converged, _ = _newton_minimize(
         system, params, u_init, _constant_part(system, system.K))
     return StationarySolution(
         field=values,
@@ -487,21 +519,21 @@ def step_implicit_euler(
         raise ValueError(f"time step dt must be positive, got {cfg.dt}")
     system.check_field(u_n)
     constant = _constant_part(system, system.K + system.M / cfg.dt)
-    fld, _ = _step_implicit_euler_counted(system, params, cfg, u_n, constant)
-    return fld
+    return _step_implicit_euler_counted(system, params, cfg, u_n, constant)[0]
 
 
-def _step_implicit_euler_counted(system, params, cfg, u_n, constant):
-    """One step from the masked u_n and its Newton count, given the `_constant_part`
-    of K + M/cfg.dt; the callers check dt and u_n's shape once."""
-    values, iters, history, converged = _newton_minimize(
-        system, params, u_n, constant, dt=cfg.dt)
+def _step_implicit_euler_counted(system, params, cfg, u_n, constant, evaluation=None):
+    """One step from the masked u_n, given the `_constant_part` of K + M/cfg.dt
+    and optionally the masked u_n's `_evaluate`; the callers check dt and u_n's
+    shape once. Returns (values, Newton iterations, evaluation of values)."""
+    values, iters, history, converged, evaluated = _newton_minimize(
+        system, params, u_n, constant, dt=cfg.dt, evaluation=evaluation)
     if not converged:
         raise NonlinearSolveError(
             f"implicit-Euler inner solve stopped at residual {history[-1]:.3e} "
             f"after {iters} iterations"
         )
-    return values, iters
+    return values, iters, evaluated
 
 
 def evolve(
@@ -512,15 +544,18 @@ def evolve(
 ) -> EvolutionTrace:
     """Implicit-Euler trajectory with one (energy, err_H, err_V, energy rounding) record per state.
 
-    The stationary reference is computed once (from zero) before stepping,
-    and the constant part K + M/dt of every step's Hessian is eliminated
-    and preconditioned once for all steps. u0 and every accepted step are
-    recorded by the same function. Once a step returns its input unchanged
-    (zero Newton iterations), the trajectory is frozen: the remaining steps
-    are not run, and their rows copy that state's record with zero
-    iterations. Raises ValueError when u0's record or
-    initial dual residual is not finite. On a step failure the partial trace
-    is returned with the failure's message in `failure`.
+    The trajectory starts at the masked u0, the first step's proximal
+    center. The stationary reference is computed once (from zero) before
+    stepping, and the constant part K + M/dt of every step's Hessian is
+    eliminated and preconditioned once for all steps. Each state is
+    evaluated once (`_evaluate`): u0's evaluation serves its record, the
+    start residual and the first step, and each step returns the evaluation
+    of its result, which serves that state's record and the next step.
+    Once a step returns its input unchanged (zero Newton iterations), the
+    trajectory is frozen: the remaining steps are not run, and their rows
+    copy that state's record with zero iterations. Raises ValueError when
+    u0's record or initial dual residual is not finite. On a step failure
+    the partial trace is returned with the failure's message in `failure`.
     """
     cfg.require_timestep()
     system.check_field(u0)
@@ -535,21 +570,26 @@ def evolve(
     eps = np.finfo(float).eps
     k_row_abs = SparseOperator(system.K.pattern, np.abs(system.K.data)) @ np.ones(system.n_nodes)
 
-    def record(u):
-        """(energy, err_H, err_V, energy rounding) of one state; the norms are
-        `fem.h_norm` and `fem.v_norm`, sharing the product M e. As in Newton's
-        floor, |K| |u| is estimated by the row sums of |K| times |u|; eps
-        scales each term before the sums, so the rounding is finite for any c1."""
+    def record(u, evaluation):
+        """(energy, err_H, err_V, energy rounding) of one state and its
+        evaluation. The energy is `fem.energy`'s, from the evaluation's K u and
+        potential; the norms are `fem.h_norm` and `fem.v_norm`, sharing the
+        product M e. As in Newton's floor, |K| |u| is estimated by the row sums
+        of |K| times |u|; eps scales each term before the sums, so the
+        rounding is finite for any c1."""
+        ku, _, potential = evaluation
         e = u - u_star
         mass = e @ (system.M @ e)
         rounding = float(k_row_abs @ (0.5 * eps * u * u) + system.M1 @ (
             eps * np.abs(u) + eps * (params.c1 - params.c0)))
-        return (energy(system, u, params), float(np.sqrt(mass)),
+        return (evaluated_energy(system, u, ku, potential), float(np.sqrt(mass)),
                 float(np.sqrt(mass + e @ (system.Kt @ e))), rounding)
 
+    u = np.where(system.mask, 0.0, u0)
     with np.errstate(over="ignore", invalid="ignore"):
-        start = record(u0)
-        start_residual = dual_norm(system, energy_gradient(system, u0, params))
+        evaluation = _evaluate(system, params, u)
+        start = record(u, evaluation)
+        start_residual = dual_norm(system, evaluated_gradient(system, *evaluation[:2]))
     for name, value in zip(("energy", "err_H", "err_V", "dual residual"),
                            (*start[:3], start_residual)):
         if not np.isfinite(value):
@@ -560,10 +600,10 @@ def evolve(
     failure = None
 
     step_constant = _constant_part(system, system.K + system.M / cfg.dt)
-    u = u0
     for n in range(1, cfg.n_steps + 1):
         try:
-            stepped, k = _step_implicit_euler_counted(system, params, cfg, u, step_constant)
+            stepped, k, stepped_evaluation = _step_implicit_euler_counted(
+                system, params, cfg, u, step_constant, evaluation)
         except (NonlinearSolveError, LinearSolveError) as exc:
             failure = str(exc)
             break
@@ -572,8 +612,8 @@ def evolve(
             # input and proximal center, so every later step returns it too.
             rows += [(m * cfg.dt, *rows[-1][1:5], 0) for m in range(n, cfg.n_steps + 1)]
             break
-        u = stepped
-        rows.append((n * cfg.dt, *record(u), k))
+        u, evaluation = stepped, stepped_evaluation
+        rows.append((n * cfg.dt, *record(u, evaluation), k))
 
     times, energies, err_h, err_v, rounding, iters = map(np.asarray, zip(*rows))
     return EvolutionTrace(times, energies, err_h, err_v, iters.astype(np.int64), rounding,

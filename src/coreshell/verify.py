@@ -329,7 +329,7 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         for block in sample_blocks(rng, system, RESOLVENT_SOLVES, (-amp, amp)):
             for g in block[:, 0]:
                 try:
-                    u, _ = _step_implicit_euler_counted(system, params, unit_step, g, constant)
+                    u = _step_implicit_euler_counted(system, params, unit_step, g, constant)[0]
                 except NonlinearSolveError as exc:
                     return PropertyResult(name, False, f"resolvent solve failed: {exc}", {"g": g})
                 res = mk @ u - reaction_vector(system, u, params) - system.M @ g

@@ -27,7 +27,7 @@ from coreshell import (
     zero_field,
 )
 from coreshell.config import load_config
-from coreshell.fem import SparseOperator, h_norm, dual_norm, reaction_jacobian_diagonal
+from coreshell.fem import SparseOperator, h_norm, dual_norm, reaction_jacobian_diagonal, v_norm
 from coreshell.model import consumption_rate, consumption_rate_slope
 from coreshell import solvers
 from coreshell.solvers import (
@@ -88,6 +88,28 @@ class TestSolveSpd:
         k = system.eliminate(system.K)
         rhs = np.cos(np.arange(k.shape[0], dtype=float))
         assert np.array_equal(solve_spd(k, rhs, 1e-12), solve_spd(k, rhs, 1e-12))
+
+    def test_stops_at_its_rounding(self, params):
+        # With the exact chain inverse the first step solves the system to
+        # the product's rounding, about 5e-11 relative at h=2^-11, above
+        # LINEAR_TOL for a smooth right-hand side: given the row sums of
+        # |matrix|, CG stops there.
+        mesh = build_radial_mesh(GeometrySpec(kind="radial", dimension=3, r1=0.5, r2=1.0,
+                                              h=2.0**-11))
+        system = assemble(mesh, params)
+        matrix, inverse, row_abs = _constant_part(system, system.K + system.M / 0.05)
+        rhs = system.M @ np.cos(mesh.node_radii())
+        rhs[system.mask] = 0.0
+        solves = []  # (solution, steps) without and with the row sums
+        for rows in (None, row_abs):
+            apply, calls = _counted(inverse)
+            solves.append((solve_spd(matrix, rhs, LINEAR_TOL, precondition=apply, row_abs=rows),
+                           len(calls)))
+        (x_tol, tol_steps), (x_floor, floor_steps) = solves
+        assert (tol_steps, floor_steps) == (2, 1)
+        floor = np.finfo(float).eps * np.linalg.norm(row_abs * np.abs(x_floor) + np.abs(rhs))
+        assert np.linalg.norm(rhs - matrix @ x_floor) <= solvers.CG_ROUNDING * floor
+        assert np.linalg.norm(x_floor - x_tol) <= 1e-10 * np.linalg.norm(x_tol)
 
 
 def _constant_parts(system, dt):
@@ -236,12 +258,12 @@ class TestNewtonPreconditioner:
     # inverse of every Newton Hessian and PCG stops after its first step. At
     # h=2^-11 the residual after that step is the rounding of the product,
     # about 5e-11 relative (the condition number grows as h^-2), above
-    # LINEAR_TOL, so every solve takes one more step. A stationary solve
-    # from zero stays rotation-invariant, so planar rings get an exact
-    # inverse too.
+    # LINEAR_TOL but below CG's rounding stop, so no solve takes a second
+    # step. A stationary solve from zero stays rotation-invariant, so planar
+    # rings get an exact inverse too.
     @pytest.mark.parametrize("name, overrides, applies", [
         pytest.param("radial_desk.cfg", [], 1, id="radial_desk.cfg"),
-        pytest.param("radial_desk.cfg", [f"geometry.h={2.0**-11}"], 2, id="radial-h2^-11"),
+        pytest.param("radial_desk.cfg", [f"geometry.h={2.0**-11}"], 1, id="radial-h2^-11"),
         pytest.param("annulus_desk.cfg", [], 1, id="annulus_desk.cfg"),
     ])
     def test_exact_solves(self, repo_root, monkeypatch, name, overrides, applies):
@@ -254,10 +276,10 @@ class TestNewtonPreconditioner:
         counts = []  # per Newton solve, one entry per preconditioner apply
         solve = solvers.solve_spd
 
-        def counting(matrix, rhs, tol, precondition=None):
+        def counting(matrix, rhs, tol, precondition=None, row_abs=None):
             apply, calls = _counted(precondition)
             counts.append(calls)
-            return solve(matrix, rhs, tol, precondition=apply)
+            return solve(matrix, rhs, tol, precondition=apply, row_abs=row_abs)
 
         monkeypatch.setattr(solvers, "solve_spd", counting)
         assert stationary_solve(system, config.model, zero_field(mesh)).converged
@@ -291,11 +313,14 @@ class TestHighContrast:
 
 class TestNewtonEvaluations:
     # Newton starts at its proximal center, so the proximal term vanishes
-    # there and M (u - c) is first formed after an accepted step. A step
-    # from the zero field still needs its gradient K 0 - r(0), which is the
-    # only all-zero operand left. Each iterate's potential is evaluated
-    # once: the start's, at most once per call, and every line-search trial's,
-    # the accepted one opening the next line search.
+    # there and M (u - c) is first formed after an accepted step. Each state
+    # is evaluated once: u0 by `evolve`, every later state by the Newton
+    # call that reached it, which hands its evaluation to the next step. So
+    # outside the stationary reference the only all-zero operand left is the
+    # K 0 of a zero u0, one per step that starts from the zero field, and
+    # the only potential evaluated outside Newton is u0's. Within a Newton
+    # call each iterate's potential is evaluated at most once, the accepted
+    # trial's opening the next line search.
     @pytest.mark.parametrize("name", ["radial_desk.cfg", "annulus_desk.cfg"])
     @pytest.mark.parametrize("start", ["zero", "low-mode"])
     def test_each_iterate_evaluated_once(self, repo_root, monkeypatch, name, start):
@@ -308,36 +333,46 @@ class TestNewtonEvaluations:
         u0 = (zero_field(mesh) if start == "zero"
               else low_mode_field(mesh, config.model.c0, 1))
 
-        in_step, zero_starts, zero_products = [], [], []
+        in_reference, zero_starts, zero_products = [], [], []
         product = SparseOperator.__matmul__
 
         def counting_product(matrix, x):
-            if in_step and not np.any(x):
+            if not in_reference and not np.any(x):
                 zero_products.append(1)
             return product(matrix, x)
 
-        step = solvers._step_implicit_euler_counted
+        stationary, step = solvers.stationary_solve, solvers._step_implicit_euler_counted
 
-        def counting_step(system, params, cfg, u_n, constant):
-            zero_starts.append(not np.any(u_n))
-            in_step.append(1)
+        def flagged_stationary(*args, **kwargs):
+            in_reference.append(1)
             try:
-                return step(system, params, cfg, u_n, constant)
+                return stationary(*args, **kwargs)
             finally:
-                in_step.pop()
+                in_reference.pop()
 
-        evaluated = []  # per Newton call, the bytes of each potential argument
+        def counting_step(system, params, cfg, u_n, constant, evaluation=None):
+            zero_starts.append(not np.any(u_n))
+            return step(system, params, cfg, u_n, constant, evaluation)
+
+        # per Newton call, the bytes of each potential argument; and those
+        # evaluated outside every Newton call
+        evaluated, in_newton, outside = [], [], []
         newton, potential = solvers._newton_minimize, solvers.consumption_potential
 
         def counting_newton(*args, **kwargs):
             evaluated.append([])
-            return newton(*args, **kwargs)
+            in_newton.append(1)
+            try:
+                return newton(*args, **kwargs)
+            finally:
+                in_newton.pop()
 
         def counting_potential(s, params):
-            evaluated[-1].append(s.tobytes())
+            (evaluated[-1] if in_newton else outside).append(s.tobytes())
             return potential(s, params)
 
         monkeypatch.setattr(SparseOperator, "__matmul__", counting_product)
+        monkeypatch.setattr(solvers, "stationary_solve", flagged_stationary)
         monkeypatch.setattr(solvers, "_step_implicit_euler_counted", counting_step)
         monkeypatch.setattr(solvers, "_newton_minimize", counting_newton)
         monkeypatch.setattr(solvers, "consumption_potential", counting_potential)
@@ -347,6 +382,7 @@ class TestNewtonEvaluations:
         assert len(zero_starts) > 1
         assert len(zero_products) == sum(zero_starts)
         assert all(len(set(points)) == len(points) for points in evaluated)
+        assert len(outside) == 1
 
 
 @pytest.fixture(scope="module")
@@ -643,6 +679,65 @@ class TestEvolve:
         mesh, system = desk
         with pytest.raises(ValueError):
             evolve(system, params, SolverConfig(dt=0.1), zero_field(mesh))
+
+    # `evolve` carries each state's evaluation (K u, reaction, potential)
+    # from step to step and into its record. A loop of public steps, each
+    # state recorded afresh, must give the same trace bit for bit; on a u0
+    # with nonzero Dirichlet entries the trajectory starts at the masked u0.
+    @pytest.mark.parametrize("name", ["radial_desk.cfg", "annulus_desk.cfg"])
+    @pytest.mark.parametrize("dirichlet", [0.0, 0.5], ids=["masked", "dirichlet-0.5"])
+    def test_trace_equals_fresh_steps(self, repo_root, monkeypatch, name, dirichlet):
+        monkeypatch.syspath_prepend(str(repo_root / "perfbench"))
+        from inputs import low_mode_field
+
+        config = load_config(repo_root / "configs" / name)
+        mesh = build_mesh(config.geometry)
+        system = assemble(mesh, config.model)
+        model, cfg = config.model, config.solver
+        u0 = low_mode_field(mesh, model.c0, 1) + dirichlet * system.mask
+        trace = evolve(system, model, cfg, u0)
+        assert trace.failure is None
+
+        star = stationary_solve(system, model, zero_field(mesh)).field
+        eps = np.finfo(float).eps
+        k_row_abs = SparseOperator(system.K.pattern, np.abs(system.K.data)) @ np.ones(mesh.n_nodes)
+
+        def fresh_record(u):
+            return (energy(system, u, model), h_norm(system, u - star),
+                    v_norm(system, u - star),
+                    float(k_row_abs @ (0.5 * eps * u * u) + system.M1 @ (
+                        eps * np.abs(u) + eps * (model.c1 - model.c0))))
+
+        rows = [fresh_record(np.where(system.mask, 0.0, u0))]
+        u = u0
+        for _ in range(cfg.n_steps):
+            u = step_implicit_euler(system, model, cfg, u)
+            rows.append(fresh_record(u))
+        expected = np.array(rows).T
+        got = np.array([trace.energies, trace.err_H, trace.err_V, trace.energy_rounding])
+        assert np.array_equal(got, expected)
+
+    # Each state is evaluated once and CG stops at its rounding, so an
+    # evolve from the seed-1 low-mode start makes at most these many sparse
+    # products (490 and 321 when every step re-evaluated its start and CG
+    # chased its rounding).
+    @pytest.mark.parametrize("name, overrides, ceiling", [
+        pytest.param("annulus_desk.cfg", ["geometry.h=0.025"], 400, id="planar-h0.025"),
+        pytest.param("radial_desk.cfg", [f"geometry.h={2.0**-11}"], 240, id="radial-h2^-11"),
+    ])
+    def test_products_per_evolve(self, repo_root, monkeypatch, sparse_products,
+                                 name, overrides, ceiling):
+        monkeypatch.syspath_prepend(str(repo_root / "perfbench"))
+        from inputs import low_mode_field
+
+        config = load_config(repo_root / "configs" / name, overrides)
+        mesh = build_mesh(config.geometry)
+        system = assemble(mesh, config.model)
+        u0 = low_mode_field(mesh, config.model.c0, 1)
+        sparse_products.clear()
+        trace = evolve(system, config.model, config.solver, u0)
+        assert trace.failure is None
+        assert len(sparse_products) <= ceiling
 
 
 class TestSolverConfig:

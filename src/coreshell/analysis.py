@@ -15,7 +15,7 @@ import numpy as np
 from .fem import AssembledSystem
 from .mesh import GeometrySpec
 from .model import ModelParams, consumption_rate
-from .solvers import LINEAR_TOL, EvolutionTrace, _constant_part, solve_spd
+from .solvers import EvolutionTrace, _constant_part, solve_spd
 
 
 class AnalysisError(RuntimeError):
@@ -122,8 +122,8 @@ def smallest_generalized_eigenvalue(system: AssembledSystem) -> float:
     """Smallest eigenvalue of the pencil (unit stiffness, mass) on free nodes.
 
     Inverse power iteration from the all-ones vector on the free nodes; each
-    inverse apply is a preconditioned conjugate-gradient solve, which also
-    stops at its rounding, given the row sums of |Kt|, and whose right-hand
+    inverse apply is a preconditioned conjugate-gradient solve, which stops
+    at its rounding, given the row sums of |Kt|, and whose right-hand
     side is the mass product of the normalized iterate that the quotient
     already formed. Deterministic.
     The quotient's rounding eps |y|.(|Kt| |y|) / y.(M y) is bounded by eps
@@ -136,7 +136,7 @@ def smallest_generalized_eigenvalue(system: AssembledSystem) -> float:
     lam = float(x @ (kt @ x))
     mx = m @ x
     for _ in range(EIGEN_MAX_ITER):
-        y = solve_spd(kt, mx, LINEAR_TOL, precondition=precondition, row_abs=row_abs)
+        y = solve_spd(kt, mx, row_abs, precondition=precondition)
         y /= math.sqrt(float(y @ (m @ y)))
         mx = m @ y  # the next solve's right-hand side
         mass = float(y @ mx)

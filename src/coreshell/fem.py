@@ -176,6 +176,11 @@ class SparseOperator:
     def diagonal(self) -> np.ndarray:
         return self.data[self.pattern.diag]
 
+    def abs_row_sums(self) -> np.ndarray:
+        """Row sums of |A|, the size of the terms of each row of `A @ x`
+        per unit |x| (for the rounding bounds of the solvers)."""
+        return SparseOperator(self.pattern, np.abs(self.data)) @ np.ones(self.pattern.n)
+
     def plus_diagonal(self, values: np.ndarray) -> "SparseOperator":
         data = self.data.copy()
         data[self.pattern.diag] += values

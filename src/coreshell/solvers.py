@@ -14,11 +14,10 @@ Jacobi by default, and on the built-in rotation-invariant meshes the exact
 inverse of the rotation-averaged Hessian, the constant part plus the ring
 means of the reaction diagonal (`sector_inverse`, built once per operator
 and refactored with the new means on every Newton iteration). CG stops at
-the relative residual LINEAR_TOL or at its own rounding, a small multiple
-of eps times the size of the terms the residual is formed from. On a radial
-chain each ring is one node, so that inverse is the exact inverse of the
-Newton Hessian, and CG stops after its first step, at desk size and at
-h=2^-11 alike.
+its own rounding, a small multiple of eps times the size of the terms the
+residual is formed from. On a radial chain each ring is one node, so that
+inverse is the exact inverse of the Newton Hessian, and CG stops after its
+first step, at desk size and at h=2^-11 alike.
 
 Each state is evaluated once (K u, the reaction vector and the potential,
 `_evaluate`): Newton reads the evaluation for its gradient, rounding floor
@@ -63,14 +62,12 @@ class NonlinearSolveError(RuntimeError):
 # Largest number of implicit-Euler steps, round(t_end / dt), that `evolve` accepts.
 MAX_STEPS = 10**6
 
-# Relative residual at which every conjugate-gradient solve stops, unless it
-# first reaches CG_ROUNDING times its rounding eps ||row_abs |x| + |b||| (see
-# `solve_spd`). On the desk meshes, planar h=0.025 and radial h=2^-11 the
-# residual after an exact-inverse step lies at 0.15-0.6 times that rounding
-# and the true residual of a converged solve at 0.2-1.5 times it, so 16
-# stops those solves with a margin and keeps the solution's normwise
-# backward error within 16 eps.
-LINEAR_TOL = 1e-12
+# Every conjugate-gradient solve stops once its residual reaches CG_ROUNDING
+# times its rounding eps ||row_abs |x| + |b||| (see `solve_spd`). On the desk
+# meshes, planar h=0.025 and radial h=2^-11 the residual after an
+# exact-inverse step lies at 0.15-0.6 times that rounding and the true
+# residual of a converged solve at 0.2-1.5 times it, so 16 stops those solves
+# with a margin and keeps the solution's normwise backward error within 16 eps.
 CG_ROUNDING = 16.0
 
 # Newton stops once the dual norm of the gradient is below NEWTON_TOL or
@@ -86,7 +83,7 @@ class SolverConfig:
     dt and t_end are only required for evolution runs and are validated
     there, with at most MAX_STEPS steps. Each step's Newton solve stops by
     the absolute rule of `_newton_minimize` (NEWTON_TOL, NEWTON_MAX_ITER);
-    each Newton system is solved to LINEAR_TOL or to its rounding.
+    each Newton system is solved to its rounding.
     """
 
     dt: float | None = None
@@ -152,25 +149,24 @@ class EvolutionTrace:
 # ----------------------------------------------------------------------------
 
 
-def solve_spd(matrix: SparseOperator, rhs: np.ndarray, tol: float,
-              precondition=None, row_abs=None) -> np.ndarray:
+def solve_spd(matrix: SparseOperator, rhs: np.ndarray, row_abs: np.ndarray,
+              precondition=None) -> np.ndarray:
     """Preconditioned conjugate gradients for SPD systems.
 
-    `precondition(r)` applies an SPD approximation of the inverse of
-    `matrix`; None means Jacobi (division by the diagonal). Starts from
-    zero and stops when the residual norm drops below tol * ||rhs|| or,
-    given the row sums `row_abs` of |matrix|, below its rounding
-    CG_ROUNDING * eps * ||row_abs * |x| + |rhs|||, the size of the terms
-    the residual is formed from (Arioli, Duff & Ruiz, SIAM J. Matrix Anal.
-    Appl. 13, 1992); deterministic for fixed inputs. Uses `matrix` only
-    through `matrix @ p` and `matrix.diagonal()`. Raises LinearSolveError
-    with the iteration count on breakdown (a non-positive or non-finite
-    curvature, a non-finite residual) or on reaching max(200, 20 n)
-    iterations.
+    `row_abs` holds the row sums of |matrix|. `precondition(r)` applies an
+    SPD approximation of the inverse of `matrix`; None means Jacobi
+    (division by the diagonal). Starts from zero and stops once the
+    residual norm is at most its rounding CG_ROUNDING * eps * ||row_abs *
+    |x| + |rhs|||, the size of the terms the residual is formed from
+    (Arioli, Duff & Ruiz, SIAM J. Matrix Anal. Appl. 13, 1992); a zero rhs
+    returns zeros at once. Deterministic for fixed inputs. Uses `matrix`
+    only through `matrix @ p` and `matrix.diagonal()`. Raises
+    LinearSolveError with the iteration count on breakdown (a non-positive
+    or non-finite curvature, a non-finite residual) or on reaching
+    max(200, 20 n) iterations.
     """
     n = rhs.shape[0]
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
+    if float(np.linalg.norm(rhs)) == 0.0:
         return np.zeros(n)
     max_iter = max(200, 20 * n)
     diag = matrix.diagonal()
@@ -179,8 +175,7 @@ def solve_spd(matrix: SparseOperator, rhs: np.ndarray, tol: float,
     if precondition is None:
         def precondition(vec):
             return vec / diag
-    if row_abs is not None:
-        rounding, rhs_abs = CG_ROUNDING * np.finfo(float).eps, np.abs(rhs)
+    rounding, rhs_abs = CG_ROUNDING * np.finfo(float).eps, np.abs(rhs)
 
     x = np.zeros(n)
     r = rhs.copy()
@@ -199,8 +194,7 @@ def solve_spd(matrix: SparseOperator, rhs: np.ndarray, tol: float,
             x += alpha * p
             r -= alpha * q
             r_norm = float(np.linalg.norm(r))
-            if r_norm <= tol * rhs_norm or (row_abs is not None and r_norm <= rounding * float(
-                    np.linalg.norm(row_abs * np.abs(x) + rhs_abs))):
+            if r_norm <= rounding * float(np.linalg.norm(row_abs * np.abs(x) + rhs_abs)):
                 return x
             if not np.isfinite(r_norm):
                 raise LinearSolveError(f"residual is not finite ({r_norm})", k)
@@ -361,8 +355,7 @@ def _constant_part(system: AssembledSystem, base: SparseOperator):
     (None: Jacobi) and the row sums of its absolute values (for the rounding
     bounds of Newton and the eigen-solve)."""
     eliminated = system.eliminate(base)
-    row_abs = SparseOperator(eliminated.pattern, np.abs(eliminated.data)) @ np.ones(system.n_nodes)
-    return eliminated, sector_inverse(system, eliminated), row_abs
+    return eliminated, sector_inverse(system, eliminated), eliminated.abs_row_sums()
 
 
 # ----------------------------------------------------------------------------
@@ -394,11 +387,11 @@ def _newton_minimize(
     c, so its first gradient is the energy's. `constant` is the caller's
     `_constant_part` of the Hessian (K, or K + M/dt); when it has a
     `SectorInverse`, each iteration preconditions CG with its `shifted` copy
-    for that iteration's reaction diagonal, and CG stops at LINEAR_TOL or at
-    its rounding, given the row sums of |Hessian|: those of the constant
-    part plus the nonnegative reaction diagonal. Each iterate is evaluated
-    once (`_evaluate`): the caller may pass the masked start's `evaluation`,
-    and the accepted trial's potential opens the next line search.
+    for that iteration's reaction diagonal, and CG stops at its rounding,
+    given the row sums of |Hessian|: those of the constant part plus the
+    nonnegative reaction diagonal. Each iterate is evaluated once
+    (`_evaluate`): the caller may pass the masked start's `evaluation`, and
+    the accepted trial's potential opens the next line search.
 
     Every caller stops by the same absolute rule: the lumped-mass dual norm
     of the objective gradient is at most NEWTON_TOL or, failing that, its
@@ -435,9 +428,9 @@ def _newton_minimize(
             return u, iteration, history, False, (ku, react, potential)
         reaction_diagonal = reaction_jacobian_diagonal(system, u, params)
         hessian = base.plus_diagonal(reaction_diagonal)
-        direction = solve_spd(hessian, -g, LINEAR_TOL, precondition=None if precondition is None
-                              else precondition.shifted(reaction_diagonal),
-                              row_abs=row_abs + reaction_diagonal)
+        direction = solve_spd(hessian, -g, row_abs + reaction_diagonal,
+                              precondition=None if precondition is None
+                              else precondition.shifted(reaction_diagonal))
 
         slope = float(g @ direction)
         if slope >= 0.0:
@@ -568,7 +561,7 @@ def evolve(
     u_star = reference.field
 
     eps = np.finfo(float).eps
-    k_row_abs = SparseOperator(system.K.pattern, np.abs(system.K.data)) @ np.ones(system.n_nodes)
+    k_row_abs = system.K.abs_row_sums()
 
     def record(u, evaluation):
         """(energy, err_H, err_V, energy rounding) of one state and its

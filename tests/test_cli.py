@@ -22,7 +22,6 @@ from coreshell.mesh import MAX_DIMENSION, MAX_NODES, build_mesh
 from coreshell.model import MAX_CONTRAST
 from coreshell.reporting import read_field_csv, write_field_csv
 from coreshell.solvers import (
-    LINEAR_TOL,
     MAX_STEPS,
     NEWTON_TOL,
     LinearSolveError,
@@ -425,15 +424,16 @@ class TestCmdStationary:
         loaded = load_config(repo_root / "configs" / config, ["model.b1=1e-300"])
         mesh = build_mesh(loaded.geometry)
         system = assemble(mesh, loaded.model)
-        base, constant_inverse, _ = _constant_part(system, system.K)
+        base, constant_inverse, row_abs = _constant_part(system, system.K)
         start = zero_field(mesh)
-        hessian = base.plus_diagonal(reaction_jacobian_diagonal(system, start, loaded.model))
+        reaction_diagonal = reaction_jacobian_diagonal(system, start, loaded.model)
+        hessian = base.plus_diagonal(reaction_diagonal)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(LinearSolveError,
                                match=r"curvature is not finite \(inf\) \(after 1 iterations\)"):
-                solve_spd(hessian, -energy_gradient(system, start, loaded.model), LINEAR_TOL,
-                          precondition=constant_inverse)
+                solve_spd(hessian, -energy_gradient(system, start, loaded.model),
+                          row_abs + reaction_diagonal, precondition=constant_inverse)
 
     def test_overflowing_assembled_stiffness_exit_2(self, repo_root, tmp_path, capsys):
         # Every local matrix is finite, but their sums in K overflow.

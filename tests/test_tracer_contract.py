@@ -45,7 +45,7 @@ def test_counting_matrix_counts_preconditioned_iterations(
 
     rhs = np.cos(np.arange(system.n_nodes, dtype=float))
     counting = tracer.CountingMatrix(hessian)
-    x = solve_spd(counting, rhs, 1e-12, precondition=precondition)
+    x = solve_spd(counting, rhs, hessian.abs_row_sums(), precondition=precondition)
     # One product and one preconditioner apply per iteration.
     assert 1 <= counting.products == len(applied) <= 12
     assert np.linalg.norm(hessian @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)

@@ -21,6 +21,10 @@ class ParameterError(ValueError):
 # A stiff shell (small b1/b2) solves at every contrast tried.
 MAX_CONTRAST = 1e9
 
+# Smallest gap c1 - c0 accepted, about 5.6e-309: the smallest double whose
+# reciprocal, the reaction slope at z = c0, is finite (1/DBL_MAX rounds below it).
+MIN_GAP = float(np.nextafter(1.0 / np.finfo(float).max, 1.0))
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -28,7 +32,7 @@ class ModelParams:
 
     b1, b2 : diffusion coefficients in core and shell, both > 0
     c0     : outer-boundary concentration level, > 0
-    c1     : Michaelis-Menten shift, > c0
+    c1     : Michaelis-Menten shift, with c1 - c0 >= MIN_GAP
     """
 
     b1: float
@@ -50,6 +54,9 @@ class ModelParams:
             raise ParameterError(
                 f"shift c1 must exceed c0, got c0={self.c0}, c1={self.c1}"
             )
+        if self.c1 - self.c0 < MIN_GAP:
+            raise ParameterError(f"gap c1 - c0 = {self.c1 - self.c0:.17g} is below the limit "
+                                 f"{MIN_GAP:.17g}, where the reaction slope overflows")
 
     @property
     def c_hat(self) -> float:
@@ -79,10 +86,12 @@ def consumption_rate_slope(z, params: ModelParams):
 
     -(c1 - c0)/(c1 - z)^2 for z <= c0 and 0 above; always in
     [-1/(c1 - c0), 0], which keeps reaction Jacobians negative semidefinite.
+    Dividing by c1 - z twice instead of by its square keeps it finite at
+    every scale (c0 = 1e-300, c1 = 1e308) for c1 - c0 >= MIN_GAP.
     """
     z = np.asarray(z, dtype=float)
-    zc = np.minimum(z, params.c0)
-    left = -(params.c1 - params.c0) / (params.c1 - zc) ** 2
+    gap = params.c1 - np.minimum(z, params.c0)
+    left = -((params.c1 - params.c0) / gap) / gap
     return np.where(z <= params.c0, left, 0.0)
 
 

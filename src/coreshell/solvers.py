@@ -205,38 +205,34 @@ def solve_spd(matrix: SparseOperator, rhs: np.ndarray, row_abs: np.ndarray,
     raise LinearSolveError("conjugate gradients did not converge", max_iter)
 
 
-def _factor(lower, diag, upper):
-    """Forward elimination factors f[i] = lower[i] * w[i - 1] and inverse
-    pivots w[i] = 1 / (diag[i] - f[i] * upper[i - 1]) of the ring systems,
-    or None when one of them is not finite."""
-    f, w = [0.0] * len(diag), [0.0] * len(diag)
-    try:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            w[0] = 1.0 / diag[0]
-            for i in range(1, len(diag)):
-                f[i] = lower[i] * w[i - 1]
-                w[i] = 1.0 / (diag[i] - f[i] * upper[i - 1])
-            if not np.all(np.isfinite(f[1:] + w)):
-                return None
-    except ZeroDivisionError:
-        return None
-    return f, w
-
-
 class SectorInverse:
     """The factored ring systems of `sector_inverse`; calling it applies the inverse.
 
     `lower`, `diag` and `upper` hold, per ring (the center first), the
     coupling to the ring before, the ring's own block and the coupling to
-    the ring after, as `_factor` reads them: floats on a chain (one
-    sector), the ring's row of Fourier-mode values otherwise.
+    the ring after: floats on a chain (one sector), the ring's row of
+    Fourier-mode values otherwise. The constructor factors them by forward
+    elimination and raises LinearSolveError when a factor f[i] or an
+    inverse pivot w[i] is not finite.
     """
 
-    def __init__(self, sectors, lower, diag, upper, factors):
+    def __init__(self, sectors, lower, diag, upper):
         self.sectors = sectors
         self.lower, self.diag, self.upper = lower, diag, upper
-        self.f, self.w = factors
         self.modes = np.arange(sectors // 2 + 1)
+        f, w = [0.0] * len(diag), [0.0] * len(diag)
+        try:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                w[0] = 1.0 / diag[0]
+                for i in range(1, len(diag)):
+                    f[i] = lower[i] * w[i - 1]
+                    w[i] = 1.0 / (diag[i] - f[i] * upper[i - 1])
+                finite = np.all(np.isfinite(f[1:] + w))
+        except ZeroDivisionError:
+            finite = False
+        if not finite:
+            raise LinearSolveError("a ring pivot of the sector inverse is not finite", 0)
+        self.f, self.w = f, w
 
     def __call__(self, r):
         sectors, f, w, upper = self.sectors, self.f, self.w, self.upper
@@ -266,22 +262,15 @@ class SectorInverse:
         value to the center's mode 0. So the sum is inverted exactly when
         `values` is constant on each ring, and otherwise approximately. On a
         chain every ring is one node. The masked ring's values are not read.
-        Returns self when `values` or the new factors are not finite.
+        Raises LinearSolveError when a new pivot is not finite.
         """
-        if not np.all(np.isfinite(values)):
-            return self
         sectors = self.sectors
-        if sectors == 1:
-            means = values[:-1].tolist()
-        else:
-            means = [values[0], *values[1:-sectors].reshape(-1, sectors).mean(axis=1).tolist()]
+        rings = values[1:-sectors].reshape(-1, sectors).mean(axis=1)
+        means = [*values[:1].tolist(), *rings.tolist()]
         diag = [d + m for d, m in zip(self.diag, means)]
         if sectors > 1:  # the center's other modes are decoupled identity rows
             diag[0] = self.diag[0] + np.where(self.modes == 0, means[0], 0.0)
-        factors = _factor(self.lower, diag, self.upper)
-        if factors is None:
-            return self
-        return SectorInverse(sectors, self.lower, diag, self.upper, factors)
+        return SectorInverse(sectors, self.lower, diag, self.upper)
 
 
 def sector_inverse(system: AssembledSystem, matrix: SparseOperator):
@@ -294,20 +283,21 @@ def sector_inverse(system: AssembledSystem, matrix: SparseOperator):
     block-tridiagonal over the rings: a real FFT along each ring splits it
     into one tridiagonal system per Fourier mode, and the center couples to
     mode 0 only (Swarztrauber & Sweet, SIAM J. Numer. Anal. 10, 1973). The
-    ring-to-ring couplings are read from the rows of sector 0 once, and one
-    factor loop (`_factor`) factors every mode's system on a list with one
-    entry per ring: a float on a chain (one sector), the ring's row of
-    mode values otherwise. Calling the returned `SectorInverse` costs one
-    forward and one backward sweep over that list, two FFTs on rings, and
-    passes the masked entries of r through unchanged. Its `shifted(d)`
-    reruns only the factor loop, with the ring means of a diagonal d added.
+    ring-to-ring couplings are read from the rows of sector 0 once, and the
+    returned `SectorInverse` factors every mode's system on a list with one
+    entry per ring: a float on a chain (one sector), the ring's row of mode
+    values otherwise. Calling it costs one forward and one backward sweep
+    over that list, two FFTs on rings, and passes the masked entries of r
+    through unchanged. Its `shifted(d)` refactors with the ring means of a
+    diagonal d added.
 
-    Returns None ("use Jacobi") only when the layout does not apply or a
-    pivot is not finite. Elimination without pivoting on Hermitian positive
-    definite tridiagonal systems is backward stable (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2002, ch. 9), so the inverse is
-    exact to rounding and is not checked; an operator that is not
-    rotation-invariant costs CG iterations, not accuracy.
+    Returns None ("use Jacobi") only when the layout does not apply; a
+    non-finite ring pivot raises LinearSolveError, a breakdown like CG's.
+    Elimination without pivoting on Hermitian positive definite tridiagonal
+    systems is backward stable (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, ch. 9), so the inverse is exact to rounding and is
+    not checked; an operator that is not rotation-invariant costs CG
+    iterations, not accuracy.
     """
     sectors, n = system.mesh.sectors, system.n_nodes
     if sectors < 1 or not np.array_equal(system.mask, np.arange(n) >= n - sectors):
@@ -346,8 +336,7 @@ def sector_inverse(system: AssembledSystem, matrix: SparseOperator):
         lower, diag, upper = (c.real[:, 0].tolist() for c in (lower, diag, upper))
     else:
         lower, diag, upper = list(lower), list(diag), list(upper)
-    factors = _factor(lower, diag, upper)
-    return None if factors is None else SectorInverse(sectors, lower, diag, upper, factors)
+    return SectorInverse(sectors, lower, diag, upper)
 
 
 def _constant_part(system: AssembledSystem, base: SparseOperator):
@@ -600,9 +589,9 @@ def evolve(
         except (NonlinearSolveError, LinearSolveError) as exc:
             failure = str(exc)
             break
-        if k == 0 and np.array_equal(stepped, u):
-            # A step that returns its input gives the next step the same
-            # input and proximal center, so every later step returns it too.
+        if k == 0:
+            # Zero iterations return the masked input: the next step has the
+            # same input and proximal center, so every later step returns it.
             rows += [(m * cfg.dt, *rows[-1][1:5], 0) for m in range(n, cfg.n_steps + 1)]
             break
         u, evaluation = stepped, stepped_evaluation

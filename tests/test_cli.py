@@ -19,7 +19,7 @@ from coreshell.fem import (
     zero_field,
 )
 from coreshell.mesh import MAX_DIMENSION, MAX_NODES, build_mesh
-from coreshell.model import MAX_CONTRAST
+from coreshell.model import MAX_CONTRAST, MIN_GAP
 from coreshell.reporting import read_field_csv, write_field_csv
 from coreshell.solvers import (
     MAX_STEPS,
@@ -399,7 +399,8 @@ class TestCmdStationary:
 
     @pytest.mark.parametrize("config", ["radial_desk.cfg", "annulus_desk.cfg"])
     def test_near_zero_core_stiffness_converges(self, repo_root, tmp_path, config):
-        # With b1 = 1e-300 the inverse of K alone overflows, but Newton's
+        # With b1 = 1e-300 K's ring factor is finite, but applying K's
+        # inverse alone overflows CG's first curvature; Newton's
         # preconditioner inverts K plus the reaction diagonal, which stays
         # well scaled. The result is a real solve: its dual residual meets
         # NEWTON_TOL and its energy lies below the start's.
@@ -434,6 +435,30 @@ class TestCmdStationary:
                                match=r"curvature is not finite \(inf\) \(after 1 iterations\)"):
                 solve_spd(hessian, -energy_gradient(system, start, loaded.model),
                           row_abs + reaction_diagonal, precondition=constant_inverse)
+
+    @pytest.mark.parametrize("config", ["radial_desk.cfg", "annulus_desk.cfg"])
+    @pytest.mark.parametrize("command, line", [("stationary", "converged        = True"),
+                                               ("evolve", "completed        = True")])
+    def test_tiny_concentration_scale_solves(self, repo_root, tmp_path, config, command, line):
+        # At c0 = 1e-200 the squared gap (c1 - z)^2 underflows to 0; a
+        # reaction slope formed from it is -inf, numpy warns "divide by zero"
+        # (an error under the suite's filter) and both commands exit 3.
+        argv = [command, str(repo_root / "configs" / config),
+                "--set", "model.c0=1e-200", "--set", "model.c1=2e-200",
+                "--set", "solver.t_end=1", "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert line in (tmp_path / f"{command}_report.txt").read_text()
+
+    @pytest.mark.parametrize("command", ["stationary", "evolve"])
+    def test_gap_below_limit_exit_2(self, repo_root, tmp_path, capsys, command):
+        # The reciprocal of a gap c1 - c0 below 1/DBL_MAX overflows, so the
+        # reaction slope is infinite: invalid input, not a breakdown (exit 3).
+        argv = [command, str(repo_root / "configs" / "radial_desk.cfg"),
+                "--set", "model.c0=1e-310", "--set", "model.c1=2e-310",
+                "--output-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert (f"gap c1 - c0 = 9.9999999999999694e-311 is below the limit {MIN_GAP:.17g}"
+                in capsys.readouterr().err)
 
     def test_overflowing_assembled_stiffness_exit_2(self, repo_root, tmp_path, capsys):
         # Every local matrix is finite, but their sums in K overflow.

@@ -13,6 +13,7 @@ from coreshell import (
     from_working_variable,
     to_working_variable,
 )
+from coreshell.model import MIN_GAP
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +40,15 @@ class TestParams:
         with pytest.raises(ParameterError):
             ModelParams(**kwargs)
 
+    @pytest.mark.parametrize("c0, c1", [(1e-310, 2e-310), (5e-324, 1e-323)])
+    def test_gap_below_limit(self, c0, c1):
+        # Below MIN_GAP the reciprocal of c1 - c0, the reaction slope at c0,
+        # overflows; at MIN_GAP it is finite.
+        with pytest.raises(ParameterError, match="gap c1 - c0 = .* is below the limit"):
+            ModelParams(b1=1.0, b2=5.0, c0=c0, c1=c1)
+        at_limit = ModelParams(b1=1.0, b2=5.0, c0=5e-324, c1=5e-324 + MIN_GAP)
+        assert np.isfinite(consumption_rate_slope(at_limit.c0, at_limit))
+
 
 class TestConsumptionRate:
     def test_vanishes_at_c0(self, params):
@@ -63,6 +73,13 @@ class TestConsumptionRate:
     def test_slope_left_branch_at_kink(self, params):
         assert consumption_rate_slope(1.0, params) == -1.0
         assert consumption_rate_slope(1.0 + 1e-12, params) == 0.0
+
+    @pytest.mark.parametrize("c0, c1", [(1e-300, 2e-300), (1e-200, 2e-200), (1e300, 1e308)])
+    def test_slope_at_kink_at_extreme_scales(self, c0, c1):
+        # The gap is divided by twice, not squared: (c1 - c0)^2 underflows to
+        # 0 at c0 = 1e-200 and overflows at c0 = 1e300.
+        scaled = ModelParams(b1=1.0, b2=5.0, c0=c0, c1=c1)
+        assert consumption_rate_slope(c0, scaled) == -1.0 / (c1 - c0)
 
     def test_slope_matches_finite_difference(self, params):
         rng = np.random.default_rng(11)

@@ -275,19 +275,52 @@ class TestShiftedSectorInverse:
             miss = np.linalg.norm(eliminated.plus_diagonal(shift) @ inverse.shifted(shift)(r) - r)
             assert miss <= 1e-10 * np.linalg.norm(r)
 
+    # The ring inverse is exact or the solve breaks down: a ring pivot that
+    # is not finite raises, as a CG breakdown does, and no numpy
+    # RuntimeWarning escapes (the suite turns them into errors).
     @pytest.mark.parametrize("system_name", ["annulus_desk_system", "radial_desk_system"])
-    def test_unusable_shift_falls_back_to_unshifted(self, request, system_name):
+    def test_unusable_shift_breaks_down(self, request, system_name):
         system = request.getfixturevalue(system_name)
         eliminated = system.eliminate(system.K)
         inverse = sector_inverse(system, eliminated)
-        for bad in (np.nan, np.inf):
-            shift = np.zeros(system.n_nodes)
-            shift[3] = bad
-            assert inverse.shifted(shift) is inverse
-        # a shift that zeroes the center's pivot leaves no finite factor
+        shift = np.zeros(system.n_nodes)
+        shift[3] = np.nan
+        with pytest.raises(LinearSolveError, match="ring pivot .* is not finite"):
+            inverse.shifted(shift)
+        # a shift that zeroes the center's pivot
         shift = np.zeros(system.n_nodes)
         shift[0] = -eliminated[0, 0]
-        assert inverse.shifted(shift) is inverse
+        with pytest.raises(LinearSolveError, match="ring pivot .* is not finite"):
+            inverse.shifted(shift)
+
+    @pytest.mark.parametrize("system_name", ["annulus_desk_system", "radial_desk_system"])
+    def test_infinite_shift_gives_a_zero_pivot(self, request, system_name):
+        # +inf on a ring gives that ring a zero inverse pivot: a finite factor.
+        system = request.getfixturevalue(system_name)
+        inverse = sector_inverse(system, system.eliminate(system.K))
+        shift = np.zeros(system.n_nodes)
+        shift[3] = np.inf
+        inverse.shifted(shift)
+
+    @pytest.mark.parametrize("name", ["annulus_desk.cfg", "radial_desk.cfg"])
+    def test_newton_breakdown_in_shifted_exits_3(self, repo_root, tmp_path, monkeypatch, name):
+        # A reaction diagonal that is not finite breaks the shifted factor
+        # down inside Newton; the error propagates like a CG breakdown.
+        from coreshell.cli import main
+
+        def nan_diagonal(system, u, params):
+            return np.full(system.n_nodes, np.nan)
+
+        monkeypatch.setattr(solvers, "reaction_jacobian_diagonal", nan_diagonal)
+        config = load_config(repo_root / "configs" / name)
+        mesh = build_mesh(config.geometry)
+        system = assemble(mesh, config.model)
+        with pytest.raises(LinearSolveError, match="ring pivot .* is not finite") as raised:
+            stationary_solve(system, config.model, zero_field(mesh))
+        assert raised.traceback[-1].name == "__init__"
+        assert raised.traceback[-2].name == "shifted"
+        argv = ["stationary", str(repo_root / "configs" / name), "--output-dir", str(tmp_path)]
+        assert main(argv) == 3
 
 
 class TestNewtonPreconditioner:
@@ -447,6 +480,34 @@ def dense_free_block_solve(system, params, base, load):
             break
         u -= np.linalg.solve(a + np.diag(-m1 * consumption_rate_slope(u, params)), g)
     return u
+
+
+class TestScaleCovariance:
+    # Scaling by s = 2^k, (b1/s, b2/s, s c0, s c1, s dt, s t_end), scales the
+    # field by s and leaves the gradient, its rounding floor and Newton's
+    # stopping rule unchanged, so the solver path is bitwise covariant. At
+    # k = -664 (c0 about 1e-200) the squared gap (c1 - z)^2 underflows to
+    # 0, so the reaction slope must not be formed from it.
+    @pytest.mark.parametrize("name", ["annulus_desk.cfg", "radial_desk.cfg"])
+    def test_power_of_two_scaling(self, repo_root, name):
+        runs = {}
+        for k in (0, -20, 20, -664):
+            s = 2.0**k
+            overrides = [f"model.b1={1.0 / s!r}", f"model.b2={5.0 / s!r}",
+                         f"model.c0={s!r}", f"model.c1={2.0 * s!r}",
+                         f"solver.dt={0.05 * s!r}", f"solver.t_end={s!r}"]
+            config = load_config(repo_root / "configs" / name, overrides)
+            mesh = build_mesh(config.geometry)
+            system = assemble(mesh, config.model)
+            stationary = stationary_solve(system, config.model, zero_field(mesh))
+            trace = evolve(system, config.model, config.solver, zero_field(mesh))
+            assert stationary.converged and trace.failure is None, k
+            runs[k] = (s, stationary, trace)
+        _, reference, reference_trace = runs.pop(0)
+        for k, (s, stationary, trace) in runs.items():
+            assert np.array_equal(stationary.field, s * reference.field), k
+            assert stationary.iterations == reference.iterations, k
+            assert np.array_equal(trace.newton_iters, reference_trace.newton_iters), k
 
 
 class TestElimination:

@@ -15,7 +15,7 @@ import numpy as np
 from .fem import AssembledSystem
 from .mesh import GeometrySpec
 from .model import ModelParams, consumption_rate
-from .solvers import EvolutionTrace, _constant_part, solve_spd
+from .solvers import EvolutionTrace, _constant_part, solve_spd, term_rounding
 
 
 class AnalysisError(RuntimeError):
@@ -61,7 +61,9 @@ def fit_decay_rate(trace: EvolutionTrace, *, gamma_disc: float = math.nan) -> De
     final value carry solver tolerance rather than dynamics. Traces that are
     converged from the start, or keep fewer than five samples above the
     cutoff, are reported with a flag instead of failing. Invariant under
-    time shifts; rates scale inversely under time rescaling.
+    time shifts; rates scale inversely under time rescaling, exactly by a
+    power of two, which the fit applies to the window's times so that no
+    time scale under- or overflows their squares.
     """
     t = np.asarray(trace.times, dtype=float)
     err = np.asarray(trace.err_H, dtype=float)
@@ -86,19 +88,21 @@ def fit_decay_rate(trace: EvolutionTrace, *, gamma_disc: float = math.nan) -> De
         return DecayReport(0.0, gamma_disc, 1.0, (lo, hi), "converged-too-fast")
 
     tw = t[lo:hi]
+    exponent = 1 - np.frexp(np.abs(tw).max())[1]
+    ts = np.ldexp(tw, exponent)
     yw = np.log(err[lo:hi])
-    t_mean, y_mean = tw.mean(), yw.mean()
+    t_mean, y_mean = ts.mean(), yw.mean()
     if float(yw.max() - yw.min()) <= 128.0 * np.finfo(float).eps * max(1.0, abs(y_mean)):
         # constant to rounding: the regression would fit mean-subtraction noise
         return DecayReport(0.0, gamma_disc, 1.0, (lo, hi), "")
-    denom = float(((tw - t_mean) ** 2).sum())
-    slope = float(((tw - t_mean) @ (yw - y_mean)) / denom)
-    fitted = y_mean + slope * (tw - t_mean)
+    denom = float(((ts - t_mean) ** 2).sum())
+    slope = float(((ts - t_mean) @ (yw - y_mean)) / denom)
+    fitted = y_mean + slope * (ts - t_mean)
     ss_res = float(((yw - fitted) ** 2).sum())
     ss_tot = float(((yw - y_mean) ** 2).sum())
     r_squared = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
 
-    beta = 0.0 if slope == 0.0 else -slope
+    beta = 0.0 if slope == 0.0 else -float(np.ldexp(slope, exponent))
     if beta < 0.0:
         span = max(abs(yw.max() - yw.min()), 1e-12)
         if beta < -1e-9 * span / (tw[-1] - tw[0]):
@@ -126,8 +130,8 @@ def smallest_generalized_eigenvalue(system: AssembledSystem) -> float:
     at its rounding, given the row sums of |Kt|, and whose right-hand
     side is the mass product of the normalized iterate that the quotient
     already formed. Deterministic.
-    The quotient's rounding eps |y|.(|Kt| |y|) / y.(M y) is bounded by eps
-    (row sums of |Kt|).(y * y) / y.(M y), as |y_i| |y_j| <= (y_i^2 + y_j^2) / 2.
+    The quotient's rounding is `term_rounding(y, row sums of |Kt|) . |y| /
+    y.(M y)`, which bounds eps |y|.(|Kt| |y|) / y.(M y).
     """
     kt, precondition, row_abs = _constant_part(system, system.Kt)
     m = system.eliminate(system.M)
@@ -141,7 +145,7 @@ def smallest_generalized_eigenvalue(system: AssembledSystem) -> float:
         mx = m @ y  # the next solve's right-hand side
         mass = float(y @ mx)
         lam_new = float(y @ (kt @ y)) / mass
-        rounding = np.finfo(float).eps * float(row_abs @ (y * y)) / mass
+        rounding = float(term_rounding(y, row_abs) @ np.abs(y)) / mass
         if abs(lam_new - lam) <= max(EIGEN_RTOL * abs(lam_new), rounding):
             return lam_new
         lam = lam_new

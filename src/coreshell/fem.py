@@ -437,12 +437,14 @@ def reaction_jacobian_diagonal(
     return system.M1 * (-consumption_rate_slope(u, params))
 
 
-def h_norm(system: AssembledSystem, values: np.ndarray) -> float:
-    return float(np.sqrt(values @ (system.M @ values)))
-
-
-def v_norm(system: AssembledSystem, values: np.ndarray) -> float:
-    return float(np.sqrt(values @ (system.M @ values) + values @ (system.Kt @ values)))
+def error_norms(system: AssembledSystem, values: np.ndarray) -> tuple:
+    """(||e||_H, ||e||_V) from one product M e, with e scaled by 2^-floor(log2
+    max|e|) and the norms scaled back: exact, so no finite e under- or overflows."""
+    exponent = 1 - np.frexp(np.abs(values).max())[1]
+    e = np.ldexp(values, exponent)
+    mass = e @ (system.M @ e)
+    return (float(np.ldexp(np.sqrt(mass), -exponent)),
+            float(np.ldexp(np.sqrt(mass + e @ (system.Kt @ e)), -exponent)))
 
 
 def dual_norm(system: AssembledSystem, values: np.ndarray) -> float:

@@ -38,6 +38,7 @@ from .fem import (
     SparseOperator,
     dual_norm,
     energy,
+    error_norms,
     evaluated_energy,
     evaluated_gradient,
     reaction_jacobian_diagonal,
@@ -63,7 +64,7 @@ class NonlinearSolveError(RuntimeError):
 MAX_STEPS = 10**6
 
 # Every conjugate-gradient solve stops once its residual reaches CG_ROUNDING
-# times its rounding eps ||row_abs |x| + |b||| (see `solve_spd`). On the desk
+# times the norm of its `term_rounding` (see `solve_spd`). On the desk
 # meshes, planar h=0.025 and radial h=2^-11 the residual after an
 # exact-inverse step lies at 0.15-0.6 times that rounding and the true
 # residual of a converged solve at 0.2-1.5 times it, so 16 stops those solves
@@ -74,6 +75,20 @@ CG_ROUNDING = 16.0
 # below its rounding floor, or after NEWTON_MAX_ITER iterations.
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
+
+# The rounding model of every solver bound: fl(a op b) = (a op b)(1 + d) + e,
+# |d| <= EPS, and |e| <= EPS * TINY = 2^-1074 with gradual underflow (Higham,
+# 2002, ch. 2; Demmel, SIAM J. Sci. Stat. Comput. 5, 1984).
+EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
+
+
+def term_rounding(values, scale=1.0, terms=0.0):
+    """EPS (scale (|values| + TINY) + terms), entry by entry: EPS times the
+    size of the terms a sum is formed from, with `scale` the row sums of |A|
+    for a product A x and `terms` the other terms' magnitudes. Each |x|
+    counts as at least TINY, below which a product keeps fewer than 53 bits.
+    EPS scales each entry before any sum, so no scale overflows it."""
+    return scale * (EPS * np.abs(values) + EPS * TINY) + EPS * terms
 
 
 @dataclass(frozen=True)
@@ -126,10 +141,10 @@ class EvolutionTrace:
 
     Columns: times, energies, distances to the stationary state in the H and
     V norms, inner Newton iteration counts, and each state's energy rounding
-    eps * (|u|^T |K| |u| / 2 + M1 . (|u| + c1 - c0)), which bounds the
-    energy's rounding error up to a small factor (|F(u)| <= |u|). `failure`
-    is None for a completed trajectory; otherwise it names why step
-    len(trace) failed, and the columns end at the last good step.
+    from `term_rounding`, that of |u|^T |K| |u| / 2 + M1 . (|u| + c1 - c0),
+    which bounds the energy's rounding error up to a small factor (|F(u)| <=
+    |u|). `failure` is None for a completed trajectory; otherwise it names
+    why step len(trace) failed, and the columns end at the last good step.
     """
 
     times: np.ndarray
@@ -156,9 +171,9 @@ def solve_spd(matrix: SparseOperator, rhs: np.ndarray, row_abs: np.ndarray,
     `row_abs` holds the row sums of |matrix|. `precondition(r)` applies an
     SPD approximation of the inverse of `matrix`; None means Jacobi
     (division by the diagonal). Starts from zero and stops once the
-    residual norm is at most its rounding CG_ROUNDING * eps * ||row_abs *
-    |x| + |rhs|||, the size of the terms the residual is formed from
-    (Arioli, Duff & Ruiz, SIAM J. Matrix Anal. Appl. 13, 1992); a zero rhs
+    residual norm is at most CG_ROUNDING ||term_rounding(x, row_abs,
+    |rhs|)||, the rounding of the terms the residual is formed from (Arioli,
+    Duff & Ruiz, SIAM J. Matrix Anal. Appl. 13, 1992); a zero rhs
     returns zeros at once. Deterministic for fixed inputs. Uses `matrix`
     only through `matrix @ p` and `matrix.diagonal()`. Raises
     LinearSolveError with the iteration count on breakdown (a non-positive
@@ -175,7 +190,7 @@ def solve_spd(matrix: SparseOperator, rhs: np.ndarray, row_abs: np.ndarray,
     if precondition is None:
         def precondition(vec):
             return vec / diag
-    rounding, rhs_abs = CG_ROUNDING * np.finfo(float).eps, np.abs(rhs)
+    rhs_abs = np.abs(rhs)
 
     x = np.zeros(n)
     r = rhs.copy()
@@ -194,7 +209,7 @@ def solve_spd(matrix: SparseOperator, rhs: np.ndarray, row_abs: np.ndarray,
             x += alpha * p
             r -= alpha * q
             r_norm = float(np.linalg.norm(r))
-            if r_norm <= rounding * float(np.linalg.norm(row_abs * np.abs(x) + rhs_abs)):
+            if r_norm <= CG_ROUNDING * float(np.linalg.norm(term_rounding(x, row_abs, rhs_abs))):
                 return x
             if not np.isfinite(r_norm):
                 raise LinearSolveError(f"residual is not finite ({r_norm})", k)
@@ -385,11 +400,10 @@ def _newton_minimize(
     Every caller stops by the same absolute rule: the lumped-mass dual norm
     of the objective gradient is at most NEWTON_TOL or, failing that, its
     rounding floor, or NEWTON_MAX_ITER iterations have run. The floor is
-    computed only when NEWTON_TOL is not met. It is eps times the dual norm
-    of the magnitudes of the gradient's terms: |base| |u|, estimated by the
-    row sums of |base| times |u| (no product per iteration), the reaction
-    r(u) and, with a proximal term, |M| |c| / dt, estimated by the lumped
-    mass times |c| / dt. It lies above NEWTON_TOL only on stiff input
+    computed only when NEWTON_TOL is not met. It is the dual norm of the
+    `term_rounding` of the gradient's terms: |base| |u| (from the row sums of
+    |base|, no product), the reaction r(u) and, with a proximal term, the
+    lumped mass times |c| / dt. It lies above NEWTON_TOL only on stiff input
     (large diffusion coefficients). A start that already satisfies the
     rule is returned unchanged (zero iterations), so fully converged
     trajectories freeze exactly. A non-finite residual never counts as
@@ -409,9 +423,8 @@ def _newton_minimize(
     for iteration in range(NEWTON_MAX_ITER + 1):
         if res <= NEWTON_TOL:
             return u, iteration, history, True, (ku, react, potential)
-        size = row_abs * np.abs(u) + react + (
-            0.0 if dt is None else system.lumped_mass * np.abs(center) / dt)
-        if res <= np.finfo(float).eps * dual_norm(system, size):
+        terms = react + (0.0 if dt is None else system.lumped_mass * np.abs(center) / dt)
+        if res <= dual_norm(system, term_rounding(u, row_abs, terms)):
             return u, iteration, history, True, (ku, react, potential)
         if iteration == NEWTON_MAX_ITER:
             return u, iteration, history, False, (ku, react, potential)
@@ -433,11 +446,11 @@ def _newton_minimize(
         # rounding (Hager & Zhang, SIAM J. Optim. 16, 2005). The slack covers
         # the rounding of the potential difference: the log's argument in
         # F(s) = s + (c1 - c0) log((c1 - s) / c1) is rounded to relative eps,
-        # so F(s) rounds to about eps (|F(s)| + c1 - c0) at each node.
+        # so F(s) rounds to about the `term_rounding` of |F(s)| + c1 - c0.
         linear = slope + float(direction @ react)
         curvature = float(direction @ (base @ direction))
-        fp_slack = 32.0 * np.finfo(float).eps * max(
-            1.0, float(system.M1 @ (np.abs(potential) + (params.c1 - params.c0))))
+        fp_slack = 32.0 * float(system.M1 @ term_rounding(potential,
+                                                          terms=params.c1 - params.c0))
         step = 1.0
         while True:
             candidate = u + step * direction
@@ -549,23 +562,18 @@ def evolve(
         )
     u_star = reference.field
 
-    eps = np.finfo(float).eps
     k_row_abs = system.K.abs_row_sums()
 
     def record(u, evaluation):
         """(energy, err_H, err_V, energy rounding) of one state and its
         evaluation. The energy is `fem.energy`'s, from the evaluation's K u and
-        potential; the norms are `fem.h_norm` and `fem.v_norm`, sharing the
-        product M e. As in Newton's floor, |K| |u| is estimated by the row sums
-        of |K| times |u|; eps scales each term before the sums, so the
-        rounding is finite for any c1."""
+        potential; the norms are `fem.error_norms`'. The rounding dots |u| / 2
+        with `term_rounding`, so it never forms u * u and overflows at no scale."""
         ku, _, potential = evaluation
-        e = u - u_star
-        mass = e @ (system.M @ e)
-        rounding = float(k_row_abs @ (0.5 * eps * u * u) + system.M1 @ (
-            eps * np.abs(u) + eps * (params.c1 - params.c0)))
-        return (evaluated_energy(system, u, ku, potential), float(np.sqrt(mass)),
-                float(np.sqrt(mass + e @ (system.Kt @ e))), rounding)
+        rounding = float(0.5 * (np.abs(u) @ term_rounding(u, k_row_abs))
+                         + system.M1 @ term_rounding(u, terms=params.c1 - params.c0))
+        return (evaluated_energy(system, u, ku, potential),
+                *error_norms(system, u - u_star), rounding)
 
     u = np.where(system.mask, 0.0, u0)
     with np.errstate(over="ignore", invalid="ignore"):

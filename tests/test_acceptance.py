@@ -34,7 +34,7 @@ from coreshell import (
     zero_field,
 )
 from coreshell.config import load_config
-from coreshell.fem import h_norm
+from coreshell.fem import error_norms
 from coreshell.mesh import build_mesh
 from coreshell.solvers import NEWTON_TOL
 
@@ -132,7 +132,7 @@ def test_criterion_4_uniqueness_on_shipped_configs(repo_root):
             a = stationary_solve(system, config.model, zero_field(mesh))
             b = stationary_solve(system, config.model, ramp_field(mesh, config.model))
             assert a.converged and b.converged
-            gap = h_norm(system, a.field - b.field)
+            gap = error_norms(system, a.field - b.field)[0]
             assert gap <= 1e-8, f"{path.name}: H-gap {gap:.3e}"
 
 
@@ -206,11 +206,11 @@ def test_criterion_9_h_contraction(radial):
         cfg = SolverConfig(dt=0.05, t_end=10.0)
         u = zero_field(mesh)
         v = ramp_field(mesh, DESK_PARAMS)
-        gap = h_norm(system, u - v)
+        gap = error_norms(system, u - v)[0]
         slack = 2.0 * cfg.dt * NEWTON_TOL + 1e-12 * gap
         for _ in range(int(round(cfg.t_end / cfg.dt))):
             u = step_implicit_euler(system, DESK_PARAMS, cfg, u)
             v = step_implicit_euler(system, DESK_PARAMS, cfg, v)
-            new_gap = h_norm(system, u - v)
+            new_gap = error_norms(system, u - v)[0]
             assert new_gap <= gap + slack
             gap = new_gap

@@ -23,7 +23,7 @@ from coreshell import (
 )
 from coreshell.analysis import AnalysisError
 from coreshell.config import load_config
-from coreshell.fem import h_norm, v_norm
+from coreshell.fem import error_norms
 from coreshell.solvers import EvolutionTrace
 
 
@@ -47,14 +47,14 @@ def make_trace(times, err_h):
 class TestNorms:
     def test_zero(self, radial_desk_system, radial_desk_mesh):
         u = zero_field(radial_desk_mesh)
-        h, v = h_norm(radial_desk_system, u), v_norm(radial_desk_system, u)
+        h, v = error_norms(radial_desk_system, u)
         assert h == 0.0 and v == 0.0
 
     def test_v_dominates(self, radial_desk_system, radial_desk_mesh):
         rng = np.random.default_rng(2)
         for _ in range(10):
             u = field_from_values(radial_desk_mesh, rng.uniform(-1, 1, radial_desk_mesh.n_nodes))
-            h, v = h_norm(radial_desk_system, u), v_norm(radial_desk_system, u)
+            h, v = error_norms(radial_desk_system, u)
             assert v >= h
 
     def test_against_gauss_quadrature_radial(self, params):
@@ -77,7 +77,7 @@ class TestNorms:
             slope = (u[ib] - u[ia]) / (rb - ra)
             int_u2 += jac * np.sum(gauss_w * uh**2 * rr**w)
             int_grad2 += jac * np.sum(gauss_w * slope**2 * rr**w)
-        h, v = h_norm(system, u), v_norm(system, u)
+        h, v = error_norms(system, u)
         assert h == pytest.approx(math.sqrt(int_u2), rel=1e-10)
         assert v == pytest.approx(math.sqrt(int_u2 + int_grad2), rel=1e-10)
 
@@ -109,7 +109,7 @@ class TestNorms:
             gx = float(by @ vals) / (2 * area)
             gy = float(cx @ vals) / (2 * area)
             int_grad2 += area * (gx**2 + gy**2)
-        h, v = h_norm(system, u), v_norm(system, u)
+        h, v = error_norms(system, u)
         assert h == pytest.approx(math.sqrt(int_u2), rel=1e-10)
         assert v == pytest.approx(math.sqrt(int_u2 + int_grad2), rel=1e-10)
 
@@ -140,6 +140,18 @@ class TestDecayFit:
         r0 = fit_decay_rate(make_trace(t, err))
         r2 = fit_decay_rate(make_trace(3.0 * t, err))
         assert r2.beta_fit == pytest.approx(r0.beta_fit / 3.0, rel=1e-12)
+
+    # The regression runs in time scaled by a power of two, so a time scale
+    # s = 2^k scales the rate by exactly 1/s, also where the sum of squared
+    # times would underflow (k = -664) or overflow (k = 520) unscaled.
+    @pytest.mark.parametrize("k", [-1000, -664, 520, 664])
+    def test_power_of_two_time_scale_is_exact(self, k):
+        t = np.linspace(0.0, 5.0, 80)
+        err = np.exp(-1.7 * t)
+        r0 = fit_decay_rate(make_trace(t, err))
+        rk = fit_decay_rate(make_trace(np.ldexp(t, k), err))
+        assert rk.beta_fit == np.ldexp(r0.beta_fit, -k)
+        assert rk.r_squared == r0.r_squared
 
     def test_plateau_excluded(self):
         # decay into a solver-noise plateau: the window must stay on the ramp

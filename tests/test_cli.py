@@ -360,11 +360,13 @@ class TestCmdStationary:
             capsys.readouterr().err)
 
     @pytest.mark.parametrize("config", ["radial_desk.cfg", "annulus_desk.cfg"])
-    @pytest.mark.parametrize("override", ["model.b1=5e9", "model.b2=1e15"])
+    @pytest.mark.parametrize("override", ["model.b1=5e9", "model.b2=1e15", "model.b2=1e305"])
     def test_contrast_at_limit_and_stiff_shell_converge(self, repo_root, tmp_path, config,
                                                         override):
         # The limit is one-sided: b1/b2 = MAX_CONTRAST solves, and so does a
-        # shell 1e15 times stiffer than the core.
+        # shell 1e15 or 1e305 times stiffer than the core. At 1e305 the shell
+        # entries of a Newton correction are subnormal, and CG's stop must
+        # count gradual underflow or CG breaks down.
         argv = ["stationary", str(repo_root / "configs" / config),
                 "--set", override, "--output-dir", str(tmp_path)]
         assert main(argv) == 0
@@ -447,7 +449,10 @@ class TestCmdStationary:
                 "--set", "model.c0=1e-200", "--set", "model.c1=2e-200",
                 "--set", "solver.t_end=1", "--output-dir", str(tmp_path)]
         assert main(argv) == 0
-        assert line in (tmp_path / f"{command}_report.txt").read_text()
+        report = (tmp_path / f"{command}_report.txt").read_text()
+        assert line in report
+        # err_H is about 1e-201: an unscaled e.(M e) underflows to 0
+        assert "converged-at-start" not in report
 
     @pytest.mark.parametrize("command", ["stationary", "evolve"])
     def test_gap_below_limit_exit_2(self, repo_root, tmp_path, capsys, command):

@@ -4,7 +4,8 @@ Every run of `mesh`, `stationary` and a short `evolve` with one or two
 `--set` overrides drawn from floating-point and integer edge cases exits 0,
 2 or 3 and raises nothing; the suite's `error::RuntimeWarning` filter makes
 a leaked numpy warning a failure too. Single overrides are run
-exhaustively, pairs are drawn by hypothesis. The runs start from the
+exhaustively, and each exits 0 or 2: a valid input solves. Pairs are drawn
+by hypothesis. The runs start from the
 shipped desk configs with `t_end` = 1 and `dt` = 0.05. Over every pair of
 overrides, the configs that pass validation have at most 694 nodes and 20
 steps: no edge value, nor the ratio of two, lands between the desk sizes
@@ -46,6 +47,8 @@ def run(repo_root, out_dir, config, command, overrides):
 
 def test_every_single_edge_override_exits_cleanly(repo_root, tmp_path):
     # All 808 single overrides; `mesh` builds what `stationary` builds first.
+    # No valid one ends in a solver failure (exit 3); the stiff shell
+    # b2 = 1e300 solves only because CG's stop counts gradual underflow.
     failures = []
     overrides = [*itertools.product(KEYS, EDGE_VALUES), *CONTRAST_EDGES]
     for config, command, (key, value) in itertools.product(CONFIGS, ["stationary", "evolve"],
@@ -54,7 +57,7 @@ def test_every_single_edge_override_exits_cleanly(repo_root, tmp_path):
             code = run(repo_root, tmp_path, config, command, [(key, value)])
         except Exception as exc:  # a leaked RuntimeWarning too, under the suite's filter
             code = repr(exc)
-        if code not in (0, 2, 3):
+        if code not in (0, 2):
             failures.append(f"{command} {config} {key}={value}: {code}")
     assert failures == []
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import AssembledSystem
+from .fem import AssembledSystem, dot_fields
 from .mesh import GeometrySpec
 from .model import ModelParams, consumption_rate
 from .solvers import EvolutionTrace, _constant_part, solve_spd, term_rounding
@@ -34,7 +34,7 @@ class DecayReport:
     beta_fit is the least-squares rate of log err_H over the fit window;
     gamma_disc is the computed strong-monotonicity constant supplied for
     comparison (NaN when not provided). flag is empty for a clean fit,
-    "converged-at-start" or "converged-too-fast" otherwise.
+    "converged-at-start", "converged-too-fast" or "stalled" otherwise.
     """
 
     beta_fit: float
@@ -59,11 +59,11 @@ def fit_decay_rate(trace: EvolutionTrace, *, gamma_disc: float = math.nan) -> De
     initial error and (b) the solver-noise plateau: once the trace has
     decayed at least six decades, trailing entries within a factor 10 of the
     final value carry solver tolerance rather than dynamics. Traces that are
-    converged from the start, or keep fewer than five samples above the
-    cutoff, are reported with a flag instead of failing. Invariant under
-    time shifts; rates scale inversely under time rescaling, exactly by a
-    power of two, which the fit applies to the window's times so that no
-    time scale under- or overflows their squares.
+    converged from the start, keep fewer than five samples above the cutoff
+    or stay constant to rounding above it (stalled) get a flag, not an
+    error. Invariant under time shifts; rates scale inversely under time
+    rescaling, exactly by a power of two, which the fit applies to the
+    window's times so that no time scale under- or overflows their squares.
     """
     t = np.asarray(trace.times, dtype=float)
     err = np.asarray(trace.err_H, dtype=float)
@@ -93,10 +93,10 @@ def fit_decay_rate(trace: EvolutionTrace, *, gamma_disc: float = math.nan) -> De
     yw = np.log(err[lo:hi])
     t_mean, y_mean = ts.mean(), yw.mean()
     if float(yw.max() - yw.min()) <= 128.0 * np.finfo(float).eps * max(1.0, abs(y_mean)):
-        # constant to rounding: the regression would fit mean-subtraction noise
-        return DecayReport(0.0, gamma_disc, 1.0, (lo, hi), "")
+        # err_H constant to rounding above the cutoff: a contraction cannot stall
+        return DecayReport(0.0, gamma_disc, 1.0, (lo, hi), "stalled")
     denom = float(((ts - t_mean) ** 2).sum())
-    slope = float(((ts - t_mean) @ (yw - y_mean)) / denom)
+    slope = float(dot_fields(ts - t_mean, yw - y_mean) / denom)
     fitted = y_mean + slope * (ts - t_mean)
     ss_res = float(((yw - fitted) ** 2).sum())
     ss_tot = float(((yw - y_mean) ** 2).sum())
@@ -136,16 +136,16 @@ def smallest_generalized_eigenvalue(system: AssembledSystem) -> float:
     kt, precondition, row_abs = _constant_part(system, system.Kt)
     m = system.eliminate(system.M)
     x = (~system.mask).astype(float)
-    x /= math.sqrt(float(x @ (m @ x)))
-    lam = float(x @ (kt @ x))
+    x /= math.sqrt(float(dot_fields(x, m @ x)))
+    lam = float(dot_fields(x, kt @ x))
     mx = m @ x
     for _ in range(EIGEN_MAX_ITER):
         y = solve_spd(kt, mx, row_abs, precondition=precondition)
-        y /= math.sqrt(float(y @ (m @ y)))
+        y /= math.sqrt(float(dot_fields(y, m @ y)))
         mx = m @ y  # the next solve's right-hand side
-        mass = float(y @ mx)
-        lam_new = float(y @ (kt @ y)) / mass
-        rounding = float(term_rounding(y, row_abs) @ np.abs(y)) / mass
+        mass = float(dot_fields(y, mx))
+        lam_new = float(dot_fields(y, kt @ y)) / mass
+        rounding = float(dot_fields(term_rounding(y, row_abs), np.abs(y))) / mass
         if abs(lam_new - lam) <= max(EIGEN_RTOL * abs(lam_new), rounding):
             return lam_new
         lam = lam_new

@@ -26,6 +26,7 @@ this to evaluate its random samples in blocks of about 2^15 nodal values
 sample.
 
 Assembly is sequential and deterministic; assembled systems are immutable.
+Every sum over the nodes, in any module, is `dot_fields`, never a BLAS dot.
 """
 
 from dataclasses import dataclass
@@ -378,13 +379,11 @@ def assemble(
 
 
 def dot_fields(a: np.ndarray, b: np.ndarray):
-    """a @ b over the last axis, one product per field of a stack.
-
-    Each entry equals the single-field `a[j] @ b[j]` bit for bit: the
-    stacked (1, n) @ (n, 1) products take the same BLAS dot. A single field
-    pair gives a scalar.
-    """
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+    """Inner product over the last axis, one per field of a stack: numpy's
+    pairwise sum of a * b, in an order fixed by n, on any machine and thread
+    count. The product is laid out row by row, so field j of any stack gets
+    the single-field product bit for bit; a single field pair gives a scalar."""
+    return np.add.reduce(np.multiply(a, b, order="C"), axis=-1)
 
 
 def reaction_vector(system: AssembledSystem, u: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -442,9 +441,9 @@ def error_norms(system: AssembledSystem, values: np.ndarray) -> tuple:
     max|e|) and the norms scaled back: exact, so no finite e under- or overflows."""
     exponent = 1 - np.frexp(np.abs(values).max())[1]
     e = np.ldexp(values, exponent)
-    mass = e @ (system.M @ e)
+    mass = dot_fields(e, system.M @ e)
     return (float(np.ldexp(np.sqrt(mass), -exponent)),
-            float(np.ldexp(np.sqrt(mass + e @ (system.Kt @ e)), -exponent)))
+            float(np.ldexp(np.sqrt(mass + dot_fields(e, system.Kt @ e)), -exponent)))
 
 
 def dual_norm(system: AssembledSystem, values: np.ndarray) -> float:

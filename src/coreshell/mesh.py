@@ -291,7 +291,7 @@ def _extract_gamma_facets(nodes, elements, region, gamma_ids, edges, edge_elemen
 
     tangent = nodes[ends[:, 1]] - nodes[ends[:, 0]]
     normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
-    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    normal /= np.sqrt((normal ** 2).sum(axis=1))[:, None]
     core_centroid = nodes[elements[core_e]].mean(axis=1)
     midpoint = 0.5 * (nodes[ends[:, 0]] + nodes[ends[:, 1]])
     inward = np.einsum("fd,fd->f", normal, core_centroid - midpoint) > 0.0
@@ -407,7 +407,7 @@ def refine(mesh: CoreShellMesh) -> CoreShellMesh:
     s_edge = boundary & mesh.dirichlet_mask()[ends].all(axis=1)
     # New interface / outer-boundary midpoints move onto their circles.
     for edge, radius in ((gamma_edge, mesh.r1), (s_edge, mesh.r2)):
-        mids[edge] *= (radius / np.linalg.norm(mids[edge], axis=1))[:, None]
+        mids[edge] *= (radius / np.sqrt((mids[edge] ** 2).sum(axis=1)))[:, None]
 
     a, b, c = mesh.elements.T
     mab, mbc, mca = (n_old + element_edges).T

@@ -36,6 +36,7 @@ import numpy as np
 from .fem import (
     AssembledSystem,
     SparseOperator,
+    dot_fields,
     dual_norm,
     energy,
     error_norms,
@@ -173,15 +174,15 @@ def solve_spd(matrix: SparseOperator, rhs: np.ndarray, row_abs: np.ndarray,
     (division by the diagonal). Starts from zero and stops once the
     residual norm is at most CG_ROUNDING ||term_rounding(x, row_abs,
     |rhs|)||, the rounding of the terms the residual is formed from (Arioli,
-    Duff & Ruiz, SIAM J. Matrix Anal. Appl. 13, 1992); a zero rhs
-    returns zeros at once. Deterministic for fixed inputs. Uses `matrix`
-    only through `matrix @ p` and `matrix.diagonal()`. Raises
-    LinearSolveError with the iteration count on breakdown (a non-positive
-    or non-finite curvature, a non-finite residual) or on reaching
-    max(200, 20 n) iterations.
+    Duff & Ruiz, SIAM J. Matrix Anal. Appl. 13, 1992); a zero rhs returns
+    zeros at once. Deterministic for fixed inputs at any thread count (its
+    sums are `dot_fields`). Uses `matrix` only through `matrix @ p` and
+    `matrix.diagonal()`. Raises LinearSolveError with the iteration count on
+    breakdown (a non-positive or non-finite curvature, a non-finite
+    residual) or on reaching max(200, 20 n) iterations.
     """
     n = rhs.shape[0]
-    if float(np.linalg.norm(rhs)) == 0.0:
+    if dot_fields(rhs, rhs) == 0.0:
         return np.zeros(n)
     max_iter = max(200, 20 * n)
     diag = matrix.diagonal()
@@ -196,11 +197,11 @@ def solve_spd(matrix: SparseOperator, rhs: np.ndarray, row_abs: np.ndarray,
     r = rhs.copy()
     z = precondition(r)
     p = z.copy()
-    rho = float(r @ z)
+    rho = float(dot_fields(r, z))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, max_iter + 1):
             q = matrix @ p
-            curvature = float(p @ q)
+            curvature = float(dot_fields(p, q))
             if curvature <= 0.0:
                 raise LinearSolveError("non-positive curvature: matrix is not SPD", k)
             if not np.isfinite(curvature):
@@ -208,13 +209,14 @@ def solve_spd(matrix: SparseOperator, rhs: np.ndarray, row_abs: np.ndarray,
             alpha = rho / curvature
             x += alpha * p
             r -= alpha * q
-            r_norm = float(np.linalg.norm(r))
-            if r_norm <= CG_ROUNDING * float(np.linalg.norm(term_rounding(x, row_abs, rhs_abs))):
+            r_norm = float(np.sqrt(dot_fields(r, r)))
+            bound = term_rounding(x, row_abs, rhs_abs)
+            if r_norm <= CG_ROUNDING * float(np.sqrt(dot_fields(bound, bound))):
                 return x
             if not np.isfinite(r_norm):
                 raise LinearSolveError(f"residual is not finite ({r_norm})", k)
             z = precondition(r)
-            rho_new = float(r @ z)
+            rho_new = float(dot_fields(r, z))
             p = z + (rho_new / rho) * p
             rho = rho_new
     raise LinearSolveError("conjugate gradients did not converge", max_iter)
@@ -434,7 +436,7 @@ def _newton_minimize(
                               precondition=None if precondition is None
                               else precondition.shifted(reaction_diagonal))
 
-        slope = float(g @ direction)
+        slope = float(dot_fields(g, direction))
         if slope >= 0.0:
             raise NonlinearSolveError(
                 "Newton direction is not a descent direction; "
@@ -447,16 +449,16 @@ def _newton_minimize(
         # the rounding of the potential difference: the log's argument in
         # F(s) = s + (c1 - c0) log((c1 - s) / c1) is rounded to relative eps,
         # so F(s) rounds to about the `term_rounding` of |F(s)| + c1 - c0.
-        linear = slope + float(direction @ react)
-        curvature = float(direction @ (base @ direction))
-        fp_slack = 32.0 * float(system.M1 @ term_rounding(potential,
-                                                          terms=params.c1 - params.c0))
+        linear = slope + float(dot_fields(direction, react))
+        curvature = float(dot_fields(direction, base @ direction))
+        fp_slack = 32.0 * float(dot_fields(system.M1, term_rounding(
+            potential, terms=params.c1 - params.c0)))
         step = 1.0
         while True:
             candidate = u + step * direction
             trial = consumption_potential(candidate, params)
             change = (step * linear + 0.5 * step**2 * curvature
-                      - float(system.M1 @ (trial - potential)))
+                      - float(dot_fields(system.M1, trial - potential)))
             if change <= _ARMIJO_SLOPE * step * slope + fp_slack:
                 break
             step *= _ARMIJO_FACTOR
@@ -570,8 +572,8 @@ def evolve(
         potential; the norms are `fem.error_norms`'. The rounding dots |u| / 2
         with `term_rounding`, so it never forms u * u and overflows at no scale."""
         ku, _, potential = evaluation
-        rounding = float(0.5 * (np.abs(u) @ term_rounding(u, k_row_abs))
-                         + system.M1 @ term_rounding(u, terms=params.c1 - params.c0))
+        rounding = float(0.5 * dot_fields(np.abs(u), term_rounding(u, k_row_abs))
+                         + dot_fields(system.M1, term_rounding(u, terms=params.c1 - params.c0)))
         return (evaluated_energy(system, u, ku, potential),
                 *error_norms(system, u - u_star), rounding)
 

@@ -126,6 +126,7 @@ class TestDecayFit:
         t = np.linspace(0.0, 5.0, 50)
         report = fit_decay_rate(make_trace(t, np.full(50, 0.25)))
         assert report.beta_fit == 0.0
+        assert report.flag == "stalled"
 
     def test_time_shift_invariance(self):
         t = np.linspace(0.0, 5.0, 80)

@@ -453,6 +453,10 @@ class TestCmdStationary:
         assert line in report
         # err_H is about 1e-201: an unscaled e.(M e) underflows to 0
         assert "converged-at-start" not in report
+        if command == "evolve":
+            # NEWTON_TOL is absolute: from step 2 on no step moves the state,
+            # so err_H stays constant above the fit's cutoff
+            assert "beta_fit         = 0 (stalled)" in report
 
     @pytest.mark.parametrize("command", ["stationary", "evolve"])
     def test_gap_below_limit_exit_2(self, repo_root, tmp_path, capsys, command):
@@ -778,3 +782,48 @@ def test_module_entry_point_runs_the_cli(repo_root, tmp_path):
     result = run("--set", "geometry.dimension=400")
     assert result.returncode == 2
     assert "invalid input" in result.stderr
+
+
+def test_output_bytes_do_not_depend_on_blas_threads(repo_root, tmp_path, monkeypatch):
+    # From about 10 000 nodes up, OpenBLAS splits a dot product across its
+    # threads and the partial sums round differently, so a sum over nodes
+    # formed by BLAS changes the last bits of the outputs with the core
+    # count. Planar h=0.025 has 10 081 nodes.
+    monkeypatch.syspath_prepend(str(repo_root / "perfbench"))
+    from inputs import low_mode_field, write_field
+
+    config = str(repo_root / "configs" / "annulus_desk.cfg")
+    mesh_override = ["--set", "geometry.h=0.025"]
+    loaded = load_config(config, ["geometry.h=0.025"])
+    mesh = build_mesh(loaded.geometry)
+    u0 = tmp_path / "u0.csv"
+    write_field(u0, mesh, low_mode_field(mesh, loaded.model.c0, 1))
+    code = (
+        "import sys\n"
+        "from coreshell.cli import main\n"
+        "config, u0, out = sys.argv[1:]\n"
+        f"over = {mesh_override!r}\n"
+        "assert main(['stationary', config, *over, '--output-dir', out]) == 0\n"
+        "assert main(['evolve', config, *over, '--set', 'solver.t_end=0.5',\n"
+        "             '--u0-file', u0, '--output-dir', out]) == 0\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo_root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        result = subprocess.run([sys.executable, "-c", code, config, str(u0), str(out)],
+                                capture_output=True, text=True, timeout=600,
+                                env=dict(env, OPENBLAS_NUM_THREADS=threads))
+        assert result.returncode == 0, result.stderr
+        # the '#' lines echo the output directory, which differs
+        outputs[threads] = {path.name: b"".join(
+            line for line in path.read_bytes().splitlines(keepends=True)
+            if not line.startswith(b"#")) for path in out.iterdir()}
+    assert sorted(outputs["1"]) == sorted(["stationary_field.csv", "stationary_field.vtk",
+                                           "stationary_report.txt", "trace.csv",
+                                           "evolve_report.txt", "decay_report.txt",
+                                           "decay_report.csv"])
+    for name, data in outputs["1"].items():
+        assert data == outputs["2"][name], name

@@ -309,8 +309,12 @@ class TestFieldStacks:
         weighted = dot_fields(system.M1, fields)
         for j in np.ndindex(fields.shape[:-1]):
             assert energies[j] == energy(system, fields[j], desk_params)
-            assert dots[j] == fields[j] @ fields[::-1][j]
-            assert weighted[j] == system.M1 @ fields[j]
+            assert dots[j] == dot_fields(fields[j], fields[::-1][j])
+            assert weighted[j] == dot_fields(system.M1, fields[j])
+        # a strided stack: the second field of each pair
+        assert np.array_equal(dot_fields(fields[:, 1], system.M1), weighted[:, 1])
+        # a column-major stack: each field strided along the node axis
+        assert np.array_equal(dot_fields(np.asfortranarray(fields), system.M1), weighted)
 
 
 class TestReactionVector:

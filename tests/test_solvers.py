@@ -27,7 +27,8 @@ from coreshell import (
     zero_field,
 )
 from coreshell.config import load_config
-from coreshell.fem import SparseOperator, dual_norm, error_norms, reaction_jacobian_diagonal
+from coreshell.fem import (SparseOperator, dot_fields, dual_norm, error_norms,
+                           reaction_jacobian_diagonal)
 from coreshell.model import consumption_rate, consumption_rate_slope
 from coreshell import solvers
 from coreshell.solvers import (
@@ -823,8 +824,9 @@ class TestEvolve:
 
         def fresh_record(u):
             return (energy(system, u, model), *error_norms(system, u - star),
-                    float(0.5 * (np.abs(u) @ solvers.term_rounding(u, k_row_abs))
-                          + system.M1 @ solvers.term_rounding(u, terms=model.c1 - model.c0)))
+                    float(0.5 * dot_fields(np.abs(u), solvers.term_rounding(u, k_row_abs))
+                          + dot_fields(system.M1,
+                                       solvers.term_rounding(u, terms=model.c1 - model.c0))))
 
         rows = [fresh_record(np.where(system.mask, 0.0, u0))]
         u = u0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import AssembledSystem, dot_fields
+from .fem import AssembledSystem, dot_fields, unit_exponent
 from .mesh import GeometrySpec
 from .model import ModelParams, consumption_rate
 from .solvers import EvolutionTrace, _constant_part, solve_spd, term_rounding
@@ -88,7 +88,7 @@ def fit_decay_rate(trace: EvolutionTrace, *, gamma_disc: float = math.nan) -> De
         return DecayReport(0.0, gamma_disc, 1.0, (lo, hi), "converged-too-fast")
 
     tw = t[lo:hi]
-    exponent = 1 - np.frexp(np.abs(tw).max())[1]
+    exponent = unit_exponent(tw)
     ts = np.ldexp(tw, exponent)
     yw = np.log(err[lo:hi])
     t_mean, y_mean = ts.mean(), yw.mean()

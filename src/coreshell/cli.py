@@ -35,7 +35,7 @@ from .reporting import (
     write_vtk,
 )
 from .solvers import NEWTON_TOL, LinearSolveError, NonlinearSolveError, evolve, stationary_solve
-from .verify import report_lines, run_verification
+from .verify import normalized, report_lines, run_verification
 
 EXIT_OK = 0
 EXIT_PROPERTY_VIOLATION = 1
@@ -166,6 +166,10 @@ def cmd_verify(config: RunConfig, corrupt_b: bool = False) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     results = run_verification(config, corrupt_b=corrupt_b)
     lines = report_lines(results)
+    exponent = normalized(config.model)[1]
+    if exponent:
+        lines[1:1] = [f"details in normalized units: c0 and c1 times 2^{exponent}, "
+                      f"b1 and b2 divided by it"]
     write_text_report(out_dir / "verify_report.txt", lines, config.echo_lines())
     print("\n".join(lines))
 

@@ -386,6 +386,12 @@ def dot_fields(a: np.ndarray, b: np.ndarray):
     return np.add.reduce(np.multiply(a, b, order="C"), axis=-1)
 
 
+def unit_exponent(values) -> int:
+    """The k with 2^k max|values| in [1, 2) (1 for all zeros). Scaling by 2^k
+    is exact wherever it neither under- nor overflows."""
+    return 1 - int(np.frexp(np.abs(values).max())[1])
+
+
 def reaction_vector(system: AssembledSystem, u: np.ndarray, params: ModelParams) -> np.ndarray:
     """Nodal-quadrature consumption load: entry i is M1_i * rate(u_i)."""
     system.check_field(u)
@@ -437,9 +443,9 @@ def reaction_jacobian_diagonal(
 
 
 def error_norms(system: AssembledSystem, values: np.ndarray) -> tuple:
-    """(||e||_H, ||e||_V) from one product M e, with e scaled by 2^-floor(log2
-    max|e|) and the norms scaled back: exact, so no finite e under- or overflows."""
-    exponent = 1 - np.frexp(np.abs(values).max())[1]
+    """(||e||_H, ||e||_V) from one product M e, with e scaled by 2^`unit_exponent`
+    and the norms scaled back: exact, so no finite e under- or overflows."""
+    exponent = unit_exponent(values)
     e = np.ldexp(values, exponent)
     mass = dot_fields(e, system.M @ e)
     return (float(np.ldexp(np.sqrt(mass), -exponent)),

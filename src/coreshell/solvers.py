@@ -44,6 +44,7 @@ from .fem import (
     evaluated_gradient,
     reaction_jacobian_diagonal,
     reaction_vector,
+    unit_exponent,
     zero_field,
 )
 from .model import ModelParams, consumption_potential
@@ -90,6 +91,17 @@ def term_rounding(values, scale=1.0, terms=0.0):
     counts as at least TINY, below which a product keeps fewer than 53 bits.
     EPS scales each entry before any sum, so no scale overflows it."""
     return scale * (EPS * np.abs(values) + EPS * TINY) + EPS * terms
+
+
+def energy_rounding(system: AssembledSystem, params: ModelParams, u: np.ndarray,
+                    k_row_abs: np.ndarray):
+    """The `term_rounding` of |u|^T |K| |u| / 2 + M1 . (|u| + c1 - c0), which
+    bounds the rounding error of `fem.energy` at u up to a small factor
+    (|F(u)| <= |u|), one per field of a stack; `k_row_abs` holds the row sums
+    of |K|. It dots |u| / 2 with the term rounding and never forms u * u, so
+    it overflows at no scale."""
+    return (0.5 * dot_fields(np.abs(u), term_rounding(u, k_row_abs))
+            + dot_fields(system.M1, term_rounding(u, terms=params.c1 - params.c0)))
 
 
 @dataclass(frozen=True)
@@ -175,13 +187,17 @@ def solve_spd(matrix: SparseOperator, rhs: np.ndarray, row_abs: np.ndarray,
     residual norm is at most CG_ROUNDING ||term_rounding(x, row_abs,
     |rhs|)||, the rounding of the terms the residual is formed from (Arioli,
     Duff & Ruiz, SIAM J. Matrix Anal. Appl. 13, 1992); a zero rhs returns
-    zeros at once. Deterministic for fixed inputs at any thread count (its
-    sums are `dot_fields`). Uses `matrix` only through `matrix @ p` and
+    zeros at once. It solves for rhs scaled by 2^`unit_exponent(rhs)` and
+    scales x back, so no rhs under- or overflows its squares and 2^k rhs
+    gives 2^k x bit for bit. Deterministic for fixed inputs at any thread
+    count (its sums are `dot_fields`). Uses `matrix` only through `matrix @ p` and
     `matrix.diagonal()`. Raises LinearSolveError with the iteration count on
     breakdown (a non-positive or non-finite curvature, a non-finite
     residual) or on reaching max(200, 20 n) iterations.
     """
     n = rhs.shape[0]
+    exponent = unit_exponent(rhs)
+    rhs = np.ldexp(rhs, exponent)
     if dot_fields(rhs, rhs) == 0.0:
         return np.zeros(n)
     max_iter = max(200, 20 * n)
@@ -194,7 +210,7 @@ def solve_spd(matrix: SparseOperator, rhs: np.ndarray, row_abs: np.ndarray,
     rhs_abs = np.abs(rhs)
 
     x = np.zeros(n)
-    r = rhs.copy()
+    r = rhs  # the scaled copy, private to this solve
     z = precondition(r)
     p = z.copy()
     rho = float(dot_fields(r, z))
@@ -212,7 +228,7 @@ def solve_spd(matrix: SparseOperator, rhs: np.ndarray, row_abs: np.ndarray,
             r_norm = float(np.sqrt(dot_fields(r, r)))
             bound = term_rounding(x, row_abs, rhs_abs)
             if r_norm <= CG_ROUNDING * float(np.sqrt(dot_fields(bound, bound))):
-                return x
+                return np.ldexp(x, -exponent)
             if not np.isfinite(r_norm):
                 raise LinearSolveError(f"residual is not finite ({r_norm})", k)
             z = precondition(r)
@@ -569,13 +585,12 @@ def evolve(
     def record(u, evaluation):
         """(energy, err_H, err_V, energy rounding) of one state and its
         evaluation. The energy is `fem.energy`'s, from the evaluation's K u and
-        potential; the norms are `fem.error_norms`'. The rounding dots |u| / 2
-        with `term_rounding`, so it never forms u * u and overflows at no scale."""
+        potential; the norms are `fem.error_norms`'; the rounding is
+        `energy_rounding`'s."""
         ku, _, potential = evaluation
-        rounding = float(0.5 * dot_fields(np.abs(u), term_rounding(u, k_row_abs))
-                         + dot_fields(system.M1, term_rounding(u, terms=params.c1 - params.c0)))
         return (evaluated_energy(system, u, ku, potential),
-                *error_norms(system, u - u_star), rounding)
+                *error_norms(system, u - u_star),
+                float(energy_rounding(system, params, u, k_row_abs)))
 
     u = np.where(system.mask, 0.0, u0)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -8,6 +8,11 @@ against finite differences and against the operator built element by
 element, solvability of the regularized (mass + stiffness) systems by the
 implicit-Euler step of size 1, and a sampled hemicontinuity bound.
 
+Every check runs at one scale, on the `normalized` parameters (c0 in
+[1, 2)), and allows for rounding by one rule: ROUNDING_FACTOR times the
+`solvers.term_rounding` of the terms its quantity is formed from, the model
+the solvers' own bounds use. So no verdict depends on the input's scale.
+
 The suite runs sequentially under a fixed seed; identical configuration and
 seed produce byte-identical reports. Every random sample is drawn once: the
 five consumption-law checks read one sorted sample of the scalar law, and
@@ -30,17 +35,27 @@ from .fem import (
     energy,
     energy_gradient,
     reaction_vector,
+    unit_exponent,
 )
 from .mesh import build_mesh
 from .model import (
+    ModelParams,
     consumption_potential,
     consumption_rate,
+    consumption_rate_slope,
     dimensional_consumption,
     from_working_variable,
     to_working_variable,
 )
 from .reporting import fmt
-from .solvers import NonlinearSolveError, SolverConfig, _constant_part, _step_implicit_euler_counted
+from .solvers import (
+    NonlinearSolveError,
+    SolverConfig,
+    _constant_part,
+    _step_implicit_euler_counted,
+    energy_rounding,
+    term_rounding,
+)
 from .solvers import solve_spd  # noqa: F401  (the benchmark tracer wraps it by this name)
 
 
@@ -52,8 +67,8 @@ class PropertyResult:
     sample: dict | None = None
 
 
-# Sample counts and tolerances, fixed here: the verdict is a property of the
-# operator, and no setting can make a check vacuous.
+# Sample counts, difference steps and accuracy targets, fixed here: the
+# verdict is a property of the operator, and no setting can make a check vacuous.
 RATE_SAMPLES = 200000
 MONOTONICITY_PAIRS = 500
 STRONG_MONOTONICITY_PAIRS = 100
@@ -61,19 +76,39 @@ COERCIVITY_SAMPLES = 200
 GRADIENT_CHECKS = 50
 RESOLVENT_SOLVES = 5
 HEMICONTINUITY_SAMPLES = 20
-# operator-monotonicity accepts a pairing down to -PAIRING_SLACK * ||u - v||_M^2
-PAIRING_SLACK = 1e-12
-# largest relative error of the gradient against its central difference
+# largest relative truncation error of the gradient against its central
+# difference; the rounding of the differenced energies is allowed on top
 GRADIENT_RTOL = 1e-6
-# largest difference of the gradient from the element-wise operator, relative
-# to the element-wise |K| |u| + |r(u)| (rounding reads about 1e-15)
-OPERATOR_RTOL = 1e-12
+# Every rounding allowance is ROUNDING_FACTOR times the `term_rounding` of the
+# terms the checked quantity is formed from (Higham, *Accuracy and Stability
+# of Numerical Algorithms*, 2002, ch. 3). On the desk configs, planar h=0.025
+# and 0.0125, radial h=2^-11, gaps c1 - c0 down to 1e-13 and 120 random valid
+# inputs, the largest error of a passing quantity reads 1.7 times that
+# rounding (the identity of the variable transform), a rate increment 1.0 and
+# every other quantity at most 0.5, so 16 keeps a margin of 9 and still fails
+# on a defect of a few hundred eps.
+ROUNDING_FACTOR = 16.0
 
 
 # Nodal values per block of samples: large enough that per-call overhead is
 # small against the work, small enough that a block's sparse products (about
 # 7 slots per value on planar meshes) stay within 2 MB.
 BLOCK_VALUES = 2**15
+
+
+def normalized(params: ModelParams):
+    """(params, k): `params` under the exact scaling b -> b / s, c -> s c with
+    s = 2^k. k is `unit_exponent(c0)`, so that s c0 lies in [1, 2), clamped
+    so that every scaled value stays in [2^-1001, 2^1000]: normal, so the
+    scaling is exact, and small enough that the checks' multiples of c1 are
+    finite. The solver path is covariant under it, so `verify` runs every
+    check at this one scale."""
+    values = np.array([params.b1, params.b2, params.c0, params.c1])
+    b_exp, c_exp = np.frexp(values.reshape(2, 2))[1]
+    k = int(np.clip(unit_exponent(params.c0),
+                    max(b_exp.max() - 1000, -1000 - c_exp[0]),
+                    min(b_exp.min() + 1000, 1000 - c_exp[1])))
+    return ModelParams(*np.ldexp(values, [-k, -k, k, k]).tolist()), k
 
 
 def sample_blocks(rng, system, count, *bounds):
@@ -104,12 +139,18 @@ def _first(violated):
 
 
 def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
-    """Run every property check and return results in a fixed order."""
-    params = config.model
+    """Run every property check and return results in a fixed order.
+
+    The checks run on the `normalized` parameters, so their details are in
+    those units, and each allows ROUNDING_FACTOR times the rounding of the
+    terms its quantity is formed from.
+    """
+    params = normalized(config.model)[0]
     mesh = build_mesh(config.geometry)
     b_override = (params.b1, -params.b2) if corrupt_b else None
     system = assemble(mesh, params, b_override=b_override)
     mk = system.M + system.K
+    k_abs, m_abs, kt_abs = (a.abs_row_sums() for a in (system.K, system.M, system.Kt))
     rng = np.random.default_rng(config.verify.seed)
     results = []
 
@@ -119,6 +160,24 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         except Exception as exc:  # a property that cannot run has failed
             results.append(PropertyResult(name, False, f"error: {exc}"))
 
+    def gradient_rounding(d, fields, react):
+        """The rounding of d . (g(u) - g(v)) for g(u) = K u - r(u) of each
+        field u, v of `fields` (shape (..., 2, n)) with reactions `react`."""
+        return dot_fields(np.abs(d), term_rounding(fields, k_abs, react).sum(axis=-2))
+
+    def potential_rounding(s):
+        """The rounding of F(s), from |F(s)| <= |s| and the log's argument."""
+        return term_rounding(s, terms=params.c_hat)
+
+    def exceeds(excess, rounding):
+        """Mask of the entries whose excess over their exact bound is above
+        ROUNDING_FACTOR times `rounding(at)`, the rounding at indices `at`.
+        A rounding is never negative, so it is formed only where the excess is."""
+        over = excess > 0.0
+        at = np.flatnonzero(over)
+        over[at] = excess[at] > ROUNDING_FACTOR * rounding(at)
+        return over
+
     # --- consumption law -----------------------------------------------------
 
     # one sorted sample of the scalar law, read by the five checks below
@@ -126,58 +185,74 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
     rate = consumption_rate(z, params)
     step = np.diff(rate)
 
+    def step_rounding(at):
+        # each rate rounds to a few eps of itself, and so may an increment
+        return term_rounding(rate[at + 1], terms=np.abs(rate[at]))
+
     def check_rate_range(name):
         ok = bool(np.all(rate >= 0.0) and np.all(rate < 1.0))
         return PropertyResult(name, ok, f"min={fmt(rate.min())} max={fmt(rate.max())}",
                               None if ok else {"z": z[(rate < 0.0) | (rate >= 1.0)]})
 
     def check_rate_monotone(name):
-        ok = bool(np.all(step <= 0.0))
+        rise = exceeds(step, step_rounding)
+        ok = not rise.any()
         return PropertyResult(name, ok, f"max increment={fmt(step.max())}",
-                              None if ok else {"z": z[:-1][step > 0.0]})
+                              None if ok else {"z": z[:-1][rise]})
 
     def check_rate_lipschitz(name):
         d = np.abs(step)
-        bound = np.diff(z) * (1.0 + 1e-12) / (params.c1 - params.c0)
-        ok = bool(np.all(d <= bound + 1e-300))
+        bound = np.diff(z) / (params.c1 - params.c0)
+        over = exceeds(d - bound, lambda at: term_rounding(bound[at]) + step_rounding(at))
+        ok = not over.any()
         margin = (bound - d).min()
         return PropertyResult(name, ok, f"min slack={fmt(margin)}",
-                              None if ok else {"z": z[:-1][d > bound]})
+                              None if ok else {"z": z[:-1][over]})
 
     def check_rate_product_bound(name):
         prod = z * rate
-        ok = bool(np.all(prod <= params.c0 + 1e-12))
+        over = exceeds(prod - params.c0, lambda at: term_rounding(prod[at]))
+        ok = not over.any()
         return PropertyResult(name, ok, f"max z*rate={fmt(prod.max())}",
-                              None if ok else {"z": z[prod > params.c0 + 1e-12]})
+                              None if ok else {"z": z[over]})
 
     def check_potential_bound(name):
-        f_val = consumption_potential(z, params)
-        slack = 1e-12 * np.maximum(1.0, np.abs(z))
-        ok = bool(np.all(f_val <= np.abs(z) + slack))
-        return PropertyResult(name, ok, f"max F(s)-|s|={fmt((f_val - np.abs(z)).max())}",
-                              None if ok else {"s": z[f_val > np.abs(z) + slack]})
+        excess = consumption_potential(z, params) - np.abs(z)
+        over = exceeds(excess, lambda at: potential_rounding(z[at]))
+        ok = not over.any()
+        return PropertyResult(name, ok, f"max F(s)-|s|={fmt(excess.max())}",
+                              None if ok else {"s": z[over]})
 
     def check_potential_derivative(name):
+        # The 1e-3 guard keeps s +- h below the kink at c0; with that step the
+        # central difference's truncation error lies below 1e-6 relative.
         s = rng.uniform(-5.0 * params.c1, params.c0 - 1e-3, 2000)
         h = 1e-6 * np.maximum(1.0, np.abs(s))
         fd = (consumption_potential(s + h, params)
               - consumption_potential(s - h, params)) / (2.0 * h)
         r = consumption_rate(s, params)
-        rel = np.abs(fd - r) / np.maximum(np.abs(r), 1e-300)
-        ok = bool(np.all(rel <= 1e-6))
+        err = np.abs(fd - r)
+        rounding = (potential_rounding(s + h) + potential_rounding(s - h)) / (2.0 * h)
+        bad = err > 1e-6 * np.abs(r) + ROUNDING_FACTOR * rounding
+        ok = not bad.any()
+        rel = err / np.maximum(np.abs(r), 1e-300)
         return PropertyResult(name, ok, f"max rel err={fmt(rel.max())}",
-                              None if ok else {"s": s[rel > 1e-6]})
+                              None if ok else {"s": s[bad]})
 
     def check_transform_roundtrip(name):
         conc = rng.uniform(0.0, 3.0 * params.c0, 1000)
-        back = from_working_variable(to_working_variable(conc, params), params)
-        round_err = np.abs(back - conc).max()
         u = to_working_variable(conc, params)
+        round_err = np.abs(from_working_variable(u, params) - conc)
+        # each of the two subtractions rounds to eps of its result
+        round_ok = round_err <= ROUNDING_FACTOR * term_rounding(conc, terms=np.abs(u))
         dim = dimensional_consumption(conc, params)
-        ident_err = np.abs(dim - consumption_rate(u, params)).max()
-        ok = round_err <= 1e-15 * 3.0 * params.c0 and ident_err <= 1e-14
-        return PropertyResult(name, ok,
-                              f"roundtrip={fmt(round_err)} identity={fmt(ident_err)}")
+        ident_err = np.abs(dim - consumption_rate(u, params))
+        # the rounding of u = c0 - v, amplified by the rate's slope
+        ident_ok = ident_err <= ROUNDING_FACTOR * term_rounding(
+            dim, terms=np.abs(u * consumption_rate_slope(u, params)))
+        ok = bool(np.all(round_ok) and np.all(ident_ok))
+        return PropertyResult(name, ok, f"roundtrip={fmt(round_err.max())} "
+                                        f"identity={fmt(ident_err.max())}")
 
     # --- mesh and matrices ---------------------------------------------------
 
@@ -221,7 +296,8 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
             d = pairs[:, 0] - pairs[:, 1]
             g = energy_gradient(system, pairs, params)
             lhs = dot_fields(g[:, 0] - g[:, 1], d)
-            floor = -PAIRING_SLACK * dot_fields(d, system.M @ d)
+            floor = -ROUNDING_FACTOR * gradient_rounding(
+                d, pairs, reaction_vector(system, pairs, params))
             j = _first(lhs < floor)
             if j is not None:
                 return PropertyResult(name, False,
@@ -233,16 +309,20 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
 
     def check_coercivity(name):
         c_coef = min(1.0, params.b_min)
+        # the row sums of the terms of lhs - rhs: M, K, and c times M and Kt
+        row_abs = m_abs + k_abs + c_coef * (m_abs + kt_abs)
+        load_rounding = term_rounding(params.c0 * system.core_volume)
         worst = np.inf
         amp = 3.0 * params.c0
         for block in sample_blocks(rng, system, COERCIVITY_SAMPLES, (-amp, amp)):
             u = block[:, 0]
+            react = reaction_vector(system, u, params)
             mass = dot_fields(u, system.M @ u)
-            lhs = (mass + dot_fields(u, system.K @ u)
-                   - dot_fields(reaction_vector(system, u, params), u))
+            lhs = mass + dot_fields(u, system.K @ u) - dot_fields(react, u)
             vnorm2 = mass + dot_fields(u, system.Kt @ u)
             rhs = c_coef * vnorm2 - params.c0 * system.core_volume
-            slack = 1e-9 * np.maximum(np.maximum(1.0, np.abs(lhs)), vnorm2)
+            slack = ROUNDING_FACTOR * (dot_fields(np.abs(u), term_rounding(u, row_abs, react))
+                                       + load_rounding)
             j = _first(lhs < rhs - slack)
             if j is not None:
                 return PropertyResult(name, False,
@@ -260,8 +340,12 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
             g = energy_gradient(system, pairs, params)
             lhs = dot_fields(g[:, 0] - g[:, 1], d)
             vnorm2 = dot_fields(d, system.M @ d) + dot_fields(d, system.Kt @ d)
+            # 1 - 1e-10: gamma_disc is the eigen-solve's, accurate to about 1e-10
             rhs = gamma * vnorm2 * (1.0 - 1e-10)
-            j = _first(lhs < rhs - 1e-12 * np.maximum(1.0, vnorm2))
+            slack = ROUNDING_FACTOR * (
+                gradient_rounding(d, pairs, reaction_vector(system, pairs, params))
+                + gamma * dot_fields(np.abs(d), term_rounding(d, m_abs + kt_abs)))
+            j = _first(lhs < rhs - slack)
             if j is not None:
                 return PropertyResult(
                     name, False,
@@ -272,9 +356,9 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
                               f"gamma_disc={fmt(gamma)} min slack={fmt(worst)}")
 
     def check_gradient_fd(name):
-        # The step stays inside the 1e-3 guard around the kink at c0 below;
-        # a much smaller one lets the rounding of E, about eps_mach * |E| / eps,
-        # exceed GRADIENT_RTOL.
+        # The step stays inside the 1e-3 guard around the kink at c0 below,
+        # and with it the difference's truncation error lies below
+        # GRADIENT_RTOL; the rounding of the two energies is allowed apart.
         eps = 1e-4
         worst = 0.0
         for block in sample_blocks(rng, system, GRADIENT_CHECKS,
@@ -282,12 +366,15 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
             u, hdir = block[:, 0], block[:, 1]
             # keep nodal values away from the potential's kink at c0
             u[(np.abs(u - params.c0) < 1e-3) & ~system.mask] = params.c0 - 2e-3
-            e_plus, e_minus = energy(system, np.stack([u + eps * hdir, u - eps * hdir]),
-                                     params)
+            points = np.stack([u + eps * hdir, u - eps * hdir])
+            e_plus, e_minus = energy(system, points, params)
             fd = (e_plus - e_minus) / (2.0 * eps)
             gh = dot_fields(energy_gradient(system, u, params), hdir)
-            rel = np.abs(fd - gh) / np.maximum(np.maximum(np.abs(fd), np.abs(gh)), 1e-300)
-            j = _first(rel > GRADIENT_RTOL)
+            size = np.maximum(np.abs(fd), np.abs(gh))
+            rounding = energy_rounding(system, params, points, k_abs).sum(axis=0) / (2.0 * eps)
+            err = np.abs(fd - gh)
+            rel = err / np.maximum(size, 1e-300)
+            j = _first(err > GRADIENT_RTOL * size + ROUNDING_FACTOR * rounding)
             if j is not None:
                 return PropertyResult(name, False, f"rel err={fmt(rel[j])}",
                                       {"u": u[j], "h": hdir[j]})
@@ -310,10 +397,14 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         r = reaction_vector(system, u, params)
         operator = node_sums(np.einsum("eab,eb->ea", k_local, u_local)) - r
         size = node_sums(np.einsum("eab,eb->ea", np.abs(k_local), np.abs(u_local))) + np.abs(r)
+        # A sum of m terms rounds by up to m eps times the sum of their sizes,
+        # and node i's element sum has m = k (elements at i) + 1 terms; its
+        # sparse row has fewer. The planar center sums hundreds.
+        terms = mesh.elements.shape[1] * np.bincount(nodes, minlength=mesh.n_nodes) + 1
         free = ~system.mask
-        rel = (np.abs(energy_gradient(system, u, params) - operator)[free]
-               / np.maximum(size[free], np.finfo(float).tiny))
-        ok = bool(np.all(rel <= OPERATOR_RTOL))
+        diff = np.abs(energy_gradient(system, u, params) - operator)[free]
+        ok = bool(np.all(diff <= ROUNDING_FACTOR * term_rounding(size[free], terms[free])))
+        rel = diff / np.maximum(size[free], np.finfo(float).tiny)
         return PropertyResult(name, ok, f"max rel diff={fmt(rel.max())}",
                               None if ok else {"u": u})
 
@@ -334,6 +425,7 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
                     return PropertyResult(name, False, f"resolvent solve failed: {exc}", {"g": g})
                 res_norm = dual_norm(system, mk @ u - reaction_vector(system, u, params)
                                      - system.M @ g)
+                # 1e-8: the accuracy Newton reaches, not a rounding bound
                 if not res_norm <= 1e-8:
                     return PropertyResult(name, False, f"resolvent residual {fmt(res_norm)}",
                                           {"g": g})
@@ -343,6 +435,7 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
     def check_hemicontinuity(name):
         worst = 0.0
         lip = 1.0 / (params.c1 - params.c0)
+        mk_abs = mk.abs_row_sums()
         ts = np.linspace(0.0, 1.0, 9)
         # every pair of points along the segment, in (i, j > i) order
         pair_i, pair_j = np.triu_indices(len(ts), 1)
@@ -353,12 +446,22 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
             mk_test = mk @ test
             bound_slope = (np.abs(dot_fields(w_dir, mk_test))
                            + lip * dot_fields(system.M1, np.abs(w_dir * test)))
-            vals = np.column_stack([
-                dot_fields(x, mk_test) - dot_fields(reaction_vector(system, x, params), test)
-                for x in (u + t * w_dir for t in ts)])
+            # the rounding of x . (M + K) test, where x's own rounding reaches
+            # the reaction amplified by its slope, at most lip
+            x_rounding = term_rounding(test, mk_abs, np.abs(mk_test)
+                                       + lip * system.M1 * np.abs(test))
+            vals, rounding = [], []
+            for t in ts:
+                x = u + t * w_dir
+                react = reaction_vector(system, x, params)
+                vals.append(dot_fields(x, mk_test) - dot_fields(react, test))
+                rounding.append(dot_fields(np.abs(u) + t * np.abs(w_dir), x_rounding)
+                                + dot_fields(np.abs(test), term_rounding(react)))
+            vals, rounding = np.column_stack(vals), np.column_stack(rounding)
             diff = np.abs(vals[:, pair_i] - vals[:, pair_j])
-            allowed = (bound_slope[:, None] * np.abs(ts[pair_i] - ts[pair_j]) * (1.0 + 1e-10)
-                       + 1e-12)
+            exact = bound_slope[:, None] * np.abs(ts[pair_i] - ts[pair_j])
+            allowed = exact + ROUNDING_FACTOR * (term_rounding(exact) + rounding[:, pair_i]
+                                                 + rounding[:, pair_j])
             at = _first(diff > allowed)
             if at is not None:
                 j, pair = divmod(at, pair_i.shape[0])

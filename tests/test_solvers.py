@@ -497,6 +497,22 @@ def dense_free_block_solve(system, params, base, load):
     return u
 
 
+class TestTinyRightHandSide:
+    # solve_spd solves for the rhs scaled to a largest entry in [1, 2), so a
+    # rhs whose squares underflow (1e-170 and below) is not taken for zero,
+    # and an exactly scaled rhs gives the exactly scaled solution.
+    @pytest.mark.parametrize("name", ["annulus_desk_system", "radial_desk_system", "refined"])
+    def test_scaled_rhs_gives_the_scaled_solution(self, request, refined_planar, name):
+        system = refined_planar if name == "refined" else request.getfixturevalue(name)
+        matrix, precondition, row_abs = _constant_part(system, system.Kt)
+        rng = np.random.default_rng(3)
+        rhs = np.where(system.mask, 0.0, rng.uniform(-1.0, 1.0, system.n_nodes))
+        x = solve_spd(matrix, rhs, row_abs, precondition)
+        tiny = solve_spd(matrix, np.ldexp(rhs, -564), row_abs, precondition)
+        assert np.any(x != 0.0)
+        assert np.array_equal(tiny, np.ldexp(x, -564))
+
+
 class TestScaleCovariance:
     # Scaling by s = 2^k, (b1/s, b2/s, s c0, s c1, s dt, s t_end), scales the
     # field by s and leaves the gradient, its rounding floor and Newton's

@@ -85,16 +85,15 @@ class SparsityPattern:
     `slots` (its index in the data) and `transpose` (the data index of the
     entry at the mirrored position). `diag` holds the data index of every
     diagonal entry, and `element_slots` that of each entry (e, a, b) of an
-    (m, k, k) table of element matrices, flattened.
+    (m, k, k) table of element matrices, flattened. `find` maps keys to
+    data indices; every lookup of an entry goes through it.
     """
 
     def __init__(self, mesh: CoreShellMesh):
-        n, elements, edges = mesh.n_nodes, mesh.elements, mesh.edges
-        low, high = edges.T
-        # the diagonal, then each edge (low, high), then each edge (high, low)
-        entries = np.concatenate([np.arange(n) * (n + 1), low * n + high, high * n + low])
-        order = np.argsort(entries)
-        keys = entries[order]
+        n, elements = mesh.n_nodes, mesh.elements
+        low, high = mesh.edges.T
+        # the diagonal and both directions of each edge
+        keys = np.sort(np.concatenate([np.arange(n) * (n + 1), low * n + high, high * n + low]))
         rows, cols = np.divmod(keys, n)
         lengths = np.bincount(rows, minlength=n)
         hub = lengths > 2.0 * np.median(lengths)
@@ -114,30 +113,19 @@ class SparsityPattern:
         self.keys = keys
         self.slots = slots
         self.diag = slots[rows == cols]
-
-        # Entry (e, a, b) is the diagonal of node elements[e, a] when a == b,
-        # otherwise one direction of the local edge j joining vertices j and
-        # j + 1 (mod k).
-        entry_slot = np.empty_like(slots)
-        entry_slot[order] = slots
-        diag_slot, up_slot, down_slot = np.split(entry_slot, [n, n + edges.shape[0]])
         k = elements.shape[1]
-        a, b = np.divmod(np.arange(k * k), k)
-        off = a != b
-        local = np.zeros((k, k), dtype=np.int64)
-        for j in range(mesh.element_edges.shape[1]):
-            local[j, (j + 1) % k] = local[(j + 1) % k, j] = j
-        edge = mesh.element_edges[:, local[a[off], b[off]]]
-        element_slots = np.empty((elements.shape[0], k * k), dtype=slots.dtype)
-        element_slots[:, ~off] = diag_slot[elements]
-        element_slots[:, off] = np.where(elements[:, a[off]] < elements[:, b[off]],
-                                         up_slot[edge], down_slot[edge])
-        self.element_slots = element_slots.ravel()
+        self.element_slots = self.find(np.repeat(elements, k, axis=1) * n
+                                       + np.tile(elements, (1, k))).ravel()
+
+    def find(self, keys) -> np.ndarray:
+        """The data index of each key row * n + column, -1 off the pattern."""
+        at = np.minimum(np.searchsorted(self.keys, keys), self.keys.shape[0] - 1)
+        return np.where(self.keys[at] == keys, self.slots[at], -1)
 
     @cached_property
     def transpose(self) -> np.ndarray:
         rows, cols = np.divmod(self.keys, self.n)
-        return self.slots[np.searchsorted(self.keys, cols * self.n + rows)]
+        return self.find(cols * self.n + rows)
 
 
 class SparseOperator:
@@ -202,10 +190,8 @@ class SparseOperator:
 
     def __getitem__(self, index) -> np.ndarray:
         rows, cols = index
-        keys = self.pattern.keys
-        key = np.asarray(rows) * self.pattern.n + np.asarray(cols)
-        at = np.minimum(np.searchsorted(keys, key), keys.shape[0] - 1)
-        return np.where(keys[at] == key, self.data[self.pattern.slots[at]], 0.0)[()]
+        at = self.pattern.find(np.asarray(rows) * self.pattern.n + np.asarray(cols))
+        return np.where(at >= 0, self.data[at], 0.0)[()]
 
     def toarray(self) -> np.ndarray:
         dense = np.zeros(self.shape)

@@ -81,8 +81,6 @@ class CoreShellMesh:
     edges          : (E, 2) node pairs (low, high) of the element edges, each
                      once in lexicographic order; on radial meshes the
                      segments themselves
-    element_edges  : (m, k(k-1)/2) edge index of each element's local edges,
-                     (v0 v1), (v1 v2), (v2 v0) on triangles, (v0 v1) on segments
     sectors  : rotation-invariant layout marker set by the builders: n > 0 means
                node 0 is the center and then rings of n nodes follow in
                ring-major order, every ring with the same element pattern
@@ -112,7 +110,6 @@ class CoreShellMesh:
     facet_elements: np.ndarray
     facet_normals: np.ndarray
     edges: np.ndarray
-    element_edges: np.ndarray
     sectors: int = 0
     measures: np.ndarray = field(init=False)
     gradients: np.ndarray = field(init=False)
@@ -135,7 +132,7 @@ class CoreShellMesh:
         self.gradients = scaled / measures[:, None, None]
         for arr in (self.nodes, self.elements, self.region, self.s_nodes, self.gamma_nodes,
                     self.gamma_facets, self.facet_elements, self.facet_normals,
-                    self.edges, self.element_edges, self.measures, self.gradients):
+                    self.edges, self.measures, self.gradients):
             arr.setflags(write=False)
 
     @property
@@ -156,10 +153,15 @@ class CoreShellMesh:
         mask[self.s_nodes] = True
         return mask
 
+    @property
+    def tolerance(self) -> float:
+        """Distance within which a node counts as lying on a circle."""
+        return _TOL * self.r2 * max(1.0, self.n_nodes)
+
     def validate(self):
         """Raise GeometryError if any mesh invariant is broken."""
         radii = self.node_radii()
-        tol = _TOL * self.r2 * max(1.0, self.n_nodes)
+        tol = self.tolerance
         if np.any(np.abs(radii[self.s_nodes] - self.r2) > tol):
             raise GeometryError("an outer-boundary node is not at distance r2")
         if np.any(np.abs(radii[self.gamma_nodes] - self.r1) > tol):
@@ -208,7 +210,6 @@ def _radial_from_nodes(nodes: np.ndarray, spec_like) -> CoreShellMesh:
         facet_elements=np.array([[i_gamma - 1, i_gamma]], dtype=np.int64),
         facet_normals=np.array([[1.0]]),
         edges=elements,
-        element_edges=np.arange(n - 1)[:, None],
         sectors=1,
     )
 
@@ -301,7 +302,7 @@ def _extract_gamma_facets(nodes, elements, region, gamma_ids, edges, edge_elemen
 
 def _planar_from_arrays(nodes, elements, region, gamma_ids, s_ids, spec_like, sectors=0):
     """Validated planar mesh; gamma_ids and s_ids are sorted node indices."""
-    edges, element_edges, edge_elements = _edge_table(elements)
+    edges, _, edge_elements = _edge_table(elements)
     facets, facet_elements, normals = _extract_gamma_facets(nodes, elements, region, gamma_ids,
                                                             edges, edge_elements)
     mesh = CoreShellMesh(
@@ -318,7 +319,6 @@ def _planar_from_arrays(nodes, elements, region, gamma_ids, s_ids, spec_like, se
         facet_elements=facet_elements,
         facet_normals=normals,
         edges=edges,
-        element_edges=element_edges,
         sectors=sectors,
     )
     mesh.validate()
@@ -400,11 +400,10 @@ def refine(mesh: CoreShellMesh) -> CoreShellMesh:
         return _radial_from_nodes(nodes, mesh)
 
     n_old = mesh.n_nodes
-    ends, element_edges = mesh.edges, mesh.element_edges
+    ends, element_edges, edge_elements = _edge_table(mesh.elements)
     mids = 0.5 * (mesh.nodes[ends[:, 0]] + mesh.nodes[ends[:, 1]])
     gamma_edge = np.isin(ends, mesh.gamma_nodes).all(axis=1)
-    boundary = np.bincount(element_edges.ravel(), minlength=ends.shape[0]) == 1
-    s_edge = boundary & mesh.dirichlet_mask()[ends].all(axis=1)
+    s_edge = (edge_elements[:, 1] < 0) & mesh.dirichlet_mask()[ends].all(axis=1)
     # New interface / outer-boundary midpoints move onto their circles.
     for edge, radius in ((gamma_edge, mesh.r1), (s_edge, mesh.r2)):
         mids[edge] *= (radius / np.sqrt((mids[edge] ** 2).sum(axis=1)))[:, None]

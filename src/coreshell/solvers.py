@@ -425,24 +425,28 @@ def _newton_minimize(
     (large diffusion coefficients). A start that already satisfies the
     rule is returned unchanged (zero iterations), so fully converged
     trajectories freeze exactly. A non-finite residual never counts as
-    converged: at the start it raises NonlinearSolveError. Returns (values,
+    converged: at any iterate it raises NonlinearSolveError. Returns (values,
     iterations, dual-residual history, converged, evaluation of values).
     """
     mask = system.mask
     u = center = np.where(mask, 0.0, start)
     ku, react, potential = _evaluate(system, params, u) if evaluation is None else evaluation
-    g = evaluated_gradient(system, ku, react)
-    res = dual_norm(system, g)
-    if not np.isfinite(res):
-        raise NonlinearSolveError(f"initial dual residual is not finite ({res})")
-    history = [res]
+    proximal = 0.0 if dt is None else system.lumped_mass * np.abs(center) / dt
+    history = []
     base, precondition, row_abs = constant
 
     for iteration in range(NEWTON_MAX_ITER + 1):
-        if res <= NEWTON_TOL:
-            return u, iteration, history, True, (ku, react, potential)
-        terms = react + (0.0 if dt is None else system.lumped_mass * np.abs(center) / dt)
-        if res <= dual_norm(system, term_rounding(u, row_abs, terms)):
+        g = evaluated_gradient(system, ku, react)
+        if iteration and dt is not None:  # the proximal term is 0 at the center
+            g = g + (system.M @ (u - center)) / dt
+            g[mask] = 0.0
+        res = dual_norm(system, g)
+        if not np.isfinite(res):
+            where = "initial" if iteration == 0 else f"iteration {iteration}"
+            raise NonlinearSolveError(f"{where} dual residual is not finite ({res})")
+        history.append(res)
+        if res <= NEWTON_TOL or res <= dual_norm(system, term_rounding(u, row_abs,
+                                                                       react + proximal)):
             return u, iteration, history, True, (ku, react, potential)
         if iteration == NEWTON_MAX_ITER:
             return u, iteration, history, False, (ku, react, potential)
@@ -484,12 +488,6 @@ def _newton_minimize(
                 )
         u, potential = candidate, trial
         ku, react = system.K @ u, reaction_vector(system, u, params)
-        g = evaluated_gradient(system, ku, react)
-        if dt is not None:
-            g = g + (system.M @ (u - center)) / dt
-            g[mask] = 0.0
-        res = dual_norm(system, g)
-        history.append(res)
 
 
 def stationary_solve(

@@ -269,6 +269,17 @@ def test_pattern_from_edges_is_the_element_pairs(request, desk_params, name):
     assert np.array_equal(pattern.element_slots, pattern.slots[inverse[:pairs.shape[0]]])
 
 
+@pytest.mark.parametrize("name", DESK_SYSTEMS)
+def test_entries_read_the_dense_matrix(request, name):
+    # every (row, col) pair, on and off the pattern; off it `find` gives -1
+    system = request.getfixturevalue(name)
+    rows, cols = np.divmod(np.arange(system.n_nodes**2), system.n_nodes)
+    for op in (system.K, system.M, system.eliminate(system.K)):
+        assert np.array_equal(op[rows, cols], op.toarray()[rows, cols])
+    found = system.K.pattern.find(rows * system.n_nodes + cols)
+    assert np.count_nonzero(found >= 0) == system.K.nnz
+
+
 class TestFieldStacks:
     """A stack of fields, shape (..., n), gives field by field the single-field
     results bit for bit; `verify` evaluates its samples in such blocks and

@@ -28,7 +28,7 @@ from coreshell import (
 )
 from coreshell.config import load_config
 from coreshell.fem import (SparseOperator, dot_fields, dual_norm, error_norms,
-                           reaction_jacobian_diagonal)
+                           reaction_jacobian_diagonal, reaction_vector)
 from coreshell.model import consumption_rate, consumption_rate_slope
 from coreshell import solvers
 from coreshell.solvers import (
@@ -640,6 +640,22 @@ class TestStationary:
         start = field_from_values(mesh, np.full(mesh.n_nodes, 1e152))
         with np.errstate(over="ignore"), pytest.raises(NonlinearSolveError, match="not finite"):
             stationary_solve(system, params, start)
+
+    def test_residual_that_turns_non_finite_raises(self, desk, params, monkeypatch):
+        # The start's reaction is finite and every later one NaN: the first
+        # iterate's residual is checked where the start's is, before CG.
+        mesh, system = desk
+        calls = []
+
+        def reaction_then_nan(system, u, params):
+            calls.append(1)
+            react = reaction_vector(system, u, params)
+            return react if len(calls) == 1 else np.full_like(react, np.nan)
+
+        monkeypatch.setattr(solvers, "reaction_vector", reaction_then_nan)
+        with pytest.raises(NonlinearSolveError,
+                           match=r"iteration 1 dual residual is not finite \(nan\)"):
+            stationary_solve(system, params, ramp_field(mesh, params))
 
 
 class TestImplicitEuler:

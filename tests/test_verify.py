@@ -6,6 +6,7 @@ import pytest
 from coreshell import fem, verify
 from coreshell.cli import main
 from coreshell.config import load_config
+from coreshell.mesh import build_mesh
 from coreshell.fem import (
     SparseOperator,
     assemble,
@@ -29,6 +30,34 @@ def test_gradient_fd_step_above_rounding(repo_root):
     results = run_verification(config)
     assert [r.name for r in results if not r.passed] == []
     assert len(results) == 17
+
+
+# A fuzz draw whose normalized gap c1 - c0 is 6.3e-6: a step of 1e-4, fixed
+# for gaps of 1, put the central difference's truncation error near the kink
+# above GRADIENT_RTOL (rel err 1.43e-6 at the config seed, 2.85e-6 at seed 1).
+NARROW_GAP = ["geometry.r1=0.315", "model.b1=3.5e-8", "model.b2=2.7e-3", "model.c0=0.0189",
+              "model.c1=0.018900099"]
+
+
+@pytest.mark.parametrize("seed", [20260808, 1])
+def test_gradient_fd_step_follows_the_gap(repo_root, seed):
+    config = load_config(repo_root / "configs" / "annulus_desk.cfg",
+                         NARROW_GAP + [f"verify.seed={seed}"])
+    assert _result(run_verification(config), "gradient-finite-difference").passed
+
+
+@pytest.mark.parametrize("name", ["annulus_desk.cfg", "radial_desk.cfg"])
+def test_mesh_invariants_fail_on_a_dropped_boundary_node(repo_root, monkeypatch, name):
+    # The mask is built from s_nodes, so only the nodes at distance r2 can
+    # show that one of them is missing there.
+    def dropped(spec):
+        mesh = build_mesh(spec)
+        return dataclasses.replace(mesh, s_nodes=mesh.s_nodes[1:])
+
+    config = load_config(repo_root / "configs" / name)
+    assert _result(run_verification(config), "mesh-invariants").passed
+    monkeypatch.setattr(verify, "build_mesh", dropped)
+    assert not _result(run_verification(config), "mesh-invariants").passed
 
 
 @pytest.mark.parametrize("name", ["annulus_desk.cfg", "radial_desk.cfg"])

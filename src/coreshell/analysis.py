@@ -15,7 +15,7 @@ import numpy as np
 from .fem import AssembledSystem, dot_fields, unit_exponent
 from .mesh import GeometrySpec
 from .model import ModelParams, consumption_rate
-from .solvers import EvolutionTrace, _constant_part, solve_spd, term_rounding
+from .solvers import EPS, EvolutionTrace, _constant_part, solve_spd, term_rounding
 
 
 class AnalysisError(RuntimeError):
@@ -74,7 +74,7 @@ def fit_decay_rate(trace: EvolutionTrace, *, gamma_disc: float = math.nan) -> De
     if not scale > 0.0:
         return DecayReport(0.0, gamma_disc, 1.0, (0, 0), "converged-at-start")
 
-    cutoff = 100.0 * np.finfo(float).eps * scale
+    cutoff = 100.0 * EPS * scale
     if err[-1] < _PLATEAU_DECADES * scale:
         cutoff = max(cutoff, _PLATEAU_FACTOR * err[-1])
     below = np.flatnonzero(err <= cutoff)
@@ -92,7 +92,7 @@ def fit_decay_rate(trace: EvolutionTrace, *, gamma_disc: float = math.nan) -> De
     ts = np.ldexp(tw, exponent)
     yw = np.log(err[lo:hi])
     t_mean, y_mean = ts.mean(), yw.mean()
-    if float(yw.max() - yw.min()) <= 128.0 * np.finfo(float).eps * max(1.0, abs(y_mean)):
+    if float(yw.max() - yw.min()) <= 128.0 * EPS * max(1.0, abs(y_mean)):
         # err_H constant to rounding above the cutoff: a contraction cannot stall
         return DecayReport(0.0, gamma_disc, 1.0, (lo, hi), "stalled")
     denom = float(((ts - t_mean) ** 2).sum())

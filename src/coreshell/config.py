@@ -10,7 +10,7 @@ the parser, its default is the key's default, and a field without a default
 is required. Unknown sections and keys are rejected.
 
 What has one value in every run is no key but a constant of the module
-that uses it (`solvers.CG_ROUNDING`, `NEWTON_TOL` and `NEWTON_MAX_ITER`, the
+that uses it (`solvers.ROUNDING_FACTOR`, `NEWTON_TOL` and `NEWTON_MAX_ITER`, the
 sample counts and tolerances of `verify`), so no setting can make a
 property check vacuous.
 """

@@ -331,8 +331,10 @@ def build_annulus_mesh(spec: GeometrySpec) -> CoreShellMesh:
     Rings x sectors layout: concentric node rings at the core/shell
     subdivision radii (one ring exactly at r1), a constant sector count, a
     center fan, and two CCW triangles per quad between consecutive rings.
-    Region tags come from centroid radii; the circles are represented by
-    their inscribed polygons.
+    Region tags come from the ring bands: the fan is band 0 and the quads
+    between rings k and k + 1 are band k + 1; the bands inside the
+    interface ring are the core, however thin the shell. The circles are
+    represented by their inscribed polygons.
     """
     if spec.kind != "planar2d":
         raise GeometryError(f"build_annulus_mesh requires kind='planar2d', got {spec.kind!r}")
@@ -354,9 +356,8 @@ def build_annulus_mesh(spec: GeometrySpec) -> CoreShellMesh:
     quads = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
     elements = np.concatenate([fan, quads]).astype(np.int64)
 
-    centroids = nodes[elements].mean(axis=1)
-    centroid_radii = np.sqrt(centroids[:, 0] ** 2 + centroids[:, 1] ** 2)
-    region = np.where(centroid_radii < spec.r1, CORE, SHELL).astype(np.int64)
+    band = np.repeat(np.arange(n_rings), [n_sectors] + [2 * n_sectors] * (n_rings - 1))
+    region = np.where(band < n_ring_core, CORE, SHELL).astype(np.int64)
 
     return _planar_from_arrays(nodes, elements, region, ring_node[n_ring_core - 1],
                                ring_node[-1], spec, sectors=n_sectors)

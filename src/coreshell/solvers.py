@@ -65,14 +65,6 @@ class NonlinearSolveError(RuntimeError):
 # Largest number of implicit-Euler steps, round(t_end / dt), that `evolve` accepts.
 MAX_STEPS = 10**6
 
-# Every conjugate-gradient solve stops once its residual reaches CG_ROUNDING
-# times the norm of its `term_rounding` (see `solve_spd`). On the desk
-# meshes, planar h=0.025 and radial h=2^-11 the residual after an
-# exact-inverse step lies at 0.15-0.6 times that rounding and the true
-# residual of a converged solve at 0.2-1.5 times it, so 16 stops those solves
-# with a margin and keeps the solution's normwise backward error within 16 eps.
-CG_ROUNDING = 16.0
-
 # Newton stops once the dual norm of the gradient is below NEWTON_TOL or
 # below its rounding floor, or after NEWTON_MAX_ITER iterations.
 NEWTON_TOL = 1e-10
@@ -82,6 +74,16 @@ NEWTON_MAX_ITER = 50
 # |d| <= EPS, and |e| <= EPS * TINY = 2^-1074 with gradual underflow (Higham,
 # 2002, ch. 2; Demmel, SIAM J. Sci. Stat. Comput. 5, 1984).
 EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
+
+# Every rounding allowance, CG's stop and each `verify` check, is
+# ROUNDING_FACTOR times the `term_rounding` of the terms its quantity is
+# formed from (Higham, 2002, ch. 3). Against that rounding the true residual
+# of a converged CG solve reads 0.2-1.5 (desk meshes, planar h=0.025, radial
+# h=2^-11) and a passing `verify` quantity at most 1.7, the transform's
+# identity (desk configs, planar h=0.025 and 0.0125, radial h=2^-11, gaps
+# down to 1e-13, 120 random valid inputs). 16 keeps a margin of 9, a CG
+# solution's backward error within 16 eps, and fails a defect of 100s of eps.
+ROUNDING_FACTOR = 16.0
 
 
 def term_rounding(values, scale=1.0, terms=0.0):
@@ -184,7 +186,7 @@ def solve_spd(matrix: SparseOperator, rhs: np.ndarray, row_abs: np.ndarray,
     `row_abs` holds the row sums of |matrix|. `precondition(r)` applies an
     SPD approximation of the inverse of `matrix`; None means Jacobi
     (division by the diagonal). Starts from zero and stops once the
-    residual norm is at most CG_ROUNDING ||term_rounding(x, row_abs,
+    residual norm is at most ROUNDING_FACTOR ||term_rounding(x, row_abs,
     |rhs|)||, the rounding of the terms the residual is formed from (Arioli,
     Duff & Ruiz, SIAM J. Matrix Anal. Appl. 13, 1992); a zero rhs returns
     zeros at once. It solves for rhs scaled by 2^`unit_exponent(rhs)` and
@@ -227,7 +229,7 @@ def solve_spd(matrix: SparseOperator, rhs: np.ndarray, row_abs: np.ndarray,
             r -= alpha * q
             r_norm = float(np.sqrt(dot_fields(r, r)))
             bound = term_rounding(x, row_abs, rhs_abs)
-            if r_norm <= CG_ROUNDING * float(np.sqrt(dot_fields(bound, bound))):
+            if r_norm <= ROUNDING_FACTOR * float(np.sqrt(dot_fields(bound, bound))):
                 return np.ldexp(x, -exponent)
             if not np.isfinite(r_norm):
                 raise LinearSolveError(f"residual is not finite ({r_norm})", k)

@@ -9,9 +9,9 @@ element, solvability of the regularized (mass + stiffness) systems by the
 implicit-Euler step of size 1, and a sampled hemicontinuity bound.
 
 Every check runs at one scale, on the `normalized` parameters (c0 in
-[1, 2)), and allows for rounding by one rule: ROUNDING_FACTOR times the
-`solvers.term_rounding` of the terms its quantity is formed from, the model
-the solvers' own bounds use. So no verdict depends on the input's scale.
+[1, 2)), and allows for rounding by the solvers' one rule:
+`solvers.ROUNDING_FACTOR` times the `solvers.term_rounding` of the terms its
+quantity is formed from. So no verdict depends on the input's scale.
 
 The suite runs sequentially under a fixed seed; identical configuration and
 seed produce byte-identical reports. Every random sample is drawn once: the
@@ -49,11 +49,13 @@ from .model import (
 )
 from .reporting import fmt
 from .solvers import (
+    NEWTON_TOL,
+    ROUNDING_FACTOR,
+    TINY,
     NonlinearSolveError,
     SolverConfig,
-    _constant_part,
-    _step_implicit_euler_counted,
     energy_rounding,
+    step_implicit_euler,
     term_rounding,
 )
 from .solvers import solve_spd  # noqa: F401  (the benchmark tracer wraps it by this name)
@@ -79,15 +81,6 @@ HEMICONTINUITY_SAMPLES = 20
 # largest relative truncation error of the gradient against its central
 # difference; the rounding of the differenced energies is allowed on top
 GRADIENT_RTOL = 1e-6
-# Every rounding allowance is ROUNDING_FACTOR times the `term_rounding` of the
-# terms the checked quantity is formed from (Higham, *Accuracy and Stability
-# of Numerical Algorithms*, 2002, ch. 3). On the desk configs, planar h=0.025
-# and 0.0125, radial h=2^-11, gaps c1 - c0 down to 1e-13 and 120 random valid
-# inputs, the largest error of a passing quantity reads 1.7 times that
-# rounding (the identity of the variable transform), a rate increment 1.0 and
-# every other quantity at most 0.5, so 16 keeps a margin of 9 and still fails
-# on a defect of a few hundred eps.
-ROUNDING_FACTOR = 16.0
 
 
 # Nodal values per block of samples: large enough that per-call overhead is
@@ -150,7 +143,7 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
     b_override = (params.b1, -params.b2) if corrupt_b else None
     system = assemble(mesh, params, b_override=b_override)
     mk = system.M + system.K
-    k_abs, m_abs, kt_abs = (a.abs_row_sums() for a in (system.K, system.M, system.Kt))
+    k_abs, m_abs, kt_abs, mk_abs = (a.abs_row_sums() for a in (system.K, system.M, system.Kt, mk))
     rng = np.random.default_rng(config.verify.seed)
     results = []
 
@@ -408,7 +401,7 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         free = ~system.mask
         diff = np.abs(energy_gradient(system, u, params) - operator)[free]
         ok = bool(np.all(diff <= ROUNDING_FACTOR * term_rounding(size[free], terms[free])))
-        rel = diff / np.maximum(size[free], np.finfo(float).tiny)
+        rel = diff / np.maximum(size[free], TINY)
         return PropertyResult(name, ok, f"max rel diff={fmt(rel.max())}",
                               None if ok else {"u": u})
 
@@ -416,21 +409,22 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         # Discrete counterpart of full range for (identity + operator):
         # mass + stiffness - reaction = mass * g is solvable for any g. The
         # equation is the optimality condition of min E(u) + ||u - g||_M^2 / 2,
-        # so its solution is the implicit-Euler step of size 1 from g.
+        # so its solution is the implicit-Euler step of size 1 from g. Formed
+        # apart from Newton, the residual may exceed the step's own stop
+        # (NEWTON_TOL, or its rounding floor) by the rounding of forming it.
         unit_step = SolverConfig(dt=1.0)
-        constant = _constant_part(system, mk)
         worst = 0.0
         amp = 2.0 * params.c0
         for block in sample_blocks(rng, system, RESOLVENT_SOLVES, (-amp, amp)):
             for g in block[:, 0]:
                 try:
-                    u = _step_implicit_euler_counted(system, params, unit_step, g, constant)[0]
+                    u = step_implicit_euler(system, params, unit_step, g)
                 except NonlinearSolveError as exc:
                     return PropertyResult(name, False, f"resolvent solve failed: {exc}", {"g": g})
-                res_norm = dual_norm(system, mk @ u - reaction_vector(system, u, params)
-                                     - system.M @ g)
-                # 1e-8: the accuracy Newton reaches, not a rounding bound
-                if not res_norm <= 1e-8:
+                react = reaction_vector(system, u, params)
+                res_norm = dual_norm(system, mk @ u - react - system.M @ g)
+                rounding = term_rounding(u, mk_abs, react + m_abs * np.abs(g))
+                if not res_norm <= NEWTON_TOL + ROUNDING_FACTOR * dual_norm(system, rounding):
                     return PropertyResult(name, False, f"resolvent residual {fmt(res_norm)}",
                                           {"g": g})
                 worst = max(worst, res_norm)
@@ -439,7 +433,6 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
     def check_hemicontinuity(name):
         worst = 0.0
         lip = 1.0 / (params.c1 - params.c0)
-        mk_abs = mk.abs_row_sums()
         ts = np.linspace(0.0, 1.0, 9)
         # every pair of points along the segment, in (i, j > i) order
         pair_i, pair_j = np.triu_indices(len(ts), 1)

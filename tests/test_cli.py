@@ -135,6 +135,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg")
 
+    def test_line_before_any_section_exit_2(self, quick_cfg, capsys):
+        path, _ = quick_cfg
+        path.write_text("b1 = 1\n" + path.read_text())
+        assert main(["mesh", str(path)]) == 2
+        assert "cannot parse" in capsys.readouterr().err
+
     def test_missing_section(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[model]\nb1 = 1\nb2 = 1\nc0 = 1\nc1 = 2\n")
@@ -580,6 +586,15 @@ class TestCmdEvolve:
                 "--output-dir", str(tmp_path)]
         assert main(argv) == 0
 
+    @pytest.mark.parametrize("command", ["mesh", "stationary", "evolve", "verify"])
+    def test_thin_shell_runs(self, repo_root, tmp_path, command):
+        # The shell is thinner than a chord's sagitta at h=0.1; the mesh
+        # tags its regions by ring band.
+        argv = [command, str(repo_root / "configs" / "annulus_desk.cfg"),
+                "--set", "geometry.r1=0.999", "--set", "solver.t_end=1",
+                "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
+
     def test_eigen_solve_failure_exits_3(self, repo_root, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(analysis, "EIGEN_MAX_ITER", 1)
         argv = ["evolve", str(repo_root / "configs" / "radial_desk.cfg"),
@@ -631,6 +646,18 @@ class TestCmdEvolve:
         assert main(["evolve", str(path), "--u0-file", str(field)]) == 2
         err = capsys.readouterr().err
         assert "invalid input: u0's initial dual residual is not finite" in err
+
+    def test_moved_coordinate_in_u0_exit_2(self, quick_cfg, capsys):
+        path, out = quick_cfg
+        assert main(["stationary", str(path)]) == 0
+        field = out / "stationary_field.csv"
+        lines = field.read_text().splitlines()
+        row = lines.index("r,u") + 3
+        r, u = lines[row].split(",")
+        lines[row] = f"{float(r) + 1e-3!r},{u}"
+        field.write_text("\n".join(lines) + "\n")
+        assert main(["evolve", str(path), "--u0-file", str(field)]) == 2
+        assert "field file coordinates do not match the mesh" in capsys.readouterr().err
 
     @pytest.mark.parametrize("token", ["nan", "inf"])
     def test_non_finite_first_column_exit_2(self, quick_cfg, capsys, token):

@@ -153,6 +153,30 @@ class TestAnnulusMesh:
         radial = build_radial_mesh(GeometrySpec(kind="radial", dimension=3, r1=0.5, r2=1.0, h=0.25))
         assert radial.sectors == refine(radial).sectors == 1
 
+    # Shells thinner than a chord's sagitta: a shell triangle with two
+    # vertices on the interface ring has its centroid inside r1, so tags from
+    # centroid radii put it in the core and the interface edge had no shell
+    # element ("interface edge ... is not shared by a core and a shell element").
+    @pytest.mark.parametrize("h, r1", [(0.35, 0.97), (0.1, 0.999), (0.05, 0.9995),
+                                       (0.025, 0.9998)])
+    def test_thin_shell_builds(self, h, r1):
+        mesh = build_mesh(GeometrySpec(kind="planar2d", dimension=2, r1=r1, r2=1.0, h=h))
+        mesh.validate()
+        # one band of quads between the interface ring and the boundary ring
+        shell = np.flatnonzero(mesh.region == SHELL)
+        assert np.array_equal(shell, np.arange(mesh.n_elements - 2 * mesh.sectors,
+                                               mesh.n_elements))
+        assert np.all(mesh.region[mesh.facet_elements] == (CORE, SHELL))
+
+    # Where the shell is thicker than the sagitta, the band tags equal the
+    # tags from centroid radii.
+    @pytest.mark.parametrize("h, r1", [(0.35, 0.5), (0.1, 1e-10), (0.1, 0.99), (0.05, 0.999)])
+    def test_band_regions_match_centroid_radii(self, h, r1):
+        mesh = build_mesh(GeometrySpec(kind="planar2d", dimension=2, r1=r1, r2=1.0, h=h))
+        centroids = mesh.nodes[mesh.elements].mean(axis=1)
+        inside = np.sqrt((centroids ** 2).sum(axis=1)) < r1
+        assert np.array_equal(mesh.region, np.where(inside, CORE, SHELL))
+
     def test_build_mesh_dispatch(self):
         radial = build_mesh(GeometrySpec(kind="radial", dimension=3, r1=0.5, r2=1.0, h=0.25))
         planar = build_mesh(GeometrySpec(kind="planar2d", dimension=2, r1=0.5, r2=1.0, h=0.35))

@@ -5,11 +5,11 @@ Every defect is a monkeypatch with a size eta. A case fails at eta and passes
 at eta / 16, so the allowance lies within a factor 16 of the defect it lets
 through; the unmutated run passes too. Defects of the scalar law replace the
 function `verify` reads for the law checks; defects of the operator replace
-`fem.consumption_rate`, which the reaction vector reads, or the gradient or
-assembly `verify` calls. Where a property's exact margin dwarfs its rounding
-on the desk configs, the defect puts the quantity at its bound first (a law
-with z * rate = c0, a linear law of slope 1/(c1 - c0), ...) and then past it
-by eta.
+`fem.consumption_rate`, which the reaction vector reads, or the gradient,
+reaction vector or assembly `verify` calls; the solvers keep their own.
+Where a property's exact margin dwarfs its rounding on the desk configs, the
+defect puts the quantity at its bound first (a law with z * rate = c0, a
+linear law of slope 1/(c1 - c0), ...) and then past it by eta.
 """
 
 import dataclasses
@@ -26,6 +26,7 @@ from coreshell.verify import run_verification
 
 RATE, POTENTIAL = verify.consumption_rate, verify.consumption_potential
 DIMENSIONAL = verify.dimensional_consumption
+REACTION = verify.reaction_vector
 
 # c1 - c0 = 1e-13: the rate is flat to rounding below c0
 TINY_GAP = ["model.c1=1.0000000000001"]
@@ -103,6 +104,11 @@ DEFECTS = {
     "gradient-strong-monotonicity": ([], verify, "energy_gradient", _short_gamma, -31),
     "gradient-finite-difference": ([], verify, "energy_gradient", _scaled_gradient, -17),
     "gradient-equals-operator": ([], verify, "assemble", _scaled_pair, -43),
+    # the residual of the resolvent step, formed with a reaction (1 + eta) r(u)
+    # that Newton does not read
+    "resolvent-solvability": (
+        [], verify, "reaction_vector",
+        lambda eta, c: lambda system, u, p: (1.0 + eta) * REACTION(system, u, p), -28),
     "weak-operator-hemicontinuity": (
         ONE_CORE, fem, "consumption_rate",
         lambda eta, c: lambda z, p: -(1.0 + eta) * z / (p.c1 - p.c0), -43),

@@ -90,6 +90,13 @@ class TestSolveSpd:
         with pytest.raises(LinearSolveError):
             solve_spd(matrix, np.array([1.0, 1.0]), _row_abs(matrix))
 
+    def test_non_positive_curvature_reported(self):
+        # The diagonal is positive, so the solve passes its diagonal check;
+        # the first direction (1, -1) has curvature -2.
+        matrix = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(LinearSolveError, match="non-positive curvature"):
+            solve_spd(matrix, np.array([1.0, -1.0]), _row_abs(matrix))
+
     def test_deterministic(self, desk):
         _, system = desk
         k = system.eliminate(system.K)
@@ -111,7 +118,7 @@ class TestSolveSpd:
         x = solve_spd(matrix, rhs, row_abs, precondition=apply)
         assert len(calls) == 1
         floor = np.linalg.norm(solvers.term_rounding(x, row_abs, np.abs(rhs)))
-        assert np.linalg.norm(rhs - matrix @ x) <= solvers.CG_ROUNDING * floor
+        assert np.linalg.norm(rhs - matrix @ x) <= solvers.ROUNDING_FACTOR * floor
 
     # The stop test compares the residual with the rounding of the terms it
     # is formed from, so it has no scale of its own: scaling the matrix by

@@ -249,6 +249,19 @@ def test_verdicts_hold_across_the_double_range(repo_root, name, overrides):
     assert len(results) == 17 and all(r.passed for r in results)
 
 
+# Valid inputs where Newton stops at its rounding floor, above 1e-8: a stiff
+# core, and a core of radius 1e-10. An absolute 1e-8 on the resolvent's
+# residual failed them; the bound is Newton's own stop plus the rounding of
+# forming the residual.
+@pytest.mark.parametrize("name, overrides", [
+    ("annulus_desk.cfg", ["model.b1=1e7"]), ("annulus_desk.cfg", ["model.b1=5e9"]),
+    ("radial_desk.cfg", ["model.b1=1e7"]), ("radial_desk.cfg", ["model.b1=5e9"]),
+    ("annulus_desk.cfg", ["geometry.r1=1e-10"])])
+def test_verdicts_hold_where_newton_stops_at_its_floor(repo_root, name, overrides):
+    results = run_verification(load_config(repo_root / "configs" / name, overrides))
+    assert len(results) == 17 and [r.name for r in results if not r.passed] == []
+
+
 def test_report_names_its_units(repo_root, tmp_path):
     config_path = repo_root / "configs" / "radial_desk.cfg"
     scale = ["--set", "model.b1=7.888609052210118e-31", "--set", "model.b2=3.944304526105059e-30",

@@ -71,8 +71,8 @@ def ramp_field(mesh: CoreShellMesh, params: ModelParams) -> np.ndarray:
 class SparsityPattern:
     """The node pairs that share an element, plus the diagonal, in padded ELL layout.
 
-    Built from the mesh's edge table: the entries are the diagonal and both
-    directions of each edge. The entries of row i, in increasing column
+    Built from the node pairs (a, b) of each element, the diagonal among
+    them. The entries of row i, in increasing column
     order, fill slots 0, 1, ... of column i of the (w, n) table `cols`; a
     slot left over holds column i and the value 0, so it adds nothing. w is
     the longest row apart from hub rows, those longer than twice the median
@@ -85,15 +85,15 @@ class SparsityPattern:
     `slots` (its index in the data) and `transpose` (the data index of the
     entry at the mirrored position). `diag` holds the data index of every
     diagonal entry, and `element_slots` that of each entry (e, a, b) of an
-    (m, k, k) table of element matrices, flattened. `find` maps keys to
-    data indices; every lookup of an entry goes through it.
+    (m, k, k) table of element matrices, in that shape. `find` maps keys to
+    data indices, for reads of entries by position.
     """
 
     def __init__(self, mesh: CoreShellMesh):
         n, elements = mesh.n_nodes, mesh.elements
-        low, high = mesh.edges.T
-        # the diagonal and both directions of each edge
-        keys = np.sort(np.concatenate([np.arange(n) * (n + 1), low * n + high, high * n + low]))
+        k = elements.shape[1]
+        pairs = np.repeat(elements, k, axis=1) * n + np.tile(elements, (1, k))
+        keys, inverse = np.unique(pairs.ravel(), return_inverse=True)
         rows, cols = np.divmod(keys, n)
         lengths = np.bincount(rows, minlength=n)
         hub = lengths > 2.0 * np.median(lengths)
@@ -113,9 +113,7 @@ class SparsityPattern:
         self.keys = keys
         self.slots = slots
         self.diag = slots[rows == cols]
-        k = elements.shape[1]
-        self.element_slots = self.find(np.repeat(elements, k, axis=1) * n
-                                       + np.tile(elements, (1, k))).ravel()
+        self.element_slots = slots[inverse].reshape(-1, k, k)
 
     def find(self, keys) -> np.ndarray:
         """The data index of each key row * n + column, -1 off the pattern."""
@@ -124,8 +122,10 @@ class SparsityPattern:
 
     @cached_property
     def transpose(self) -> np.ndarray:
-        rows, cols = np.divmod(self.keys, self.n)
-        return self.find(cols * self.n + rows)
+        # entry (e, b, a) of an element is the mirror of its entry (e, a, b)
+        mirror = np.empty(self.size, dtype=self.slots.dtype)
+        mirror[self.element_slots] = self.element_slots.transpose(0, 2, 1)
+        return mirror[self.slots]
 
 
 class SparseOperator:
@@ -335,8 +335,8 @@ def assemble(
     pattern = SparsityPattern(mesh)
 
     def operator(local):
-        return SparseOperator(pattern, np.bincount(pattern.element_slots, weights=local.ravel(),
-                                                   minlength=pattern.size))
+        return SparseOperator(pattern, np.bincount(pattern.element_slots.ravel(),
+                                                   weights=local.ravel(), minlength=pattern.size))
 
     operators = {"K": operator(k_local), "Kt": operator(kt_local), "M": operator(m_local)}
     for name, op in operators.items():

@@ -78,9 +78,6 @@ class CoreShellMesh:
     facet_elements : (F, 2) core and shell element of each facet
     facet_normals  : (F, d) unit normal of each facet, pointing from the core
                      element toward the shell element
-    edges          : (E, 2) node pairs (low, high) of the element edges, each
-                     once in lexicographic order; on radial meshes the
-                     segments themselves
     sectors  : rotation-invariant layout marker set by the builders: n > 0 means
                node 0 is the center and then rings of n nodes follow in
                ring-major order, every ring with the same element pattern
@@ -109,7 +106,6 @@ class CoreShellMesh:
     gamma_facets: np.ndarray
     facet_elements: np.ndarray
     facet_normals: np.ndarray
-    edges: np.ndarray
     sectors: int = 0
     measures: np.ndarray = field(init=False)
     gradients: np.ndarray = field(init=False)
@@ -132,7 +128,7 @@ class CoreShellMesh:
         self.gradients = scaled / measures[:, None, None]
         for arr in (self.nodes, self.elements, self.region, self.s_nodes, self.gamma_nodes,
                     self.gamma_facets, self.facet_elements, self.facet_normals,
-                    self.edges, self.measures, self.gradients):
+                    self.measures, self.gradients):
             arr.setflags(write=False)
 
     @property
@@ -209,7 +205,6 @@ def _radial_from_nodes(nodes: np.ndarray, spec_like) -> CoreShellMesh:
         gamma_facets=np.array([[i_gamma]], dtype=np.int64),
         facet_elements=np.array([[i_gamma - 1, i_gamma]], dtype=np.int64),
         facet_normals=np.array([[1.0]]),
-        edges=elements,
         sectors=1,
     )
 
@@ -318,7 +313,6 @@ def _planar_from_arrays(nodes, elements, region, gamma_ids, s_ids, spec_like, se
         gamma_facets=facets,
         facet_elements=facet_elements,
         facet_normals=normals,
-        edges=edges,
         sectors=sectors,
     )
     mesh.validate()

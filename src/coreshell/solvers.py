@@ -95,6 +95,13 @@ def term_rounding(values, scale=1.0, terms=0.0):
     return scale * (EPS * np.abs(values) + EPS * TINY) + EPS * terms
 
 
+def potential_rounding(values, params: ModelParams):
+    """The rounding of F(s) = s + (c1 - c0) log((c1 - s) / c1) at `values`,
+    the `term_rounding` of |s| + c1 - c0: the log's argument rounds to
+    relative eps, and |F(s)| <= |s|."""
+    return term_rounding(values, terms=params.c_hat)
+
+
 def energy_rounding(system: AssembledSystem, params: ModelParams, u: np.ndarray,
                     k_row_abs: np.ndarray):
     """The `term_rounding` of |u|^T |K| |u| / 2 + M1 . (|u| + c1 - c0), which
@@ -103,7 +110,7 @@ def energy_rounding(system: AssembledSystem, params: ModelParams, u: np.ndarray,
     of |K|. It dots |u| / 2 with the term rounding and never forms u * u, so
     it overflows at no scale."""
     return (0.5 * dot_fields(np.abs(u), term_rounding(u, k_row_abs))
-            + dot_fields(system.M1, term_rounding(u, terms=params.c1 - params.c0)))
+            + dot_fields(system.M1, potential_rounding(u, params)))
 
 
 @dataclass(frozen=True)
@@ -468,13 +475,12 @@ def _newton_minimize(
         # t d.(K u + M(u - c)/dt) + t^2/2 d.(base d) - M1.(F(u + t d) - F(u)):
         # near the minimizer two objective values differ by less than their
         # rounding (Hager & Zhang, SIAM J. Optim. 16, 2005). The slack covers
-        # the rounding of the potential difference: the log's argument in
-        # F(s) = s + (c1 - c0) log((c1 - s) / c1) is rounded to relative eps,
-        # so F(s) rounds to about the `term_rounding` of |F(s)| + c1 - c0.
+        # the rounding of the potential difference, F(u + t d) - F(u): two
+        # potentials, each within `potential_rounding` of its value.
         linear = slope + float(dot_fields(direction, react))
         curvature = float(dot_fields(direction, base @ direction))
-        fp_slack = 32.0 * float(dot_fields(system.M1, term_rounding(
-            potential, terms=params.c1 - params.c0)))
+        fp_slack = 2.0 * ROUNDING_FACTOR * float(dot_fields(
+            system.M1, potential_rounding(potential, params)))
         step = 1.0
         while True:
             candidate = u + step * direction

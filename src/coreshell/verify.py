@@ -55,6 +55,7 @@ from .solvers import (
     NonlinearSolveError,
     SolverConfig,
     energy_rounding,
+    potential_rounding,
     step_implicit_euler,
     term_rounding,
 )
@@ -158,10 +159,6 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
         field u, v of `fields` (shape (..., 2, n)) with reactions `react`."""
         return dot_fields(np.abs(d), term_rounding(fields, k_abs, react).sum(axis=-2))
 
-    def potential_rounding(s):
-        """The rounding of F(s), from |F(s)| <= |s| and the log's argument."""
-        return term_rounding(s, terms=params.c_hat)
-
     def exceeds(excess, rounding):
         """Mask of the entries whose excess over their exact bound is above
         ROUNDING_FACTOR times `rounding(at)`, the rounding at indices `at`.
@@ -211,7 +208,7 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
 
     def check_potential_bound(name):
         excess = consumption_potential(z, params) - np.abs(z)
-        over = exceeds(excess, lambda at: potential_rounding(z[at]))
+        over = exceeds(excess, lambda at: potential_rounding(z[at], params))
         ok = not over.any()
         return PropertyResult(name, ok, f"max F(s)-|s|={fmt(excess.max())}",
                               None if ok else {"s": z[over]})
@@ -225,7 +222,8 @@ def run_verification(config: RunConfig, corrupt_b: bool = False) -> list:
               - consumption_potential(s - h, params)) / (2.0 * h)
         r = consumption_rate(s, params)
         err = np.abs(fd - r)
-        rounding = (potential_rounding(s + h) + potential_rounding(s - h)) / (2.0 * h)
+        rounding = (potential_rounding(s + h, params)
+                    + potential_rounding(s - h, params)) / (2.0 * h)
         bad = err > 1e-6 * np.abs(r) + ROUNDING_FACTOR * rounding
         ok = not bad.any()
         rel = err / np.maximum(np.abs(r), 1e-300)

@@ -9,7 +9,9 @@ desk configs. The reports carry the numbers that move most with solver
 rounding: energy, dual residual, flux jump, `beta_fit` and `gamma_disc`. VTK files are compared byte for byte. CSV and text files are
 compared without their leading '#' comment lines, because the configuration
 echo in them names the output directory; the stored files carry no comment
-lines.
+lines. Each evolve step hands its state's evaluation (K u, reaction,
+potential) to the next step and to the record, so these pins also guard the
+trajectory's determinism.
 
 Regenerate (only when a change of output is intended and recorded):
 

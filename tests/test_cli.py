@@ -106,6 +106,12 @@ seed = 20260808
 """
 
 
+S_2_664 = 2.0**664
+SCALED_2_664 = [f"model.b1={1.0 / S_2_664!r}", f"model.b2={5.0 / S_2_664!r}",
+                f"model.c0={S_2_664!r}", f"model.c1={2.0 * S_2_664!r}",
+                f"solver.dt={0.05 * S_2_664!r}", f"solver.t_end={S_2_664!r}"]
+
+
 @pytest.fixture
 def quick_cfg(tmp_path):
     out = tmp_path / "out"
@@ -567,20 +573,35 @@ class TestCmdEvolve:
         assert "evolution failed at step 1" in err
         assert "samples" not in err
 
-    @pytest.mark.parametrize("override", ["model.b1=1e7", "model.b1=5e9", "model.c1=1e6"])
-    def test_stiff_input_energy_monotone(self, repo_root, tmp_path, override):
-        # The energy rises by up to 1.2e-9 in a step here, within its rounding.
-        argv = ["evolve", str(repo_root / "configs" / "annulus_desk.cfg"), "--set", override,
+    # The first three inputs raise the energy by up to 1.2e-9 in a step,
+    # within its rounding. At b2 = 1e300 the shell entries of a Newton correction are
+    # subnormal, and CG's stop must count gradual underflow. The desk problem
+    # scaled by s = 2^664 (b / s, s c0, s c1, s dt, s t_end) overflows
+    # e.(Kt e) and u * u unless the record forms them at a scale of its own.
+    @pytest.mark.parametrize("config, overrides", [
+        ("annulus_desk.cfg", ["model.b1=1e7"]), ("annulus_desk.cfg", ["model.b1=5e9"]),
+        ("annulus_desk.cfg", ["model.c1=1e6"]),
+        ("radial_desk.cfg", ["model.b2=1e300"]), ("annulus_desk.cfg", ["model.b2=1e300"]),
+        ("radial_desk.cfg", SCALED_2_664), ("annulus_desk.cfg", SCALED_2_664),
+    ], ids=["model.b1=1e7", "model.b1=5e9", "model.c1=1e6",
+            "model.b2=1e300-radial_desk.cfg", "model.b2=1e300-annulus_desk.cfg",
+            "scale-2^664-radial_desk.cfg", "scale-2^664-annulus_desk.cfg"])
+    def test_stiff_input_energy_monotone(self, repo_root, tmp_path, config, overrides):
+        argv = ["evolve", str(repo_root / "configs" / config),
                 "--set", "solver.t_end=1", "--set", "solver.dt=0.05",
                 "--output-dir", str(tmp_path)]
+        for override in overrides:  # later settings win
+            argv += ["--set", override]
         assert main(argv) == 0
         report = (tmp_path / "evolve_report.txt").read_text().splitlines()
+        assert "  completed        = True" in report
         assert "  energy monotone  = True" in report
 
     @pytest.mark.parametrize("r1", ["1e-10", "9.999999999999999e-11"])
     def test_tiny_core_evolves(self, repo_root, tmp_path, r1):
         # The Rayleigh quotient's rounding lies above EIGEN_RTOL here, so
-        # the eigen-solve for gamma must stop at that rounding.
+        # the eigen-solve for gamma must stop at that rounding, or evolve
+        # exits 3.
         argv = ["evolve", str(repo_root / "configs" / "annulus_desk.cfg"),
                 "--set", f"geometry.r1={r1}", "--set", "solver.t_end=1",
                 "--output-dir", str(tmp_path)]
@@ -588,8 +609,10 @@ class TestCmdEvolve:
 
     @pytest.mark.parametrize("command", ["mesh", "stationary", "evolve", "verify"])
     def test_thin_shell_runs(self, repo_root, tmp_path, command):
-        # The shell is thinner than a chord's sagitta at h=0.1; the mesh
-        # tags its regions by ring band.
+        # The shell is thinner than a chord's sagitta at h=0.1: a shell
+        # triangle with two vertices on the interface ring has its centroid
+        # inside r1. Regions tagged by centroid radius left an interface edge
+        # without a shell element; the mesh tags them by ring band.
         argv = [command, str(repo_root / "configs" / "annulus_desk.cfg"),
                 "--set", "geometry.r1=0.999", "--set", "solver.t_end=1",
                 "--output-dir", str(tmp_path)]
@@ -815,7 +838,8 @@ def test_output_bytes_do_not_depend_on_blas_threads(repo_root, tmp_path, monkeyp
     # From about 10 000 nodes up, OpenBLAS splits a dot product across its
     # threads and the partial sums round differently, so a sum over nodes
     # formed by BLAS changes the last bits of the outputs with the core
-    # count. Planar h=0.025 has 10 081 nodes.
+    # count; every sum over the nodes is `fem.dot_fields`, which does not
+    # call BLAS. Planar h=0.025 has 10 081 nodes.
     monkeypatch.syspath_prepend(str(repo_root / "perfbench"))
     from inputs import low_mode_field, write_field
 

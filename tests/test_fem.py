@@ -23,6 +23,7 @@ from coreshell import (
     zero_field,
 )
 from coreshell.fem import dot_fields, dual_norm, element_matrices, error_norms
+from coreshell.mesh import _edge_table
 
 
 @pytest.fixture(scope="module")
@@ -252,21 +253,26 @@ STACK_SYSTEMS = DESK_SYSTEMS + ["planar_fine_system", "radial_chain_system"]
 
 
 @pytest.mark.parametrize("name", STACK_SYSTEMS + ["refined"])
-def test_pattern_from_edges_is_the_element_pairs(request, desk_params, name):
-    # The pattern is built from the mesh's edge table; the reference finds
-    # the same entries among all element node pairs.
+def test_pattern_is_the_diagonal_and_both_edge_directions(request, desk_params, name):
+    # The pattern is built from the element node pairs; the reference is the
+    # diagonal plus both directions of each edge of the mesh's edge table
+    # (the segments on radial meshes), located by key search.
     if name == "refined":
         system = assemble(refine(request.getfixturevalue("annulus_desk_mesh")), desk_params)
     else:
         system = request.getfixturevalue(name)
-    elements, n = system.mesh.elements, system.n_nodes
-    k = elements.shape[1]
-    pairs = (np.repeat(elements, k, axis=1) * n + np.tile(elements, (1, k))).ravel()
-    keys, inverse = np.unique(np.concatenate([pairs, np.arange(n) * (n + 1)]),
-                              return_inverse=True)
+    mesh, n = system.mesh, system.n_nodes
+    low, high = (mesh.elements if mesh.kind == "radial" else _edge_table(mesh.elements)[0]).T
+    keys = np.sort(np.concatenate([np.arange(n) * (n + 1), low * n + high, high * n + low]))
     pattern = system.K.pattern
     assert np.array_equal(pattern.keys, keys)
-    assert np.array_equal(pattern.element_slots, pattern.slots[inverse[:pairs.shape[0]]])
+    elements = mesh.elements
+    k = elements.shape[1]
+    pairs = np.repeat(elements, k, axis=1) * n + np.tile(elements, (1, k))
+    assert np.array_equal(pattern.element_slots.ravel(),
+                          pattern.slots[np.searchsorted(keys, pairs.ravel())])
+    rows, cols = np.divmod(keys, n)
+    assert np.array_equal(pattern.transpose, pattern.slots[np.searchsorted(keys, cols * n + rows)])
 
 
 @pytest.mark.parametrize("name", DESK_SYSTEMS)

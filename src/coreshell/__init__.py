@@ -30,7 +30,6 @@ from .mesh import (
     build_annulus_mesh,
     build_mesh,
     build_radial_mesh,
-    refine,
 )
 from .model import (
     ModelParams,

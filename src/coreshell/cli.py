@@ -24,6 +24,7 @@ from .config import RunConfig, load_config
 from .fem import assemble, field_from_values, zero_field
 from .mesh import CORE, build_mesh
 from .reporting import (
+    comment_block,
     fmt,
     read_field_csv,
     table_lines,
@@ -167,9 +168,9 @@ def cmd_verify(config: RunConfig, corrupt_b: bool = False) -> int:
     results = run_verification(config, corrupt_b=corrupt_b)
     lines = report_lines(results)
     exponent = normalized(config.model)[1]
-    if exponent:
-        lines[1:1] = [f"details in normalized units: c0 and c1 times 2^{exponent}, "
-                      f"b1 and b2 divided by it"]
+    units = [f"details in normalized units: c0 and c1 times 2^{exponent}, "
+             f"b1 and b2 divided by it"] if exponent else []
+    lines[1:1] = units
     write_text_report(out_dir / "verify_report.txt", lines, config.echo_lines())
     print("\n".join(lines))
 
@@ -179,8 +180,9 @@ def cmd_verify(config: RunConfig, corrupt_b: bool = False) -> int:
         if first is not None:
             sample_path = out_dir / "violation_sample.csv"
             keys = sorted(first.sample)
+            # the sample is in the report's units, so the file names them
             rows = [f"# property: {first.name}", f"# seed: {config.verify.seed}",
-                    ",".join(keys)]
+                    *comment_block(units + config.echo_lines()), ",".join(keys)]
             write_lines(sample_path, rows + table_lines(
                 [np.atleast_1d(first.sample[k]) for k in keys]))
             print(f"violating sample written to {sample_path}", file=sys.stderr)

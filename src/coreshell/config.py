@@ -41,6 +41,10 @@ class VerifyConfig:
 
     seed: int = 20260808
 
+    def __post_init__(self):
+        if self.seed < 0:  # numpy's generators take non-negative seeds only
+            raise ValueError(f"[verify] seed must be non-negative, got {self.seed}")
+
 
 @dataclass
 class RunConfig:

@@ -3,7 +3,9 @@
 Two deterministic builders are provided: a 1D radial mesh of [0, r2] for the
 spherically symmetric reduction (volume weight r^(N-1) applied at assembly
 time), and a structured polar triangulation of the disc of radius r2 whose
-edge set contains an inscribed polygon of the interface circle r = r1.
+edge set contains an inscribed polygon of the interface circle r = r1. Each
+builder takes the interface facets, their elements and normals from its own
+layout; uniform refinement is a test helper (`tests/refinement.py`).
 
 Meshes are immutable once built (arrays are write-protected) and can be
 shared freely across threads.
@@ -247,78 +249,6 @@ def build_radial_mesh(spec: GeometrySpec) -> CoreShellMesh:
 # ----------------------------------------------------------------------------
 
 
-def _edge_table(elements: np.ndarray):
-    """Edge incidence of a conforming triangulation, as three arrays.
-
-    edges         : (E, 2) node pairs (low, high) in lexicographic order
-    element_edges : (m, 3) edge index of each element's local edges
-                    (v0 v1), (v1 v2), (v2 v0)
-    edge_elements : (E, 2) elements touching each edge, in element order;
-                    -1 in the second column for a boundary edge
-    """
-    pairs = np.sort(elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 3, 2), axis=2)
-    n = int(elements.max()) + 1
-    keys, slot, count = np.unique(pairs[..., 0] * n + pairs[..., 1],
-                                  return_inverse=True, return_counts=True)
-    if np.any(count > 2):
-        raise GeometryError("an edge is shared by more than two elements")
-    by_edge = np.argsort(slot.ravel(), kind="stable") // 3
-    first = np.cumsum(count) - count
-    second = np.where(count == 2, by_edge[first + count - 1], -1)
-    return (np.column_stack([keys // n, keys % n]), slot.reshape(-1, 3),
-            np.column_stack([by_edge[first], second]))
-
-
-def _extract_gamma_facets(nodes, elements, region, gamma_ids, edges, edge_elements):
-    """Interface facets are the edges whose endpoints are both interface nodes.
-
-    Returns the mesh's (gamma_facets, facet_elements, facet_normals).
-    """
-    facet = np.flatnonzero(np.isin(edges, gamma_ids).all(axis=1))
-    ends, pair = edges[facet], edge_elements[facet]
-    tags = region[pair]
-    bad = (pair[:, 1] < 0) | (tags[:, 0] == tags[:, 1])
-    if np.any(bad):
-        a, b = ends[np.argmax(bad)]
-        raise GeometryError(f"interface edge ({a},{b}) is not shared by a core and a shell element")
-    core_first = tags[:, 0] == CORE
-    core_e = np.where(core_first, pair[:, 0], pair[:, 1])
-    shell_e = np.where(core_first, pair[:, 1], pair[:, 0])
-
-    tangent = nodes[ends[:, 1]] - nodes[ends[:, 0]]
-    normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
-    normal /= np.sqrt((normal ** 2).sum(axis=1))[:, None]
-    core_centroid = nodes[elements[core_e]].mean(axis=1)
-    midpoint = 0.5 * (nodes[ends[:, 0]] + nodes[ends[:, 1]])
-    inward = np.einsum("fd,fd->f", normal, core_centroid - midpoint) > 0.0
-    normal[inward] *= -1.0
-    return ends, np.column_stack([core_e, shell_e]), normal
-
-
-def _planar_from_arrays(nodes, elements, region, gamma_ids, s_ids, spec_like, sectors=0):
-    """Validated planar mesh; gamma_ids and s_ids are sorted node indices."""
-    edges, _, edge_elements = _edge_table(elements)
-    facets, facet_elements, normals = _extract_gamma_facets(nodes, elements, region, gamma_ids,
-                                                            edges, edge_elements)
-    mesh = CoreShellMesh(
-        kind="planar2d",
-        dimension=2,
-        r1=spec_like.r1,
-        r2=spec_like.r2,
-        nodes=nodes,
-        elements=elements,
-        region=region,
-        s_nodes=s_ids,
-        gamma_nodes=gamma_ids,
-        gamma_facets=facets,
-        facet_elements=facet_elements,
-        facet_normals=normals,
-        sectors=sectors,
-    )
-    mesh.validate()
-    return mesh
-
-
 def build_annulus_mesh(spec: GeometrySpec) -> CoreShellMesh:
     """Structured polar triangulation of the disc with a fitted interface ring.
 
@@ -353,8 +283,36 @@ def build_annulus_mesh(spec: GeometrySpec) -> CoreShellMesh:
     band = np.repeat(np.arange(n_rings), [n_sectors] + [2 * n_sectors] * (n_rings - 1))
     region = np.where(band < n_ring_core, CORE, SHELL).astype(np.int64)
 
-    return _planar_from_arrays(nodes, elements, region, ring_node[n_ring_core - 1],
-                               ring_node[-1], spec, sectors=n_sectors)
+    # The interface facets are the edges of ring k, the interface ring: edge
+    # s has the core triangle of sector s below it (in the fan when k = 0)
+    # and the shell triangle of sector s above it. Rows are (low, high) in
+    # key order.
+    k, s = n_ring_core - 1, np.arange(n_sectors)
+    core_e = s if k == 0 else n_sectors * (2 * k - 1) + 2 * s
+    shell_e = n_sectors * (2 * k + 1) + 2 * s + 1
+    tangent = nodes[next_node[k]] - nodes[ring_node[k]]  # CCW, so the normal points out
+    normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
+    normal /= np.sqrt((normal ** 2).sum(axis=1))[:, None]
+    facets = np.sort(np.column_stack([ring_node[k], next_node[k]]), axis=1)
+    order = np.argsort(facets[:, 0] * nodes.shape[0] + facets[:, 1])
+
+    mesh = CoreShellMesh(
+        kind="planar2d",
+        dimension=2,
+        r1=spec.r1,
+        r2=spec.r2,
+        nodes=nodes,
+        elements=elements,
+        region=region,
+        s_nodes=ring_node[-1],
+        gamma_nodes=ring_node[k],
+        gamma_facets=facets[order],
+        facet_elements=np.column_stack([core_e, shell_e])[order],
+        facet_normals=normal[order],
+        sectors=n_sectors,
+    )
+    mesh.validate()
+    return mesh
 
 
 def build_mesh(spec: GeometrySpec) -> CoreShellMesh:
@@ -374,49 +332,3 @@ def build_mesh(spec: GeometrySpec) -> CoreShellMesh:
     except (FloatingPointError, OverflowError) as exc:
         raise GeometryError(f"geometry r1={spec.r1:g}, r2={spec.r2:g}, h={spec.h:g} is out "
                             f"of floating-point range ({exc})") from None
-
-
-# ----------------------------------------------------------------------------
-# uniform refinement
-# ----------------------------------------------------------------------------
-
-
-def refine(mesh: CoreShellMesh) -> CoreShellMesh:
-    """Uniform refinement: 1D bisection, 2D red refinement.
-
-    Region tags and boundary markers are inherited. New nodes created on
-    interface or outer-boundary edges are projected onto the respective
-    circle, so the interface stays an inscribed polygon at every level.
-    """
-    if mesh.kind == "radial":
-        old = mesh.nodes
-        mids = 0.5 * (old[:-1] + old[1:])
-        nodes = np.sort(np.concatenate([old, mids]))
-        return _radial_from_nodes(nodes, mesh)
-
-    n_old = mesh.n_nodes
-    ends, element_edges, edge_elements = _edge_table(mesh.elements)
-    mids = 0.5 * (mesh.nodes[ends[:, 0]] + mesh.nodes[ends[:, 1]])
-    gamma_edge = np.isin(ends, mesh.gamma_nodes).all(axis=1)
-    s_edge = (edge_elements[:, 1] < 0) & mesh.dirichlet_mask()[ends].all(axis=1)
-    # New interface / outer-boundary midpoints move onto their circles.
-    for edge, radius in ((gamma_edge, mesh.r1), (s_edge, mesh.r2)):
-        mids[edge] *= (radius / np.sqrt((mids[edge] ** 2).sum(axis=1)))[:, None]
-
-    a, b, c = mesh.elements.T
-    mab, mbc, mca = (n_old + element_edges).T
-    children = np.stack([
-        np.column_stack([a, mab, mca]),
-        np.column_stack([mab, b, mbc]),
-        np.column_stack([mca, mbc, c]),
-        np.column_stack([mab, mbc, mca]),
-    ], axis=1)
-
-    return _planar_from_arrays(
-        np.concatenate([mesh.nodes, mids]),
-        children.reshape(-1, 3),
-        np.repeat(mesh.region, 4),
-        np.concatenate([mesh.gamma_nodes, n_old + np.flatnonzero(gamma_edge)]),
-        np.concatenate([mesh.s_nodes, n_old + np.flatnonzero(s_edge)]),
-        mesh,
-    )

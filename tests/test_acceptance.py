@@ -28,7 +28,6 @@ from coreshell import (
     interface_flux_jump,
     radial_stationary_reference,
     ramp_field,
-    refine,
     stationary_solve,
     step_implicit_euler,
     zero_field,
@@ -37,6 +36,8 @@ from coreshell.config import load_config
 from coreshell.fem import error_norms
 from coreshell.mesh import build_mesh
 from coreshell.solvers import NEWTON_TOL
+
+from refinement import refine
 
 DESK_PARAMS = ModelParams(b1=1.0, b2=5.0, c0=1.0, c1=2.0)
 RADIAL_DESK = GeometrySpec(kind="radial", dimension=3, r1=0.5, r2=1.0, h=0.0078125)

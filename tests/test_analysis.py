@@ -16,7 +16,6 @@ from coreshell import (
     fit_decay_rate,
     interface_flux_jump,
     radial_stationary_reference,
-    refine,
     smallest_generalized_eigenvalue,
     stationary_solve,
     zero_field,
@@ -25,6 +24,8 @@ from coreshell.analysis import AnalysisError
 from coreshell.config import load_config
 from coreshell.fem import error_norms
 from coreshell.solvers import EvolutionTrace
+
+from refinement import refine
 
 
 @pytest.fixture(scope="module")

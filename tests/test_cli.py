@@ -202,6 +202,15 @@ class TestConfig:
         assert main(["verify", str(path), "--set", override]) == 2
         assert f"invalid input: unknown key [verify] {key}" in capsys.readouterr().err
 
+    def test_negative_seed_names_the_key(self, quick_cfg, capsys):
+        # numpy's own message ("expected non-negative integer") names no key
+        path, _ = quick_cfg
+        with pytest.raises(ConfigError, match=r"^\[verify\] seed must be non-negative, got -1$"):
+            load_config(path, ["verify.seed=-1"])
+        assert main(["verify", str(path), "--seed", "-1"]) == 2
+        assert ("invalid input: [verify] seed must be non-negative, got -1"
+                in capsys.readouterr().err)
+
     def test_unknown_key_in_file_rejected(self, tmp_path):
         path = tmp_path / "typo.cfg"
         path.write_text(QUICK_RADIAL.format(out=tmp_path).replace("dt = 0.05", "dtt = 0.05"))

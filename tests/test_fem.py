@@ -19,11 +19,11 @@ from coreshell import (
     energy_gradient,
     field_from_values,
     reaction_vector,
-    refine,
     zero_field,
 )
 from coreshell.fem import dot_fields, dual_norm, element_matrices, error_norms
-from coreshell.mesh import _edge_table
+
+from refinement import _edge_table, refine
 
 
 @pytest.fixture(scope="module")
@@ -255,7 +255,7 @@ STACK_SYSTEMS = DESK_SYSTEMS + ["planar_fine_system", "radial_chain_system"]
 @pytest.mark.parametrize("name", STACK_SYSTEMS + ["refined"])
 def test_pattern_is_the_diagonal_and_both_edge_directions(request, desk_params, name):
     # The pattern is built from the element node pairs; the reference is the
-    # diagonal plus both directions of each edge of the mesh's edge table
+    # diagonal plus both directions of each edge that `_edge_table` finds
     # (the segments on radial meshes), located by key search.
     if name == "refined":
         system = assemble(refine(request.getfixturevalue("annulus_desk_mesh")), desk_params)

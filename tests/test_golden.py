@@ -2,8 +2,10 @@
 
 `tests/data/golden.npz` holds the stationary state, the interface flux
 jump, the strong-monotonicity constant and the ramp-start evolution trace of
-both shipped configs, and the planar mesh after `build_mesh` and two
-`refine` levels. It was written by the dict-based, per-element-loop
+both shipped configs, and the planar mesh after `build_mesh` (whose
+interface facets the builder names from its ring layout) and after two
+levels of `refine`, the test helper in `tests/refinement.py` (whose facets
+come from its generic edge search). It was written by the dict-based, per-element-loop
 implementation that preceded the vectorised element table, so it pins the
 results across that rewrite: floats to atol 1e-10 + rtol 1e-10, Newton
 counts and integer mesh arrays exactly, node coordinates to 1e-14 * r2.
@@ -26,11 +28,12 @@ from coreshell import (
     evolve,
     interface_flux_jump,
     ramp_field,
-    refine,
     stationary_solve,
     zero_field,
 )
 from coreshell.config import load_config
+
+from refinement import refine
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_PATH = Path(__file__).with_name("data") / "golden.npz"

@@ -12,9 +12,10 @@ from coreshell import (
     build_annulus_mesh,
     build_mesh,
     build_radial_mesh,
-    refine,
 )
 from coreshell.reporting import write_vtk
+
+from refinement import _edge_table, _extract_gamma_facets, refine
 
 
 class TestGeometrySpec:
@@ -176,6 +177,20 @@ class TestAnnulusMesh:
         centroids = mesh.nodes[mesh.elements].mean(axis=1)
         inside = np.sqrt((centroids ** 2).sum(axis=1)) < r1
         assert np.array_equal(mesh.region, np.where(inside, CORE, SHELL))
+
+    # The builder names the interface facets from its ring layout; the
+    # generic edge search over the same elements is the reference. r1 = 1e-10
+    # and 0.05 have one core ring (the fan branch), r1 = 0.999 a thin shell.
+    @pytest.mark.parametrize("h, r1", [(0.35, 0.5), (0.25, 0.5), (0.1, 0.5), (0.025, 0.5),
+                                       (0.0125, 0.5), (0.1, 1e-10), (0.1, 0.05), (0.1, 0.999)])
+    def test_facets_match_the_edge_search(self, h, r1):
+        mesh = build_mesh(GeometrySpec(kind="planar2d", dimension=2, r1=r1, r2=1.0, h=h))
+        edges, _, edge_elements = _edge_table(mesh.elements)
+        facets, facet_elements, normals = _extract_gamma_facets(
+            mesh.nodes, mesh.elements, mesh.region, mesh.gamma_nodes, edges, edge_elements)
+        assert np.array_equal(mesh.gamma_facets, facets)
+        assert np.array_equal(mesh.facet_elements, facet_elements)
+        assert np.array_equal(mesh.facet_normals, normals)
 
     def test_build_mesh_dispatch(self):
         radial = build_mesh(GeometrySpec(kind="radial", dimension=3, r1=0.5, r2=1.0, h=0.25))

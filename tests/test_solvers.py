@@ -20,7 +20,6 @@ from coreshell import (
     evolve,
     field_from_values,
     ramp_field,
-    refine,
     solve_spd,
     stationary_solve,
     step_implicit_euler,
@@ -38,6 +37,8 @@ from coreshell.solvers import (
     _constant_part,
     sector_inverse,
 )
+
+from refinement import refine
 
 
 @pytest.fixture(scope="module")

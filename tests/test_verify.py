@@ -265,13 +265,32 @@ def test_verdicts_hold_where_newton_stops_at_its_floor(repo_root, name, override
     assert len(results) == 17 and [r.name for r in results if not r.passed] == []
 
 
+# The radial desk problem scaled by 2^100: c0 and c1 times it, b1 and b2 divided by it.
+SCALED_2_100 = ["--set", "model.b1=7.888609052210118e-31", "--set", "model.b2=3.944304526105059e-30",
+                "--set", "model.c0=1.2676506002282294e+30", "--set", "model.c1=2.535301200456459e+30"]
+
+
 def test_report_names_its_units(repo_root, tmp_path):
     config_path = repo_root / "configs" / "radial_desk.cfg"
-    scale = ["--set", "model.b1=7.888609052210118e-31", "--set", "model.b2=3.944304526105059e-30",
-             "--set", "model.c0=1.2676506002282294e+30", "--set", "model.c1=2.535301200456459e+30"]
-    for out, extra in ((tmp_path / "scaled", scale), (tmp_path / "plain", [])):
+    for out, extra in ((tmp_path / "scaled", SCALED_2_100), (tmp_path / "plain", [])):
         assert main(["verify", str(config_path), "--output-dir", str(out), *extra]) == 0
     scaled = (tmp_path / "scaled" / "verify_report.txt").read_text()
     plain = (tmp_path / "plain" / "verify_report.txt").read_text()
     note = "details in normalized units: c0 and c1 times 2^-100, b1 and b2 divided by it"
     assert note in scaled.splitlines() and "normalized" not in plain
+
+
+def test_violation_sample_names_its_units(repo_root, tmp_path):
+    # The sample of a scaled run is in normalized units, the same values as
+    # the unscaled run's; its comment lines name the units and echo the config.
+    config_path = repo_root / "configs" / "radial_desk.cfg"
+    for out, extra in ((tmp_path / "scaled", SCALED_2_100), (tmp_path / "plain", [])):
+        assert main(["verify", str(config_path), "--corrupt-b", "--output-dir", str(out),
+                     *extra]) == 1
+    scaled = (tmp_path / "scaled" / "violation_sample.csv").read_text().splitlines()
+    plain = (tmp_path / "plain" / "violation_sample.csv").read_text().splitlines()
+    assert scaled[:3] == [plain[0], plain[1], "# details in normalized units: c0 and c1 "
+                          "times 2^-100, b1 and b2 divided by it"]
+    assert plain[2] == f"# config: {config_path}"
+    assert "# c0 = 1.2676506002282294e+30" in scaled and "# c0 = 1" in plain
+    assert [x for x in scaled if x[0] != "#"] == [x for x in plain if x[0] != "#"]

@@ -68,11 +68,17 @@ def ramp_field(mesh: CoreShellMesh, params: ModelParams) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 
+def element_keys(elements: np.ndarray, n: int) -> np.ndarray:
+    """The key a * n + b of each entry (e, a, b) of an (m, k, k) table of
+    element matrices, a and b running over the element's nodes."""
+    return elements[:, :, None] * n + elements[:, None, :]
+
+
 class SparsityPattern:
     """The node pairs that share an element, plus the diagonal, in padded ELL layout.
 
-    Built from the node pairs (a, b) of each element, the diagonal among
-    them. The entries of row i, in increasing column
+    Built from the node pairs (a, b) of each element (`element_keys`), the
+    diagonal among them. The entries of row i, in increasing column
     order, fill slots 0, 1, ... of column i of the (w, n) table `cols`; a
     slot left over holds column i and the value 0, so it adds nothing. w is
     the longest row apart from hub rows, those longer than twice the median
@@ -84,16 +90,16 @@ class SparsityPattern:
     Per stored entry, in row-major order: `keys` (row * n + column, sorted),
     `slots` (its index in the data) and `transpose` (the data index of the
     entry at the mirrored position). `diag` holds the data index of every
-    diagonal entry, and `element_slots` that of each entry (e, a, b) of an
-    (m, k, k) table of element matrices, in that shape. `find` maps keys to
-    data indices, for reads of entries by position.
+    diagonal entry. `find` maps keys to data indices, for reads of entries
+    by position and for the element tables `assemble` sums.
     """
 
     def __init__(self, mesh: CoreShellMesh):
-        n, elements = mesh.n_nodes, mesh.elements
-        k = elements.shape[1]
-        pairs = np.repeat(elements, k, axis=1) * n + np.tile(elements, (1, k))
-        keys, inverse = np.unique(pairs.ravel(), return_inverse=True)
+        n = mesh.n_nodes
+        # sorted in place: np.unique would sort a copy
+        keys = element_keys(mesh.elements, n).ravel()
+        keys.sort()
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         rows, cols = np.divmod(keys, n)
         lengths = np.bincount(rows, minlength=n)
         hub = lengths > 2.0 * np.median(lengths)
@@ -113,19 +119,19 @@ class SparsityPattern:
         self.keys = keys
         self.slots = slots
         self.diag = slots[rows == cols]
-        self.element_slots = slots[inverse].reshape(-1, k, k)
 
     def find(self, keys) -> np.ndarray:
         """The data index of each key row * n + column, -1 off the pattern."""
+        # rebinding `at` frees each index array once the next one exists
         at = np.minimum(np.searchsorted(self.keys, keys), self.keys.shape[0] - 1)
-        return np.where(self.keys[at] == keys, self.slots[at], -1)
+        hit = self.keys[at] == keys
+        at = self.slots[at]
+        return np.where(hit, at, -1)
 
     @cached_property
     def transpose(self) -> np.ndarray:
-        # entry (e, b, a) of an element is the mirror of its entry (e, a, b)
-        mirror = np.empty(self.size, dtype=self.slots.dtype)
-        mirror[self.element_slots] = self.element_slots.transpose(0, 2, 1)
-        return mirror[self.slots]
+        rows, cols = np.divmod(self.keys, self.n)
+        return self.find(cols * self.n + rows)
 
 
 class SparseOperator:
@@ -260,18 +266,11 @@ class AssembledSystem:
             raise ValueError(f"field has shape {u.shape}, system has {self.n_nodes} nodes")
 
 
-def element_matrices(mesh: CoreShellMesh, b1: float, b2: float):
-    """Local matrices of all elements, built at once from the mesh's measures and gradients.
-
-    Returns (m, k, k) tables of the stiffness weighted by b1 on core and b2
-    on shell elements, the unit stiffness and the mass, the (m, k) lumped
-    mass and the (m,) element volumes; radial integrals carry the volume
-    weight r^(N-1). Raises GeometryError naming the first element whose
-    local matrices are not finite (they overflow on extreme radii or mesh
-    sizes).
-    """
-    measures, grads = mesh.measures, mesh.gradients
-    core = mesh.region == CORE
+def element_mass(mesh: CoreShellMesh):
+    """The (m, k, k) table of element mass matrices, the (m, k) lumped mass
+    and the (m,) element volumes; radial integrals carry the volume weight
+    r^(N-1)."""
+    measures = mesh.measures
     with np.errstate(over="ignore", invalid="ignore"):
         if mesh.kind == "radial":
             w = mesh.dimension - 1  # the volume weight is r^w
@@ -284,18 +283,54 @@ def element_matrices(mesh: CoreShellMesh, b1: float, b2: float):
             weight = (measures / 2.0)[:, None] * wq * r**w
             m_aa, m_ab, m_bb = (weight @ (phi[:, [0, 0, 1]] * phi[:, [0, 1, 1]])).T
             m_local = np.stack([m_aa, m_ab, m_ab, m_bb], axis=1).reshape(-1, 2, 2)
-            lumped_local = weight @ phi
-            volume = weight.sum(axis=1)
-        else:
-            m_local = (measures / 12.0)[:, None, None] * (1.0 + np.eye(3))
-            lumped_local = np.repeat(measures[:, None] / 3.0, 3, axis=1)
-            volume = measures
-        kt_local = volume[:, None, None] * (grads[:, :, None, :]
-                                            * grads[:, None, :, :]).sum(axis=-1)
-        k_local = np.where(core, b1, b2)[:, None, None] * kt_local
-    finite = (np.isfinite(k_local).all(axis=(1, 2)) & np.isfinite(m_local).all(axis=(1, 2))
-              & np.isfinite(lumped_local).all(axis=1))
-    if not finite.all():
+            return m_local, weight @ phi, weight.sum(axis=1)
+        m_local = (measures / 12.0)[:, None, None] * (1.0 + np.eye(3))
+        return m_local, np.repeat(measures[:, None] / 3.0, 3, axis=1), measures
+
+
+def element_stiffness(mesh: CoreShellMesh, volume: np.ndarray) -> np.ndarray:
+    """The (m, k, k) table of unit element stiffness matrices, volume times
+    grad phi_a . grad phi_b.
+
+    The dot products are summed axis by axis into the table, in axis order,
+    one (m, k) column of products at a time.
+    """
+    grads = mesh.gradients
+    m, k, d = grads.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = grads[:, :, None, 0] * grads[:, None, :, 0]
+        column = np.empty((m, k))
+        for axis in range(1, d):
+            for b in range(k):
+                np.multiply(grads[:, :, axis], grads[:, b, axis, None], out=column)
+                table[:, :, b] += column
+        table *= volume[:, None, None]
+    return table
+
+
+def stiffness_coefficients(mesh: CoreShellMesh, b1: float, b2: float) -> np.ndarray:
+    """The diffusion coefficient of each element, b1 on core and b2 on shell
+    elements, shaped (m, 1, 1) to scale a table of element matrices."""
+    return np.where(mesh.region == CORE, b1, b2)[:, None, None]
+
+
+def element_matrices(mesh: CoreShellMesh, b1: float, b2: float):
+    """Local matrices of all elements, built at once from the mesh's measures and gradients.
+
+    Returns (m, k, k) tables of the stiffness weighted by b1 on core and b2
+    on shell elements, the unit stiffness and the mass, the (m, k) lumped
+    mass and the (m,) element volumes (`element_mass`, `element_stiffness`
+    and `stiffness_coefficients`). Raises GeometryError naming the first
+    element whose local matrices are not finite (they overflow on extreme
+    radii or mesh sizes).
+    """
+    m_local, lumped_local, volume = element_mass(mesh)
+    kt_local = element_stiffness(mesh, volume)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_local = stiffness_coefficients(mesh, b1, b2) * kt_local
+    if not all(np.isfinite(table).all() for table in (k_local, m_local, lumped_local)):
+        finite = (np.isfinite(k_local).all(axis=(1, 2)) & np.isfinite(m_local).all(axis=(1, 2))
+                  & np.isfinite(lumped_local).all(axis=1))
         raise GeometryError(f"element {int(np.argmin(finite))} has non-finite local matrices")
     return k_local, kt_local, m_local, lumped_local, volume
 
@@ -311,7 +346,8 @@ def assemble(
     Radial meshes include the r^(N-1) volume weight in every integral, and
     the mask is the mesh's `s_nodes`. `b_override` bypasses parameter
     validation for harness sanity checks. Raises GeometryError naming the
-    first unmasked node whose lumped mass is not positive (the radial
+    first element whose local matrices are not finite (`element_matrices`),
+    the first unmasked node whose lumped mass is not positive (the radial
     weight underflows at high dimension), or an operator with a non-finite
     entry (finite element terms can sum to infinity), and ParameterError
     naming the first unmasked node whose K diagonal is zero (its diffusion
@@ -320,27 +356,42 @@ def assemble(
     Each entry of K, Kt and M sums its `element_matrices` terms in element
     order. An off-diagonal entry sums at most two element terms (an edge has
     at most two elements), and a + b == b + a exactly, so K and M are
-    symmetric bitwise.
+    symmetric bitwise. The pattern is built first, and each (m, k, k) table
+    is summed into its operator before the next one is formed: the mass,
+    then the unit stiffness, then the same table scaled in place by the
+    diffusion coefficients.
     """
     b1, b2 = (params.b1, params.b2) if b_override is None else b_override
-    k_local, kt_local, m_local, lumped_local, volume = element_matrices(mesh, b1, b2)
-    core = mesh.region == CORE
-
     n = mesh.n_nodes
+    pattern = SparsityPattern(mesh)
+    slots = pattern.find(element_keys(mesh.elements, n)).ravel()
+
+    def operator(table):
+        return SparseOperator(pattern, np.bincount(slots, weights=table.ravel(),
+                                                   minlength=pattern.size))
+
+    table, lumped_local, volume = element_mass(mesh)
+    finite = bool(np.isfinite(table).all() and np.isfinite(lumped_local).all())
+    operators = {"M": operator(table)}
+    del table
+    table = element_stiffness(mesh, volume)
+    operators["Kt"] = operator(table)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table *= stiffness_coefficients(mesh, b1, b2)
+    finite = finite and bool(np.isfinite(table).all())
+    operators["K"] = operator(table)
+    del table, slots
+    if not finite:
+        element_matrices(mesh, b1, b2)  # raises, naming the first such element
+
+    core = mesh.region == CORE
     mask = mesh.dirichlet_mask()
     lumped = np.bincount(mesh.elements.ravel(), weights=lumped_local.ravel(), minlength=n)
     thin = np.flatnonzero(~mask & ~(lumped > 0.0))
     if thin.size:
         raise GeometryError(f"node {thin[0]} has non-positive lumped mass {lumped[thin[0]]}")
-    pattern = SparsityPattern(mesh)
-
-    def operator(local):
-        return SparseOperator(pattern, np.bincount(pattern.element_slots.ravel(),
-                                                   weights=local.ravel(), minlength=pattern.size))
-
-    operators = {"K": operator(k_local), "Kt": operator(kt_local), "M": operator(m_local)}
-    for name, op in operators.items():
-        if not np.all(np.isfinite(op.data)):
+    for name in ("K", "Kt", "M"):
+        if not np.all(np.isfinite(operators[name].data)):
             raise GeometryError(f"assembled {name} has a non-finite entry")
     unstiff = np.flatnonzero(~mask & (operators["K"].diagonal() == 0.0))
     if unstiff.size:

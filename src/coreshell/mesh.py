@@ -113,21 +113,26 @@ class CoreShellMesh:
     gradients: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        p = self.nodes[self.elements]
+        # gradients holds measure * gradient until the measures are checked
         if self.kind == "radial":
-            measures = p[:, 1] - p[:, 0]
-            scaled = np.array([[-1.0], [1.0]])  # measure * gradient
+            measures = self.nodes[self.elements[:, 1]] - self.nodes[self.elements[:, 0]]
+            gradients = np.tile([[-1.0], [1.0]], (self.elements.shape[0], 1, 1))
         else:
-            x, y = p[..., 0], p[..., 1]
-            by = np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1)
-            cx = np.roll(x, -2, axis=1) - np.roll(x, -1, axis=1)
-            measures = 0.5 * (cx[:, 2] * by[:, 1] - by[:, 2] * cx[:, 1])
-            scaled = 0.5 * np.stack([by, cx], axis=2)
+            # (by_a, cx_a) of each vertex a, then the area from two of them
+            gradients = np.empty(self.elements.shape + (2,))
+            for a in range(3):
+                after, before = self.elements[:, (a + 1) % 3], self.elements[:, (a + 2) % 3]
+                np.subtract(self.nodes[after, 1], self.nodes[before, 1], out=gradients[:, a, 0])
+                np.subtract(self.nodes[before, 0], self.nodes[after, 0], out=gradients[:, a, 1])
+            measures = 0.5 * (gradients[:, 2, 1] * gradients[:, 1, 0]
+                              - gradients[:, 2, 0] * gradients[:, 1, 1])
+            gradients *= 0.5
         if np.any(measures <= 0.0):
             bad = int(np.argmin(measures))
             raise GeometryError(f"element {bad} has non-positive measure {measures[bad]}")
+        gradients /= measures[:, None, None]
         self.measures = measures
-        self.gradients = scaled / measures[:, None, None]
+        self.gradients = gradients
         for arr in (self.nodes, self.elements, self.region, self.s_nodes, self.gamma_nodes,
                     self.gamma_facets, self.facet_elements, self.facet_normals,
                     self.measures, self.gradients):
@@ -278,10 +283,11 @@ def build_annulus_mesh(spec: GeometrySpec) -> CoreShellMesh:
     fan = np.column_stack([np.zeros(n_sectors, dtype=np.int64), ring_node[0], next_node[0]])
     v00, v01, v10, v11 = ring_node[:-1], next_node[:-1], ring_node[1:], next_node[1:]
     quads = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
-    elements = np.concatenate([fan, quads]).astype(np.int64)
+    elements = np.concatenate([fan, quads], dtype=np.int64)
 
     band = np.repeat(np.arange(n_rings), [n_sectors] + [2 * n_sectors] * (n_rings - 1))
     region = np.where(band < n_ring_core, CORE, SHELL).astype(np.int64)
+    del quads, band  # freed before the mesh forms its gradient table
 
     # The interface facets are the edges of ring k, the interface ring: edge
     # s has the core triangle of sector s below it (in the fan when k = 0)

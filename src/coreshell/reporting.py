@@ -62,7 +62,14 @@ def coordinate_text(mesh: CoreShellMesh) -> tuple:
 def write_lines(path, lines):
     """Write lines with LF endings and a final newline."""
     with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        _write_section(handle, lines)
+
+
+def _write_section(handle, lines):
+    """Write lines to an open text file, each ended by LF; the text is
+    joined once and not copied again for its last newline."""
+    handle.write("\n".join(lines))
+    handle.write("\n")
 
 
 def comment_block(echo_lines) -> list:
@@ -156,27 +163,23 @@ def write_vtk(path, mesh: CoreShellMesh, point_data: dict | None = None,
     """Write a mesh and optional nodal scalar fields as legacy ASCII VTK: POINTS
     (radial meshes on the x-axis, planar at z = 0), CELLS, CELL_TYPES, the
     region tag (core=0, shell=1) as CELL_DATA, then each field under POINT_DATA."""
-    lines = ["# vtk DataFile Version 2.0", title[:255], "ASCII",
-             "DATASET UNSTRUCTURED_GRID"]
-
     coords = coordinate_text(mesh)
     zeros = " 0" * (3 - len(coords))
-    lines.append(f"POINTS {mesh.n_nodes} double")
-    lines.append((zeros + "\n").join(map(" ".join, zip(*coords))) + zeros)
-
     m, k = mesh.elements.shape
-    lines.append(f"CELLS {m} {m * (k + 1)}")
-    lines.append("\n".join([str(k) + " %d" * k] * m) % tuple(mesh.elements.ravel().tolist()))
-    lines.append(f"CELL_TYPES {m}")
-    lines += [str(_VTK_LINE if k == 2 else _VTK_TRIANGLE)] * m
-
-    lines += [f"CELL_DATA {m}", "SCALARS region int 1", "LOOKUP_TABLE default"]
-    lines += column_text(mesh.region)
-
-    if point_data:
-        lines.append(f"POINT_DATA {mesh.n_nodes}")
-        for name, values in point_data.items():
-            lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
-            lines += column_text(values)
-
-    write_lines(path, lines)
+    cell_type = _VTK_LINE if k == 2 else _VTK_TRIANGLE
+    # each section is written as it is formed, so the file's text never
+    # exists at once
+    with open(path, "w", newline="\n") as handle:
+        handle.write(f"# vtk DataFile Version 2.0\n{title[:255]}\nASCII\n"
+                     f"DATASET UNSTRUCTURED_GRID\nPOINTS {mesh.n_nodes} double\n")
+        handle.write((zeros + "\n").join(map(" ".join, zip(*coords))))
+        handle.write(f"{zeros}\nCELLS {m} {m * (k + 1)}\n")
+        handle.write("\n".join([str(k) + " %d" * k] * m) % tuple(mesh.elements.ravel().tolist()))
+        handle.write(f"\nCELL_TYPES {m}\n" + f"{cell_type}\n" * m)
+        handle.write(f"CELL_DATA {m}\nSCALARS region int 1\nLOOKUP_TABLE default\n")
+        _write_section(handle, column_text(mesh.region))
+        if point_data:
+            handle.write(f"POINT_DATA {mesh.n_nodes}\n")
+            for name, values in point_data.items():
+                handle.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+                _write_section(handle, column_text(values))

@@ -786,22 +786,30 @@ class TestCmdVerify:
 def test_commands_do_not_load_scipy(quick_cfg, repo_root):
     # The runtime needs numpy only; importing scipy.sparse alone costs every
     # process about 0.2 s and 20 MB. Run in a fresh interpreter, because
-    # this test process has loaded scipy elsewhere.
+    # this test process has loaded scipy elsewhere. Importing the CLI
+    # freezes the import's objects out of the collector, which stays
+    # enabled; under dev mode with warnings as errors, the commands leave
+    # nothing (an unclosed file's ResourceWarning, say) for exit to report.
     path, _ = quick_cfg
     code = (
-        "import sys\n"
+        "import gc, sys\n"
         "from coreshell.cli import main\n"
+        "print(gc.get_freeze_count())\n"
         "for command in ('mesh', 'stationary', 'evolve', 'verify'):\n"
         f"    assert main([command, {str(path)!r}]) == 0, command\n"
+        "assert gc.isenabled()\n"
         "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo_root / "src"),
                                                       env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, timeout=600)
+    result = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
+                            capture_output=True, text=True, env=env, timeout=600)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    assert result.stderr == ""
+    lines = result.stdout.splitlines()
+    assert int(lines[0]) > 0
+    assert lines[-1] == "[]"
 
 
 @pytest.mark.parametrize("command, option, target", [
@@ -837,7 +845,10 @@ def test_module_entry_point_runs_the_cli(repo_root, tmp_path):
 
     result = run()
     assert result.returncode == 0, result.stderr
-    assert (tmp_path / "stationary_report.txt").exists()
+    # the process's exit still flushes its stdout and every artifact
+    assert result.stdout.splitlines()[-1].startswith("  max interface flux jump = ")
+    for name in ("stationary_field.csv", "stationary_field.vtk", "stationary_report.txt"):
+        assert (tmp_path / name).stat().st_size > 0, name
     result = run("--set", "geometry.dimension=400")
     assert result.returncode == 2
     assert "invalid input" in result.stderr
